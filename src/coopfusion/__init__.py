@@ -13,7 +13,6 @@ from .association import (
     AssociationResult,
     CombinatorialOverflowError,
     Track,
-    apply_association,
     associate_frame,
     gate,
     jpda_weights,
@@ -58,7 +57,6 @@ from .evaluation import (
 from .global_fusion import (
     GlobalFusion,
     GlobalFusionConfig,
-    GlobalTrack,
     PlatformPacket,
     covariance_to_world,
     covariance_union,
@@ -70,13 +68,12 @@ from .global_fusion import (
 from .local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
 from .simulator import (
     FigureEightPath,
+    LocalizerDrift,
     ScenarioConfig,
     Simulation,
     TrafficLight,
-    figure_eight_path,
     step_vehicle,
     stream_rng,
-    synth_localizer,
     synth_sensor_frame,
 )
 from .tracking import (

@@ -387,25 +387,6 @@ def _finish_frame(
     return survivors + spawned
 
 
-def apply_association(
-    tracks: Sequence[Track],
-    observations: Sequence[GaussianEstimate],
-    result: AssociationResult,
-    cfg: AssociationConfig,
-    next_id: Callable[[], int],
-) -> list[Track]:
-    """Update, confirm, delete, merge, and spawn tracks from one frame's marginals.
-
-    Each track updates with every observation whose weight clears the floor,
-    the observation covariance inflated by 1/weight to realize the soft
-    assignment.  Unassociated observations spawn tentative tracks unless a
-    live track already covers them within the widened spawn gate.
-    """
-    accepted = _accepted_observations(tracks, observations, result, cfg)
-    unassociated = [observations[j] for j in result.unassociated_observations]
-    return _finish_frame(tracks, accepted, unassociated, cfg, next_id)
-
-
 def associate_frame(
     tracks: Sequence[Track],
     observations_by_source: dict[str, Sequence[GaussianEstimate]],
@@ -420,6 +401,11 @@ def associate_frame(
     accumulates up to one update per source.  This is what makes a second
     platform's view of the same object add information instead of splitting
     the first one's weight.
+
+    Each track updates with every observation whose weight clears the floor,
+    the observation covariance inflated by 1/weight to realize the soft
+    assignment.  Unassociated observations spawn tentative tracks unless a
+    live track already covers them within the widened spawn gate.
     """
     accepted: list[list[GaussianEstimate]] = [[] for _ in tracks]
     unassociated: list[GaussianEstimate] = []

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -36,7 +36,7 @@ from .global_fusion import (
     packetize,
 )
 from .local_fusion import LocalFrame, LocalFusion
-from .simulator import ScenarioConfig, Simulation, TickData
+from .simulator import ScenarioConfig, Simulation, TickData, cav_id, cis_id, sensor_pipelines
 from .tracking import ProcessNoiseConfig
 
 LOG_SCHEMA = 1
@@ -145,28 +145,7 @@ class RunReport:
     per_track: dict[str, dict] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": LOG_SCHEMA,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "duration": self.duration,
-            "tick_rate": self.tick_rate,
-            "rmse_global": self.rmse_global,
-            "rmse_localization_alone": self.rmse_localization_alone,
-            "matched_total": self.matched_total,
-            "sse_total": self.sse_total,
-            "loc_count_total": self.loc_count_total,
-            "loc_sse_total": self.loc_sse_total,
-            "false_track_ticks": self.false_track_ticks,
-            "confirmed_tracks": self.confirmed_tracks,
-            "stopped_matched_total": self.stopped_matched_total,
-            "stopped_sse_total": self.stopped_sse_total,
-            "stopped_loc_count_total": self.stopped_loc_count_total,
-            "stopped_loc_sse_total": self.stopped_loc_sse_total,
-            "per_tick": self.per_tick,
-            "per_track": self.per_track,
-        }
+        return {"schema": LOG_SCHEMA, **asdict(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -269,31 +248,21 @@ def _tick_groups_from_sim(sim: Simulation, n_ticks: int) -> Iterator[_TickGroup]
 class _ScenarioFusion:
     """All fusion instances for one run: one local per platform plus the RSU."""
 
-    def __init__(
-        self,
-        config: ScenarioConfig,
-        models: ModelSet,
-        cis_poses: list[PlatformPose],
-        local_noise: ProcessNoiseConfig = LOCAL_PROCESS_NOISE,
-        global_config: GlobalFusionConfig | None = None,
-    ):
+    def __init__(self, config: ScenarioConfig, models: ModelSet, cis_poses: list[PlatformPose]):
         self.config = config
         self.models = models
         self.cis_poses = cis_poses
-        sim_shape = Simulation(config)  # geometry only; never ticked
-        self.cav_ids = sim_shape.cav_ids
-        self.cis_ids = sim_shape.cis_ids
+        self.cav_ids = [cav_id(i) for i in range(config.cav_count)]
+        self.cis_ids = [cis_id(i) for i in range(config.cis_count)]
+        # Both tiers predict over one scenario tick.
+        dt = 1.0 / config.tick_rate
+        local_noise = replace(LOCAL_PROCESS_NOISE, dt=dt)
         self.local = {
-            pid: LocalFusion(sim_shape.sensor_pipelines("cav", models), noise=local_noise)
-            for pid in self.cav_ids
+            pid: LocalFusion(sensor_pipelines(config, kind, models), noise=local_noise)
+            for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
+            for pid in ids
         }
-        self.local.update(
-            {
-                pid: LocalFusion(sim_shape.sensor_pipelines("cis", models), noise=local_noise)
-                for pid in self.cis_ids
-            }
-        )
-        self.rsu = GlobalFusion(global_config or GlobalFusionConfig(noise=GLOBAL_PROCESS_NOISE))
+        self.rsu = GlobalFusion(GlobalFusionConfig(noise=replace(GLOBAL_PROCESS_NOISE, dt=dt)))
         self.cis_pose_cov = config.cis_pose_var * np.eye(2)
 
     def process(

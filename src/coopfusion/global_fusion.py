@@ -26,8 +26,6 @@ from .error_models import (
 from .geometry import rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
 
-GlobalTrack = Track
-
 
 class PacketError(ValueError):
     """Raised for malformed platform packets."""
@@ -211,9 +209,7 @@ class GlobalFusionConfig:
 
     association: AssociationConfig = field(default_factory=AssociationConfig)
     noise: ProcessNoiseConfig = field(default_factory=ProcessNoiseConfig)
-    tick_period: float = 0.125
     include_platform_pose: bool = True
-    pose_object_class: str = "platform"
 
 
 class GlobalFusion:
@@ -234,9 +230,13 @@ class GlobalFusion:
         self.late_packets = 0
 
     def ingest(self, packet: PlatformPacket) -> None:
-        """Queue one packet for the next tick; latest per platform wins."""
+        """Queue one packet for the next tick; latest per platform wins.
+
+        A packet more than one frame period (``config.noise.dt``) older than
+        the last fused tick is counted as late and dropped.
+        """
         with self._lock:
-            if packet.timestamp < self._current_time - self.config.tick_period:
+            if packet.timestamp < self._current_time - self.config.noise.dt:
                 self.late_packets += 1
                 return
             held = self._inbox.get(packet.platform_id)
@@ -270,7 +270,7 @@ class GlobalFusion:
                         packet.pose.position,
                         np.array(packet.pose_covariance),
                         source=packet.platform_id,
-                        object_class=self.config.pose_object_class,
+                        object_class="platform",
                     )
                 )
             by_platform[packet.platform_id] = observations

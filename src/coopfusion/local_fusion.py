@@ -28,7 +28,6 @@ class SensorPipelineConfig:
     pose: SensorPose
     fov: float
     max_range: float
-    rate: float
     distal_model: ErrorModel
     perp_model: ErrorModel
 
@@ -37,8 +36,6 @@ class SensorPipelineConfig:
             raise ValueError(f"fov must be in (0, 2*pi], got {self.fov}")
         if not (self.max_range > 0.0):
             raise ValueError("max_range must be positive")
-        if not (self.rate > 0.0):
-            raise ValueError("rate must be positive")
 
 
 @dataclass

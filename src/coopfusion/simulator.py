@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -110,10 +110,6 @@ class FigureEightPath:
             if dist < best[0]:
                 best = (dist, direction)
         return best
-
-
-def figure_eight_path(straight_length: float) -> FigureEightPath:
-    return FigureEightPath(straight_length)
 
 
 @dataclass(frozen=True)
@@ -256,32 +252,6 @@ def synth_sensor_frame(
     return observations
 
 
-def synth_localizer(
-    true_pose: PlatformPose,
-    longitudinal: ErrorModel,
-    lateral: ErrorModel,
-    rng: np.random.Generator,
-    heading_sigma: float = 0.01,
-) -> PlatformPose:
-    """One independent localizer measurement, noise oriented by the true heading.
-
-    The component std-devs come from the (truth) models at the true speed;
-    the reported speed equals the true speed.
-    """
-    sigma_lon = eval_error_model(longitudinal, true_pose.v)
-    sigma_lat = eval_error_model(lateral, true_pose.v)
-    eps_lon = rng.normal(0.0, sigma_lon)
-    eps_lat = rng.normal(0.0, sigma_lat)
-    cos_h = math.cos(true_pose.theta)
-    sin_h = math.sin(true_pose.theta)
-    return PlatformPose(
-        true_pose.x + eps_lon * cos_h - eps_lat * sin_h,
-        true_pose.y + eps_lon * sin_h + eps_lat * cos_h,
-        float(wrap_angle(true_pose.theta + rng.normal(0.0, heading_sigma))),
-        true_pose.v,
-    )
-
-
 class LocalizerDrift:
     """Stateful localizer error: AR(1) drift with the models' marginal sigma.
 
@@ -361,6 +331,22 @@ class ScenarioConfig:
             raise ValueError("at most two infrastructure sensors are placed")
         if not (self.tick_rate > 0.0) or not (self.duration > 0.0):
             raise ValueError("duration and tick_rate must be positive")
+        if not (0.0 <= self.miss_probability <= 1.0):
+            raise ValueError("miss_probability must be in [0, 1]")
+        for name in ("camera_range", "lidar_range", "accel_limit"):
+            if not (getattr(self, name) > 0.0):
+                raise ValueError(f"{name} must be positive")
+        for name in (
+            "target_speed",
+            "clutter_rate",
+            "heading_noise",
+            "loc_correlation_time",
+            "sensing_correlation_time",
+            "cis_pose_var",
+            "min_gap",
+        ):
+            if not (getattr(self, name) >= 0.0):
+                raise ValueError(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:
         out = {}
@@ -396,20 +382,47 @@ class TickData:
     frames: dict[str, LocalFrame]
 
 
-@dataclass
-class GroundTruth:
-    """Accumulated truth for a full run: dynamic CAV states, static CIS poses."""
-
-    ticks: list[TickData] = field(default_factory=list)
-    cis_poses: list[PlatformPose] = field(default_factory=list)
-
-
 def cav_id(index: int) -> str:
     return f"cav{index}"
 
 
 def cis_id(index: int) -> str:
     return f"cis{index}"
+
+
+def cis_poses(config: ScenarioConfig) -> list[PlatformPose]:
+    """Surveyed CIS placements: above and below the crossing, facing it."""
+    s_l = config.straight_length
+    placements = [
+        PlatformPose(0.0, s_l, -0.5 * math.pi, 0.0),
+        PlatformPose(0.0, -s_l, 0.5 * math.pi, 0.0),
+    ]
+    return placements[: config.cis_count]
+
+
+def sensor_pipelines(
+    config: ScenarioConfig, kind: str, models: ModelSet
+) -> list[SensorPipelineConfig]:
+    """Pipeline configs for a platform kind (``"cav"`` or ``"cis"``) bound to a model set."""
+    camera = SensorPipelineConfig(
+        name="camera",
+        pose=SensorPose(),
+        fov=CAMERA_FOV,
+        max_range=config.camera_range,
+        distal_model=models.camera_distal,
+        perp_model=models.camera_perpendicular,
+    )
+    if kind == "cis":
+        return [camera]
+    lidar = SensorPipelineConfig(
+        name="lidar",
+        pose=SensorPose(),
+        fov=LIDAR_FOV,
+        max_range=config.lidar_range,
+        distal_model=models.lidar_distal,
+        perp_model=models.lidar_perpendicular,
+    )
+    return [camera, lidar]
 
 
 class Simulation:
@@ -433,9 +446,11 @@ class Simulation:
         self.cav_ids = [cav_id(i) for i in range(config.cav_count)]
         self.cis_ids = [cis_id(i) for i in range(config.cis_count)]
         self._rngs: dict[str, np.random.Generator] = {}
+        self.cis_poses = cis_poses(config)
         self._truth_pipelines = {
-            pid: self.sensor_pipelines("cav" if pid.startswith("cav") else "cis", config.truth_models)
-            for pid in self.cav_ids + self.cis_ids
+            pid: sensor_pipelines(config, kind, config.truth_models)
+            for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
+            for pid in ids
         }
         self._localizers = [
             LocalizerDrift(
@@ -458,40 +473,6 @@ class Simulation:
         if name not in self._rngs:
             self._rngs[name] = stream_rng(self.config.seed, name)
         return self._rngs[name]
-
-    @property
-    def cis_poses(self) -> list[PlatformPose]:
-        """Surveyed CIS placements: above and below the crossing, facing it."""
-        s_l = self.config.straight_length
-        placements = [
-            PlatformPose(0.0, s_l, -0.5 * math.pi, 0.0),
-            PlatformPose(0.0, -s_l, 0.5 * math.pi, 0.0),
-        ]
-        return placements[: self.config.cis_count]
-
-    def sensor_pipelines(self, kind: str, models: ModelSet) -> list[SensorPipelineConfig]:
-        """Pipeline configs for a platform kind, bound to the given model set."""
-        camera = SensorPipelineConfig(
-            name="camera",
-            pose=SensorPose(),
-            fov=CAMERA_FOV,
-            max_range=self.config.camera_range,
-            rate=self.config.tick_rate,
-            distal_model=models.camera_distal,
-            perp_model=models.camera_perpendicular,
-        )
-        if kind == "cis":
-            return [camera]
-        lidar = SensorPipelineConfig(
-            name="lidar",
-            pose=SensorPose(),
-            fov=LIDAR_FOV,
-            max_range=self.config.lidar_range,
-            rate=self.config.tick_rate,
-            distal_model=models.lidar_distal,
-            perp_model=models.lidar_perpendicular,
-        )
-        return [camera, lidar]
 
     def _advance_vehicles(self, t: float) -> None:
         cfg = self.config
@@ -581,10 +562,3 @@ class Simulation:
                 rho=self._sensing_rho,
             )
         return LocalFrame(timestamp=t, observations=observations)
-
-    def run(self, n_ticks: int) -> GroundTruth:
-        """Convenience: run ``n_ticks`` and return the accumulated truth."""
-        truth = GroundTruth(cis_poses=self.cis_poses)
-        for k in range(n_ticks):
-            truth.ticks.append(self.tick(k))
-        return truth

@@ -71,7 +71,7 @@ class TrackEstimate:
 
 @dataclass(frozen=True)
 class ProcessNoiseConfig:
-    """Process noise magnitudes and the fixed frame period."""
+    """Process noise magnitudes and the frame period one predict covers."""
 
     sigma_ax: float = 0.5
     sigma_ay: float = 0.5
@@ -87,7 +87,8 @@ class ProcessNoiseConfig:
 
 
 @lru_cache(maxsize=32)
-def _cached_q(cfg: ProcessNoiseConfig) -> np.ndarray:
+def process_noise_matrix(cfg: ProcessNoiseConfig) -> np.ndarray:
+    """The 5x5 additive process noise for one predict step, clipped PSD."""
     dt = cfg.dt
     dt2 = dt * dt
     dt3 = dt2 * dt
@@ -111,11 +112,6 @@ def _cached_q(cfg: ProcessNoiseConfig) -> np.ndarray:
     q = symmetrized(eigenvectors @ np.diag(np.clip(eigenvalues, 0.0, None)) @ eigenvectors.T)
     q.setflags(write=False)
     return q
-
-
-def process_noise_matrix(cfg: ProcessNoiseConfig) -> np.ndarray:
-    """The 5x5 additive process noise for one predict step, clipped PSD."""
-    return _cached_q(cfg)
 
 
 def ctrv_motion(state: np.ndarray, dt: float) -> np.ndarray:

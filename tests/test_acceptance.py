@@ -28,7 +28,7 @@ from coopfusion.error_models import (
 from coopfusion.evaluation import pooled_rmse, replay, run_matrix, run_scenario, scenario_preset
 from coopfusion.global_fusion import covariance_union
 from coopfusion.local_fusion import SensorPipelineConfig
-from coopfusion.simulator import stream_rng, synth_localizer, synth_sensor_frame
+from coopfusion.simulator import LocalizerDrift, stream_rng, synth_sensor_frame
 from coopfusion.tracking import (
     KinematicState,
     ProcessNoiseConfig,
@@ -323,7 +323,6 @@ class TestCriterion7CalibrationClosure:
             pose=SensorPose(),
             fov=fov,
             max_range=10.0,
-            rate=8.0,
             distal_model=distal,
             perp_model=perp,
         )
@@ -349,6 +348,7 @@ class TestCriterion7CalibrationClosure:
 
     def localizer_samples(self, longitudinal, lateral, seed, count=50_000):
         rng = stream_rng(seed, "closure/localizer")
+        localizer = LocalizerDrift(longitudinal, lateral, 0.125, 0.0, heading_sigma=1e-9)
         lon_samples = []
         lat_samples = []
         from coopfusion.calibration import ErrorSample
@@ -358,7 +358,7 @@ class TestCriterion7CalibrationClosure:
             v = rng.uniform(0.0, 0.05) if u < 0.5 else rng.uniform(0.05, 0.5)
             theta = rng.uniform(-math.pi, math.pi)
             truth = PlatformPose(0.0, 0.0, theta, v)
-            measured = synth_localizer(truth, longitudinal, lateral, rng, heading_sigma=1e-9)
+            measured = localizer.measure(truth, rng)
             delta = measured.position - truth.position
             heading = np.array([math.cos(theta), math.sin(theta)])
             lon_samples.append(ErrorSample(v, float(delta @ heading)))

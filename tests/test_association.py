@@ -8,7 +8,6 @@ from coopfusion.association import (
     AssociationConfig,
     CombinatorialOverflowError,
     Track,
-    apply_association,
     associate_frame,
     gate,
     jpda_weights,
@@ -129,22 +128,22 @@ class TestJpdaWeights:
 
 
 class TestApplyAssociation:
+    """Track lifecycle from one source's frame, through ``associate_frame``."""
+
     def test_track_deleted_after_miss_threshold(self):
         cfg = AssociationConfig(delete_threshold=3)
         tracks = [make_track(0, 0, 0)]
         counter = iter(range(100, 200))
         for _ in range(3):
-            result = jpda_weights(tracks, [], cfg)
-            tracks = apply_association(tracks, [], result, cfg, lambda: next(counter))
+            tracks = associate_frame(tracks, {"s": []}, cfg, lambda: next(counter))
         assert tracks == []
 
     def test_far_observation_spawns_single_track(self):
         cfg = AssociationConfig()
         tracks = [make_track(0, 0, 0)]
         obs = [make_obs(50, 50, var=0.1)]
-        result = jpda_weights(tracks, obs, cfg)
         counter = iter([7])
-        updated = apply_association(tracks, obs, result, cfg, lambda: next(counter))
+        updated = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
         new = [t for t in updated if t.id == 7]
         assert len(new) == 1
         assert new[0].frames_seen == 1 and not new[0].confirmed
@@ -156,8 +155,7 @@ class TestApplyAssociation:
         counter = iter(range(10, 20))
         for _ in range(2):
             obs = [make_obs(0.05, 0.0, var=0.2)]
-            result = jpda_weights(tracks, obs, cfg)
-            tracks = apply_association(tracks, obs, result, cfg, lambda: next(counter))
+            tracks = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
         assert tracks[0].frames_seen >= 3 and tracks[0].confirmed
 
     def test_coincident_duplicates_merge(self):
@@ -167,15 +165,13 @@ class TestApplyAssociation:
         b = make_track(1, 0.01, 0.0, pos_var=0.01)
         tracks = [a, b]
         obs = [make_obs(0.0, 0.0, var=0.05, source="s")]
-        result = jpda_weights(tracks, obs, cfg)
-        updated = apply_association(tracks, obs, result, cfg, lambda: 99)
+        updated = associate_frame(tracks, {"s": obs}, cfg, lambda: 99)
         assert [t.id for t in updated] == [0]
 
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)
         track = make_track(0, 0, 0, pos_var=1.0)
-        result = jpda_weights([track], [], cfg)
-        updated = apply_association([track], [], result, cfg, lambda: 1)
+        updated = associate_frame([track], {"s": []}, cfg, lambda: 1)
         assert updated == []
 
     def test_deterministic_given_identical_input(self):
@@ -186,8 +182,7 @@ class TestApplyAssociation:
             obs = [make_obs(0.1, 0.1, 0.3, "a"), make_obs(1.9, -0.1, 0.3, "b"), make_obs(9, 9)]
             counter = iter(range(5, 50))
             for _ in range(3):
-                result = jpda_weights(tracks, obs, cfg)
-                tracks = apply_association(tracks, obs, result, cfg, lambda: next(counter))
+                tracks = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
             return [(t.id, t.frames_seen, tuple(t.estimate.state.as_array())) for t in tracks]
 
         assert run() == run()

@@ -6,10 +6,12 @@ import pytest
 
 from coopfusion import cli
 from coopfusion.calibration import LabeledSample, write_samples_csv
+from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS
 from coopfusion.evaluation import (
     ConfigError,
     LogError,
     RunReport,
+    _ScenarioFusion,
     replay,
     rmse,
     run_scenario,
@@ -17,7 +19,7 @@ from coopfusion.evaluation import (
     scenario_preset,
     summarize,
 )
-from coopfusion.simulator import ScenarioConfig
+from coopfusion.simulator import ScenarioConfig, cis_poses
 
 
 def tiny(name="sm/sp", seed=5, duration=8.0, **kw):
@@ -86,6 +88,15 @@ class TestRunScenario:
         assert (tmp_path / "residuals.csv").exists()
         first = (tmp_path / "log.ndjson").read_text().splitlines()[0]
         assert json.loads(first)["kind"] == "meta"
+
+
+class TestTimeStep:
+    def test_both_tiers_predict_over_the_scenario_tick(self):
+        config = tiny("lg/de/CIS", tick_rate=4.0)
+        fusion = _ScenarioFusion(config, DEFAULT_PARAMETERIZED_MODELS, cis_poses(config))
+        assert len(fusion.local) == 6
+        assert all(local.noise.dt == 0.25 for local in fusion.local.values())
+        assert fusion.rsu.config.noise.dt == 0.25
 
 
 class TestDeterminismAndReplay:
@@ -259,6 +270,22 @@ class TestCli:
             ["simulate", "--config", str(path), "--mode", "fixed", "--out", str(tmp_path / "x")]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("miss_probability", 1.5), ("loc_correlation_time", -6.0), ("cis_pose_var", -1.0)],
+    )
+    def test_out_of_range_config_exits_2_before_any_tick(self, tmp_path, key, value):
+        obj = ScenarioConfig(
+            name="custom", straight_length=1.0, cav_count=2, cis_count=1, duration=3.0, seed=2
+        ).to_dict()
+        obj[key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "run"
+        rc = cli.main(["simulate", "--config", str(path), "--mode", "fixed", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
     def test_fit_command(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -18,7 +18,6 @@ CAMERA = SensorPipelineConfig(
     pose=SensorPose(),
     fov=math.radians(160),
     max_range=5.0,
-    rate=8.0,
     distal_model=DEFAULT_PARAMETERIZED_MODELS.camera_distal,
     perp_model=DEFAULT_PARAMETERIZED_MODELS.camera_perpendicular,
 )
@@ -27,7 +26,6 @@ LIDAR = SensorPipelineConfig(
     pose=SensorPose(),
     fov=2 * math.pi,
     max_range=8.0,
-    rate=8.0,
     distal_model=DEFAULT_PARAMETERIZED_MODELS.lidar_distal,
     perp_model=DEFAULT_PARAMETERIZED_MODELS.lidar_perpendicular,
 )
@@ -119,7 +117,6 @@ class TestModelModes:
             pose=SensorPose(),
             fov=math.radians(160),
             max_range=5.0,
-            rate=8.0,
             distal_model=distal,
             perp_model=perp,
         )
@@ -158,7 +155,6 @@ class TestConfigValidation:
                 pose=SensorPose(),
                 fov=0.0,
                 max_range=1.0,
-                rate=8.0,
                 distal_model=ErrorModel((0.1,)),
                 perp_model=ErrorModel((0.1,)),
             )

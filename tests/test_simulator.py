@@ -7,15 +7,14 @@ from scipy.integrate import quad
 from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS, PlatformPose, SensorPose
 from coopfusion.local_fusion import SensorPipelineConfig
 from coopfusion.simulator import (
+    FigureEightPath,
     LocalizerDrift,
     ScenarioConfig,
     Simulation,
     TrafficLight,
     VehicleState,
-    figure_eight_path,
     step_vehicle,
     stream_rng,
-    synth_localizer,
     synth_sensor_frame,
 )
 
@@ -37,18 +36,18 @@ def scenario(**overrides) -> ScenarioConfig:
 
 class TestFigureEightPath:
     def test_turn_radius_is_half_straight(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         assert path.radius == 0.5
         # curvature on the loops is the inverse radius
         _, _, _, curvature = path.pose(path.straight_length)
         assert abs(curvature) == pytest.approx(2.0, abs=1e-12)
 
     def test_closure(self):
-        path = figure_eight_path(1.3)
+        path = FigureEightPath(1.3)
         assert path.position(0.0) == pytest.approx(path.position(path.length), abs=1e-12)
 
     def test_total_length_matches_quadrature(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
 
         def speed(s):
             h = 1e-6
@@ -61,7 +60,7 @@ class TestFigureEightPath:
         assert path.length == pytest.approx(1.0 * (2 + 1.5 * math.pi), abs=1e-12)
 
     def test_tangent_continuity_at_segment_boundaries(self):
-        path = figure_eight_path(2.0)
+        path = FigureEightPath(2.0)
         for boundary in path._bounds:
             before = path.pose((boundary - 1e-9) % path.length)
             after = path.pose((boundary + 1e-9) % path.length)
@@ -69,19 +68,19 @@ class TestFigureEightPath:
             assert math.cos(before[2]) == pytest.approx(math.cos(after[2]), abs=1e-6)
 
     def test_crossings_sit_on_origin(self):
-        path = figure_eight_path(1.7)
+        path = FigureEightPath(1.7)
         for s, _ in path.crossings:
             assert path.position(s) == pytest.approx([0.0, 0.0], abs=1e-12)
 
     def test_next_crossing_wraps(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         dist, direction = path.next_crossing(path.length - 0.1)
         assert dist == pytest.approx(0.1, abs=1e-9)
         assert direction == 0
 
     def test_positive_length_required(self):
         with pytest.raises(ValueError):
-            figure_eight_path(0.0)
+            FigureEightPath(0.0)
 
 
 class TestTrafficLight:
@@ -100,14 +99,14 @@ class TestTrafficLight:
 
 class TestStepVehicle:
     def test_cruise_holds_target_speed(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         vehicle = VehicleState(s=1.0, v=0.5)
         out = step_vehicle(vehicle, path, 0.125, (True, True), 0.5)
         assert out.v == 0.5
         assert out.s == pytest.approx(1.0625)
 
     def test_red_light_stops_at_line(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         vehicle = VehicleState(s=path.length - 1.0, v=0.5)
         for _ in range(40):
             vehicle = step_vehicle(vehicle, path, 0.125, (False, True), 0.5)
@@ -117,7 +116,7 @@ class TestStepVehicle:
 
     def test_deceleration_distance_closed_form(self):
         # rolling to a stop from v covers ~v^2/(2a) once braking starts
-        path = figure_eight_path(2.0)
+        path = FigureEightPath(2.0)
         accel = 1.0
         v0 = 0.5
         vehicle = VehicleState(s=path.length - 2.0, v=v0)
@@ -134,14 +133,14 @@ class TestStepVehicle:
         assert travelled == pytest.approx(v0**2 / (2 * accel), abs=0.07)
 
     def test_green_resumes_cruise(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         vehicle = VehicleState(s=path.length - 0.3, v=0.0, stopping=True)
         for _ in range(10):
             vehicle = step_vehicle(vehicle, path, 0.125, (True, True), 0.5)
         assert vehicle.v == 0.5
 
     def test_follower_keeps_min_gap(self):
-        path = figure_eight_path(1.0)
+        path = FigureEightPath(1.0)
         leader = VehicleState(s=1.0, v=0.0)
         follower = VehicleState(s=0.2, v=0.5)
         for _ in range(40):
@@ -158,7 +157,6 @@ class TestSyntheticSensors:
         pose=SensorPose(),
         fov=math.radians(160),
         max_range=5.0,
-        rate=8.0,
         distal_model=MODELS.camera_distal,
         perp_model=MODELS.camera_perpendicular,
     )
@@ -181,7 +179,6 @@ class TestSyntheticSensors:
             pose=SensorPose(),
             fov=math.radians(160),
             max_range=5.0,
-            rate=8.0,
             distal_model=type(MODELS.camera_distal)((0.0,)),
             perp_model=type(MODELS.camera_distal)((0.0,)),
         )
@@ -227,14 +224,19 @@ class TestSyntheticSensors:
         assert count / 2000 == pytest.approx(0.5, abs=0.05)
 
 
+def independent_localizer(
+    longitudinal=MODELS.localizer_longitudinal, lateral=MODELS.localizer_lateral, **kw
+):
+    """The simulator's localizer with correlation time 0: an independent draw per tick."""
+    return LocalizerDrift(longitudinal, lateral, 0.125, 0.0, **kw)
+
+
 class TestSynthLocalizer:
     def test_zero_speed_sigma(self):
         rng = stream_rng(11, "loc")
-        xs = []
+        localizer = independent_localizer()
         pose = PlatformPose(0, 0, 0, 0)
-        for _ in range(100_000):
-            measured = synth_localizer(pose, MODELS.localizer_longitudinal, MODELS.localizer_lateral, rng)
-            xs.append(measured.x)
+        xs = [localizer.measure(pose, rng).x for _ in range(100_000)]
         assert np.std(xs) == pytest.approx(0.0428, rel=0.03)
 
     def test_zero_noise_floor(self):
@@ -242,7 +244,8 @@ class TestSynthLocalizer:
         floored_lat = type(MODELS.localizer_lateral)((0.0,), "speed")
         rng = stream_rng(11, "loc")
         pose = PlatformPose(1.0, 2.0, 0.5, 0.3)
-        measured = synth_localizer(pose, floored_lon, floored_lat, rng, heading_sigma=1e-9)
+        localizer = independent_localizer(floored_lon, floored_lat, heading_sigma=1e-9)
+        measured = localizer.measure(pose, rng)
         assert measured.x == pytest.approx(1.0, abs=1e-4)
         assert measured.y == pytest.approx(2.0, abs=1e-4)
         assert measured.v == 0.3
@@ -250,25 +253,21 @@ class TestSynthLocalizer:
     def test_speed_increases_scatter(self):
         rng_slow = stream_rng(5, "slow")
         rng_fast = stream_rng(5, "fast")
+        slow_localizer = independent_localizer()
+        fast_localizer = independent_localizer()
         slow, fast = [], []
         for _ in range(20_000):
-            slow.append(
-                synth_localizer(
-                    PlatformPose(0, 0, 0, 0.0),
-                    MODELS.localizer_longitudinal,
-                    MODELS.localizer_lateral,
-                    rng_slow,
-                ).x
-            )
-            fast.append(
-                synth_localizer(
-                    PlatformPose(0, 0, 0, 0.5),
-                    MODELS.localizer_longitudinal,
-                    MODELS.localizer_lateral,
-                    rng_fast,
-                ).x
-            )
+            slow.append(slow_localizer.measure(PlatformPose(0, 0, 0, 0.0), rng_slow).x)
+            fast.append(fast_localizer.measure(PlatformPose(0, 0, 0, 0.5), rng_fast).x)
         assert np.var(fast) > np.var(slow)
+
+    def test_zero_correlation_time_draws_independently(self):
+        localizer = independent_localizer()
+        rng = stream_rng(13, "independent")
+        pose = PlatformPose(0, 0, 0, 0.0)
+        xs = np.array([localizer.measure(pose, rng).x for _ in range(200_000)])
+        lag1 = np.corrcoef(xs[:-1], xs[1:])[0, 1]
+        assert lag1 == pytest.approx(0.0, abs=0.01)
 
     def test_drift_keeps_marginal_and_correlates(self):
         drift = LocalizerDrift(
@@ -360,3 +359,25 @@ class TestSimulation:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig.from_dict({"name": "x", "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("miss_probability", 1.5),
+            ("target_speed", -0.5),
+            ("loc_correlation_time", -6.0),
+            ("cis_pose_var", -1.0),
+            ("clutter_rate", -0.5),
+            ("sensing_correlation_time", -1.0),
+            ("heading_noise", -0.01),
+            ("camera_range", 0.0),
+            ("lidar_range", -8.0),
+            ("accel_limit", 0.0),
+            ("min_gap", -0.55),
+        ],
+    )
+    def test_out_of_range_config_rejected(self, key, value):
+        obj = scenario().to_dict()
+        obj[key] = value
+        with pytest.raises(ValueError, match=key):
+            ScenarioConfig.from_dict(obj)
