@@ -73,6 +73,8 @@ class AssociationConfig:
             raise ValueError("clutter_density must be >= 0")
         if self.confirm_threshold < 1 or self.delete_threshold < 1:
             raise ValueError("lifecycle thresholds must be >= 1")
+        if self.max_events < 1:
+            raise ValueError("max_events must be >= 1")
         if not (self.spawn_gate_factor >= 1.0):
             raise ValueError("spawn_gate_factor must be >= 1")
         if not (self.merge_threshold > 0.0) or not (self.max_position_variance > 0.0):
@@ -93,39 +95,51 @@ class AssociationResult:
     unassociated_observations: list[int]
 
 
+def _track_blocks(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
+    """Positions as an (n, 2) array and position covariances as (n, 2, 2)."""
+    return (
+        np.array([(t.estimate.state.x, t.estimate.state.y) for t in tracks]).reshape(-1, 2),
+        np.array([t.estimate.covariance[:2, :2] for t in tracks]).reshape(-1, 2, 2),
+    )
+
+
+def _observation_blocks(observations: Sequence[GaussianEstimate]) -> tuple[np.ndarray, np.ndarray]:
+    return (
+        np.array([o.mean for o in observations]).reshape(-1, 2),
+        np.array([o.covariance for o in observations]).reshape(-1, 2, 2),
+    )
+
+
+def _pairwise(pos_a, cov_a, pos_b, cov_b):
+    """Entries of ``cov_a[i] + cov_b[j]`` and of ``pos_b[j] - pos_a[i]`` as (a, b) arrays."""
+    s = cov_a[:, None] + cov_b[None, :]
+    d = pos_b[None, :] - pos_a[:, None]
+    return s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1], d[..., 0], d[..., 1]
+
+
+def _quadratic(s00, s01, s11, d0, d1):
+    """Numerator of the squared Mahalanobis distance: ``d^T adj(S) d``."""
+    return s11 * d0 * d0 - 2.0 * s01 * d0 * d1 + s00 * d1 * d1
+
+
 def _pair_stats(
     tracks: Sequence[Track], observations: Sequence[GaussianEstimate]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared Mahalanobis distance and Gaussian density for every pair.
+    """Squared Mahalanobis distance and innovation determinant for every pair.
 
     Pairs with a singular innovation covariance get an infinite distance so
-    they never gate.
+    they never gate.  Every entry takes the operations of a scalar per-pair
+    loop in the same order, so it is the same IEEE value as that loop gives
+    (``tests/oracles.py`` keeps it as the reference).
     """
-    n, m = len(tracks), len(observations)
-    dist2 = np.full((n, m), np.inf)
-    density = np.zeros((n, m))
-    for i, track in enumerate(tracks):
-        pos = track.estimate.state.position
-        pos_cov = track.estimate.covariance[:2, :2]
-        for j, obs in enumerate(observations):
-            s = pos_cov + obs.covariance
-            det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
-            scale = max(abs(s[0, 0]) + abs(s[1, 1]), 1e-30)
-            if (
-                not math.isfinite(det)
-                or det < 1e-15 * scale * scale
-                or s[0, 0] <= 0.0
-                or s[1, 1] <= 0.0
-            ):
-                continue
-            d0 = obs.mean[0] - pos[0]
-            d1 = obs.mean[1] - pos[1]
-            d2 = max(
-                (s[1, 1] * d0 * d0 - 2.0 * s[0, 1] * d0 * d1 + s[0, 0] * d1 * d1) / det, 0.0
-            )
-            dist2[i, j] = d2
-            density[i, j] = math.exp(-0.5 * d2) / (_TWO_PI * math.sqrt(det)) if d2 < 1e3 else 0.0
-    return dist2, density
+    s00, s01, s10, s11, d0, d1 = _pairwise(*_track_blocks(tracks), *_observation_blocks(observations))
+    with np.errstate(all="ignore"):
+        det = s00 * s11 - s01 * s10
+        scale = np.maximum(np.abs(s00) + np.abs(s11), 1e-30)
+        singular = ~np.isfinite(det) | (det < 1e-15 * scale * scale) | (s00 <= 0.0) | (s11 <= 0.0)
+        dist2 = np.maximum(_quadratic(s00, s01, s11, d0, d1) / det, 0.0)
+    dist2[singular] = np.inf
+    return dist2, det
 
 
 def gate(
@@ -138,33 +152,41 @@ def gate(
     return dist2 <= cfg.gate_threshold
 
 
-def _clusters(feasible: np.ndarray) -> list[tuple[list[int], list[int]]]:
-    """Connected components of the track/observation gating graph."""
-    n, m = feasible.shape
-    track_seen = [False] * n
-    obs_seen = [False] * m
+# Gated observations of each track that has any: track -> [(observation, density)],
+# both ascending.
+_Gated = dict[int, list[tuple[int, float]]]
+
+
+def _clusters(gated: _Gated) -> list[tuple[list[int], list[int]]]:
+    """Connected components of the gating graph, ids sorted within each.
+
+    Tracks with nothing in their gate are left out: enumerated alone they
+    come out with miss probability 1 and no weight.
+    """
+    tracks_of: dict[int, list[int]] = {}
+    for i, options in gated.items():
+        for j, _ in options:
+            tracks_of.setdefault(j, []).append(i)
+    seen: set[int] = set()
     clusters = []
-    for start in range(n):
-        if track_seen[start]:
+    for start in gated:
+        if start in seen:
             continue
-        track_ids = []
-        obs_ids = []
-        stack = [("t", start)]
-        track_seen[start] = True
+        seen.add(start)
+        track_ids: list[int] = []
+        obs_ids: set[int] = set()
+        stack = [start]
         while stack:
-            kind, idx = stack.pop()
-            if kind == "t":
-                track_ids.append(idx)
-                for j in range(m):
-                    if feasible[idx, j] and not obs_seen[j]:
-                        obs_seen[j] = True
-                        stack.append(("o", j))
-            else:
-                obs_ids.append(idx)
-                for i in range(n):
-                    if feasible[i, idx] and not track_seen[i]:
-                        track_seen[i] = True
-                        stack.append(("t", i))
+            i = stack.pop()
+            track_ids.append(i)
+            for j, _ in gated[i]:
+                if j in obs_ids:
+                    continue
+                obs_ids.add(j)
+                for k in tracks_of[j]:
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
         clusters.append((sorted(track_ids), sorted(obs_ids)))
     return clusters
 
@@ -172,8 +194,7 @@ def _clusters(feasible: np.ndarray) -> list[tuple[list[int], list[int]]]:
 def _enumerate_cluster(
     track_ids: list[int],
     obs_ids: list[int],
-    feasible: np.ndarray,
-    density: np.ndarray,
+    gated: _Gated,
     cfg: AssociationConfig,
     weights: np.ndarray,
     miss: np.ndarray,
@@ -183,16 +204,12 @@ def _enumerate_cluster(
     p_miss = 1.0 - p_detect
     clutter = cfg.clutter_density
     n_obs = len(obs_ids)
-
-    options = []
-    for i in track_ids:
-        gated = [j for j in obs_ids if feasible[i, j]]
-        options.append(gated)
+    options = [gated[i] for i in track_ids]
 
     # Rough upper bound on event count before walking the tree.
     bound = 1.0
-    for gated in options:
-        bound *= len(gated) + 1
+    for gated_obs in options:
+        bound *= len(gated_obs) + 1
         if bound > cfg.max_events:
             raise CombinatorialOverflowError(
                 f"joint association events exceed cap {cfg.max_events}; "
@@ -212,15 +229,14 @@ def _enumerate_cluster(
             for pos, tid in enumerate(track_ids):
                 marg[tid][assignment[pos]] += event_likelihood
             return
-        tid = track_ids[level]
         assignment[level] = -1
         recurse(level + 1, likelihood * p_miss)
-        for j in options[level]:
+        for j, density in options[level]:
             if j in used:
                 continue
             used.add(j)
             assignment[level] = j
-            recurse(level + 1, likelihood * p_detect * density[tid, j])
+            recurse(level + 1, likelihood * p_detect * density)
             used.discard(j)
         assignment[level] = -1
 
@@ -245,14 +261,22 @@ def jpda_weights(
 ) -> AssociationResult:
     """Exact JPDA marginal association probabilities for one frame."""
     n, m = len(tracks), len(observations)
-    dist2, density = _pair_stats(tracks, observations)
+    dist2, det = _pair_stats(tracks, observations)
     feasible = dist2 <= cfg.gate_threshold
+    rows, cols = np.nonzero(feasible)
+    # Densities of gated pairs only, through libm as in the scalar loop:
+    # np.exp need not match math.exp bit for bit.
+    gated: _Gated = {}
+    for i, j, d2, det_ij in zip(
+        rows.tolist(), cols.tolist(), dist2[rows, cols].tolist(), det[rows, cols].tolist()
+    ):
+        density = math.exp(-0.5 * d2) / (_TWO_PI * math.sqrt(det_ij)) if d2 < 1e3 else 0.0
+        gated.setdefault(i, []).append((j, density))
     weights = np.zeros((n, m))
     miss = np.ones(n)
-    for track_ids, obs_ids in _clusters(feasible):
-        if track_ids:
-            _enumerate_cluster(track_ids, obs_ids, feasible, density, cfg, weights, miss)
-    unassociated = [j for j in range(m) if not feasible[:, j].any()]
+    for track_ids, obs_ids in _clusters(gated):
+        _enumerate_cluster(track_ids, obs_ids, gated, cfg, weights, miss)
+    unassociated = np.flatnonzero(~feasible.any(axis=0)).tolist()
     return AssociationResult(weights=weights, miss=miss, unassociated_observations=unassociated)
 
 
@@ -271,16 +295,17 @@ def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
     return TrackEstimate(state, cov)
 
 
-def _mahalanobis2(delta_x: float, delta_y: float, cov: np.ndarray) -> float:
-    """Squared Mahalanobis norm of a 2D offset; infinite for singular covariance."""
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        return math.inf
-    return (
-        cov[1, 1] * delta_x * delta_x
-        - 2.0 * cov[0, 1] * delta_x * delta_y
-        + cov[0, 0] * delta_y * delta_y
-    ) / det
+def _within(pos_a, cov_a, pos_b, cov_b, threshold: float) -> np.ndarray:
+    """(a, b) matrix: ``pos_b[j] - pos_a[i]`` within ``threshold`` squared
+    Mahalanobis distance under ``cov_a[i] + cov_b[j]``, inclusive.
+
+    A sum with a non-positive determinant is at infinite distance.
+    """
+    s00, s01, s10, s11, d0, d1 = _pairwise(pos_a, cov_a, pos_b, cov_b)
+    with np.errstate(all="ignore"):
+        det = s00 * s11 - s01 * s10
+        dist2 = np.where(det <= 0, np.inf, _quadratic(s00, s01, s11, d0, d1) / det)
+    return dist2 <= threshold
 
 
 def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
@@ -291,23 +316,35 @@ def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
     here: the longer-seen track wins, picking up the other's history.
     """
     order = sorted(range(len(tracks)), key=lambda i: (-tracks[i].frames_seen, tracks[i].id))
+    # Merging changes no estimate, so each track's position block is read
+    # once, as Python floats: the same IEEE operations as on numpy scalars,
+    # without their per-operation cost.
+    blocks = [
+        (t.estimate.state.x, t.estimate.state.y, *t.estimate.covariance[:2, :2].ravel().tolist())
+        for t in tracks
+    ]
     absorbed: set[int] = set()
     for rank, i in enumerate(order):
         if i in absorbed:
             continue
         keeper = tracks[i]
+        kx, ky, k00, k01, k10, k11 = blocks[i]
         for j in order[rank + 1 :]:
             if j in absorbed:
                 continue
+            ox, oy, o00, o01, o10, o11 = blocks[j]
+            dx, dy = ox - kx, oy - ky
+            c00, c01, c10, c11 = k00 + o00, k01 + o01, k10 + o10, k11 + o11
+            det = c00 * c11 - c01 * c10
+            d2 = math.inf if det <= 0 else _quadratic(c00, c01, c11, dx, dy) / det
+            if not d2 <= threshold:
+                continue
             other = tracks[j]
-            combined = keeper.estimate.covariance[:2, :2] + other.estimate.covariance[:2, :2]
-            delta = other.estimate.state.position - keeper.estimate.state.position
-            if _mahalanobis2(delta[0], delta[1], combined) <= threshold:
-                absorbed.add(j)
-                keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
-                keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
-                keeper.confirmed = keeper.confirmed or other.confirmed
-                keeper.sources.update(other.sources)
+            absorbed.add(j)
+            keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
+            keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
+            keeper.confirmed = keeper.confirmed or other.confirmed
+            keeper.sources.update(other.sources)
     return [t for idx, t in enumerate(tracks) if idx not in absorbed]
 
 
@@ -319,18 +356,17 @@ def _accepted_observations(
 ) -> list[list[GaussianEstimate]]:
     """Per-track weight-bearing observations, covariance inflated by 1/weight."""
     accepted: list[list[GaussianEstimate]] = [[] for _ in tracks]
-    for i in range(len(tracks)):
-        for j, obs in enumerate(observations):
-            weight = result.weights[i, j]
-            if weight > cfg.weight_floor:
-                accepted[i].append(
-                    GaussianEstimate(
-                        obs.mean,
-                        obs.covariance / weight,
-                        source=obs.source,
-                        object_class=obs.object_class,
-                    )
-                )
+    rows, cols = np.nonzero(result.weights > cfg.weight_floor)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        obs = observations[j]
+        accepted[i].append(
+            GaussianEstimate(
+                obs.mean,
+                obs.covariance / result.weights[i, j],
+                source=obs.source,
+                object_class=obs.object_class,
+            )
+        )
     return accepted
 
 
@@ -360,19 +396,29 @@ def _finish_frame(
         and np.trace(t.estimate.covariance[:2, :2]) <= cfg.max_position_variance
     ]
     survivors = _merge_coincident(survivors, cfg.merge_threshold)
+    if not unassociated:
+        return survivors
 
+    # Coverage of each unassociated observation by every survivor and by the
+    # track each earlier observation would spawn, which starts at that
+    # observation's mean and covariance (see ``new_track_estimate``).
     spawn_gate = cfg.spawn_gate_factor * cfg.gate_threshold
+    obs_pos, obs_cov = _observation_blocks(unassociated)
+    track_pos, track_cov = _track_blocks(survivors)
+    covers = _within(
+        np.concatenate([track_pos, obs_pos]),
+        np.concatenate([track_cov, obs_cov]),
+        obs_pos,
+        obs_cov,
+        spawn_gate,
+    )
+    covered = covers[: len(survivors)].any(axis=0)
+    spawners: list[int] = []
     spawned: list[Track] = []
-    for obs in unassociated:
-        covered = False
-        for track in survivors + spawned:
-            combined = track.estimate.covariance[:2, :2] + obs.covariance
-            delta = obs.mean - track.estimate.state.position
-            if _mahalanobis2(delta[0], delta[1], combined) <= spawn_gate:
-                covered = True
-                break
-        if covered:
+    for k, obs in enumerate(unassociated):
+        if covered[k] or covers[spawners, k].any():
             continue
+        spawners.append(len(survivors) + k)
         spawned.append(
             Track(
                 id=next_id(),

@@ -118,6 +118,18 @@ class PlatformPose:
         return np.array([self.x, self.y])
 
 
+def validated_covariance(cov) -> np.ndarray:
+    """Symmetrized 2x2 covariance; ``ValueError`` unless it is symmetric and
+    positive semi-definite up to round-off."""
+    cov = np.asarray(cov, dtype=float).reshape(2, 2)
+    if abs(cov[0, 1] - cov[1, 0]) > 1e-9:
+        raise ValueError("covariance is not symmetric")
+    cov = symmetrized(cov)
+    if min_eig_2x2(cov) < -1e-12:
+        raise ValueError("covariance is not positive semi-definite")
+    return cov
+
+
 @dataclass
 class GaussianEstimate:
     """2D mean and 2x2 covariance, the common currency between stages.
@@ -133,12 +145,7 @@ class GaussianEstimate:
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(2)
-        self.covariance = np.asarray(self.covariance, dtype=float).reshape(2, 2)
-        if abs(self.covariance[0, 1] - self.covariance[1, 0]) > 1e-9:
-            raise ValueError("covariance is not symmetric")
-        self.covariance = symmetrized(self.covariance)
-        if min_eig_2x2(self.covariance) < -1e-12:
-            raise ValueError("covariance is not positive semi-definite")
+        self.covariance = validated_covariance(self.covariance)
 
 
 def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarray:

@@ -22,6 +22,7 @@ from .error_models import (
     GaussianEstimate,
     PlatformPose,
     localization_covariance,
+    validated_covariance,
 )
 from .geometry import rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
@@ -192,6 +193,12 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
             values.extend(row)
     if not all(math.isfinite(v) for v in values):
         raise PacketError("packet contains non-finite numbers")
+    # The same test GlobalFusion.step applies, so a packet that parses fuses.
+    for cov in (packet.pose_covariance, *(tr.covariance for tr in packet.tracks)):
+        try:
+            validated_covariance(cov)
+        except ValueError as exc:
+            raise PacketError(f"packet covariance rejected: {exc}") from exc
     return packet
 
 

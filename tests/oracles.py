@@ -58,6 +58,41 @@ def jpda_oracle(tracks, observations, cfg):
     return weights, miss
 
 
+def pair_stats_reference(tracks, observations):
+    """Squared Mahalanobis distance and Gaussian density, one pair at a time.
+
+    The scalar loop the broadcast gating kernel must reproduce bit for bit:
+    a singular innovation covariance (non-finite determinant, determinant
+    below 1e-15 of its squared scale, or a non-positive diagonal) leaves the
+    pair at infinite distance and zero density.
+    """
+    n, m = len(tracks), len(observations)
+    dist2 = np.full((n, m), np.inf)
+    density = np.zeros((n, m))
+    for i, track in enumerate(tracks):
+        pos = track.estimate.state.position
+        pos_cov = track.estimate.covariance[:2, :2]
+        for j, obs in enumerate(observations):
+            s = pos_cov + obs.covariance
+            det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
+            scale = max(abs(s[0, 0]) + abs(s[1, 1]), 1e-30)
+            if (
+                not math.isfinite(det)
+                or det < 1e-15 * scale * scale
+                or s[0, 0] <= 0.0
+                or s[1, 1] <= 0.0
+            ):
+                continue
+            d0 = obs.mean[0] - pos[0]
+            d1 = obs.mean[1] - pos[1]
+            d2 = max(
+                (s[1, 1] * d0 * d0 - 2.0 * s[0, 1] * d0 * d1 + s[0, 0] * d1 * d1) / det, 0.0
+            )
+            dist2[i, j] = d2
+            density[i, j] = math.exp(-0.5 * d2) / (2 * math.pi * math.sqrt(det)) if d2 < 1e3 else 0.0
+    return dist2, density
+
+
 def assignment_oracle(observations, truth, max_dist):
     """Best assignment by brute force: most pairs, then least total distance."""
     n, m = len(observations), len(truth)

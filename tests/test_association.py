@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import jpda_oracle
+from oracles import jpda_oracle, pair_stats_reference
 
 from coopfusion.association import (
     AssociationConfig,
@@ -52,6 +52,54 @@ class TestGate:
         obs = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
         feasible = gate([track], [obs], AssociationConfig())
         assert not feasible[0, 0]
+
+    def test_matches_scalar_reference_exactly(self):
+        rng = np.random.default_rng(2024)
+
+        def block(kind):
+            if kind == "pd":
+                a = rng.normal(size=(2, 2)) * rng.uniform(0.05, 1.5)
+                return a @ a.T + 1e-3 * np.eye(2)
+            if kind == "zero":
+                return np.zeros((2, 2))
+            v = rng.normal(size=2)
+            if kind == "rank_one":
+                return np.outer(v, v)
+            if kind == "near_singular":
+                # determinant below 1e-15 of the squared scale, either sign
+                return np.outer(v, v) + 1e-17 * (v @ v) * np.eye(2)
+            return -np.diag(rng.uniform(0.3, 1.0, 2))  # non-positive diagonal
+
+        def track(i, kind):
+            cov = np.diag([1.0, 1.0, 1.0, math.pi**2, 1.0])
+            cov[:2, :2] = block(kind)
+            state = KinematicState(*rng.uniform(-3, 3, 2), 0, 0, 0)
+            return Track(id=i, estimate=TrackEstimate(state, cov))
+
+        track_kinds = ["pd", "zero", "rank_one", "near_singular", "negative"]
+        obs_kinds = ["pd", "zero", "rank_one"]
+        # exactly singular only by the 1e-15 * scale^2 rule: det = 2^-52 > 0
+        edge_track = track(99, "zero")
+        edge_track.estimate.covariance[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]
+        edge_obs = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
+        excluded = 0
+        for _ in range(60):
+            tracks = [track(i, rng.choice(track_kinds)) for i in range(rng.integers(0, 6))]
+            observations = [
+                GaussianEstimate(rng.uniform(-3, 3, 2), block(rng.choice(obs_kinds)))
+                for _ in range(rng.integers(0, 6))
+            ]
+            tracks.append(edge_track)
+            observations.append(edge_obs)
+            dist2, _ = pair_stats_reference(tracks, observations)
+            excluded += int(np.isinf(dist2).sum())
+            finite = dist2[np.isfinite(dist2)]
+            thresholds = {9.21, math.inf, *finite.tolist(), *np.nextafter(finite, -np.inf).tolist()}
+            for threshold in thresholds:
+                if threshold > 0.0:
+                    feasible = gate(tracks, observations, AssociationConfig(gate_threshold=threshold))
+                    np.testing.assert_array_equal(feasible, dist2 <= threshold)
+        assert excluded > 100
 
 
 class TestJpdaWeights:
@@ -119,12 +167,36 @@ class TestJpdaWeights:
         result = jpda_weights([make_track(0, 0, 0)], [make_obs(50, 50)], cfg)
         assert result.unassociated_observations == [0]
 
+    def test_no_tracks(self):
+        result = jpda_weights([], [make_obs(0, 0), make_obs(5, 5)], AssociationConfig())
+        assert result.weights.shape == (0, 2) and result.miss.shape == (0,)
+        assert result.unassociated_observations == [0, 1]
+
+    def test_no_observations(self):
+        tracks = [make_track(0, 0, 0), make_track(1, 5, 5)]
+        result = jpda_weights(tracks, [], AssociationConfig())
+        assert result.weights.shape == (2, 0)
+        assert result.miss.tolist() == [1.0, 1.0]
+        assert result.unassociated_observations == []
+
+    @pytest.mark.parametrize("detection_probability", [0.9, 1.0])
+    def test_track_with_empty_gate_is_certain_miss(self, detection_probability):
+        cfg = AssociationConfig(detection_probability=detection_probability)
+        tracks = [make_track(0, 0, 0), make_track(1, 50, 0)]
+        result = jpda_weights(tracks, [make_obs(0.1, 0.0)], cfg)
+        assert result.miss[1] == 1.0 and result.weights[1, 0] == 0.0
+
     def test_event_cap_raises(self):
         cfg = AssociationConfig(max_events=4)
         tracks = [make_track(i, 0, 0) for i in range(3)]
         observations = [make_obs(0, 0) for _ in range(3)]
         with pytest.raises(CombinatorialOverflowError):
             jpda_weights(tracks, observations, cfg)
+
+    def test_event_cap_below_one_rejected(self):
+        # A lone track is one event, so a cap below 1 would refuse every frame.
+        with pytest.raises(ValueError):
+            AssociationConfig(max_events=0)
 
 
 class TestApplyAssociation:
@@ -167,6 +239,17 @@ class TestApplyAssociation:
         obs = [make_obs(0.0, 0.0, var=0.05, source="s")]
         updated = associate_frame(tracks, {"s": obs}, cfg, lambda: 99)
         assert [t.id for t in updated] == [0]
+
+    def test_merge_is_not_transitive(self):
+        # B lies in A's merge gate and C in B's, but C is not in A's: A absorbs
+        # B first, so B cannot take C with it and C survives.
+        cfg = AssociationConfig()
+        tracks = [make_track(0, 0, 0, 0.01), make_track(1, 0.3, 0, 0.01), make_track(2, 0.6, 0, 0.01)]
+        for track, seen in zip(tracks, (5, 3, 1)):
+            track.frames_seen = seen
+        updated = associate_frame(tracks, {"s": []}, cfg, lambda: 99)
+        assert [t.id for t in updated] == [0, 2]
+        assert updated[0].frames_seen == 5
 
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)
@@ -216,6 +299,13 @@ class TestAssociateFrame:
         assert np.trace(both.estimate.covariance[:2, :2]) < np.trace(
             one.estimate.covariance[:2, :2]
         )
+
+    def test_empty_track_list_spawns(self):
+        counter = iter(range(3, 10))
+        observations = [make_obs(0, 0, 0.05, "s"), make_obs(10, 0, 0.05, "s")]
+        updated = associate_frame([], {"s": observations}, AssociationConfig(), lambda: next(counter))
+        assert [t.id for t in updated] == [3, 4]
+        assert [tuple(t.estimate.state.position) for t in updated] == [(0.0, 0.0), (10.0, 0.0)]
 
     def test_same_frame_spawns_deduplicated(self):
         cfg = AssociationConfig()

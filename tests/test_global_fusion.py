@@ -192,6 +192,25 @@ class TestWireFormat:
         with pytest.raises(PacketError):
             packet_from_line(json.dumps(wire))
 
+    @pytest.mark.parametrize("field", ["cov", "pose_cov"])
+    @pytest.mark.parametrize(
+        "matrix", [[[0.01, 0.0], [0.0, -0.01]], [[0.01, 0.5], [0.0, 0.01]]], ids=["not_psd", "asymmetric"]
+    )
+    def test_invalid_covariance_rejected(self, field, matrix):
+        packet = pose_packet(
+            "cav0",
+            0.0,
+            PlatformPose(0, 0, 0, 0),
+            tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))],
+        )
+        wire = packet_to_wire(packet)
+        if field == "cov":
+            wire["tracks"][0]["cov"] = matrix
+        else:
+            wire["pose_cov"] = matrix
+        with pytest.raises(PacketError):
+            packet_from_line(json.dumps(wire))
+
     def test_malformed_rejected(self):
         with pytest.raises(PacketError):
             packet_from_line('{"platform_id": "x", "t": 0}')
