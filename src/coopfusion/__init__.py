@@ -77,7 +77,6 @@ from .simulator import (
     synth_sensor_frame,
 )
 from .tracking import (
-    KinematicState,
     NumericalError,
     ProcessNoiseConfig,
     TrackEstimate,

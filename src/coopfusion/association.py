@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .error_models import GaussianEstimate
-from .tracking import KinematicState, TrackEstimate, multi_update
+from .tracking import TrackEstimate, multi_update
 
 _TWO_PI = 2.0 * math.pi
 
@@ -75,6 +75,10 @@ class AssociationConfig:
             raise ValueError("lifecycle thresholds must be >= 1")
         if self.max_events < 1:
             raise ValueError("max_events must be >= 1")
+        if not (0.0 <= self.weight_floor < 1.0):
+            # A weight above the floor is then positive, so dividing an
+            # observation covariance by it keeps the covariance valid.
+            raise ValueError("weight_floor must be in [0, 1)")
         if not (self.spawn_gate_factor >= 1.0):
             raise ValueError("spawn_gate_factor must be >= 1")
         if not (self.merge_threshold > 0.0) or not (self.max_position_variance > 0.0):
@@ -98,7 +102,7 @@ class AssociationResult:
 def _track_blocks(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
     """Positions as an (n, 2) array and position covariances as (n, 2, 2)."""
     return (
-        np.array([(t.estimate.state.x, t.estimate.state.y) for t in tracks]).reshape(-1, 2),
+        np.array([t.estimate.mean[:2] for t in tracks]).reshape(-1, 2),
         np.array([t.estimate.covariance[:2, :2] for t in tracks]).reshape(-1, 2, 2),
     )
 
@@ -291,8 +295,9 @@ def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
     cov[2, 2] = 1.0
     cov[3, 3] = math.pi**2
     cov[4, 4] = 1.0
-    state = KinematicState(float(obs.mean[0]), float(obs.mean[1]), 0.0, 0.0, 0.0)
-    return TrackEstimate(state, cov)
+    mean = np.zeros(5)
+    mean[:2] = obs.mean
+    return TrackEstimate(mean, cov)
 
 
 def _within(pos_a, cov_a, pos_b, cov_b, threshold: float) -> np.ndarray:
@@ -320,7 +325,7 @@ def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
     # once, as Python floats: the same IEEE operations as on numpy scalars,
     # without their per-operation cost.
     blocks = [
-        (t.estimate.state.x, t.estimate.state.y, *t.estimate.covariance[:2, :2].ravel().tolist())
+        (*t.estimate.mean[:2].tolist(), *t.estimate.covariance[:2, :2].ravel().tolist())
         for t in tracks
     ]
     absorbed: set[int] = set()

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import min_eig_2x2, symmetrized, wrap_angle
+from .geometry import symmetrized, wrap_angle
 
 # Evaluated sigmas are clamped here so calibrated models with slightly
 # negative intercepts stay usable as standard deviations.
@@ -118,34 +118,20 @@ class PlatformPose:
         return np.array([self.x, self.y])
 
 
-def validated_covariance(cov) -> np.ndarray:
-    """Symmetrized 2x2 covariance; ``ValueError`` unless it is symmetric and
-    positive semi-definite up to round-off."""
-    cov = np.asarray(cov, dtype=float).reshape(2, 2)
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-9:
-        raise ValueError("covariance is not symmetric")
-    cov = symmetrized(cov)
-    if min_eig_2x2(cov) < -1e-12:
-        raise ValueError("covariance is not positive semi-definite")
-    return cov
-
-
 @dataclass
 class GaussianEstimate:
     """2D mean and 2x2 covariance, the common currency between stages.
 
     ``source`` tags where the estimate came from (pipeline or platform id)
-    and keeps multi-measurement updates deterministically ordered.
+    and keeps multi-measurement updates deterministically ordered.  A plain
+    record: its inputs were checked where they entered (raw detections,
+    model files, platform packets), so it is not re-validated.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
     source: str = ""
     object_class: str = "vehicle"
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=float).reshape(2)
-        self.covariance = validated_covariance(self.covariance)
 
 
 def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarray:

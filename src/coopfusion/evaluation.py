@@ -349,7 +349,7 @@ def _fusion_pass(
                 stopped_loc_count_total += 1
         loc_count = len(loc_poses)
 
-        track_positions = [tr.estimate.state.position for tr in fused]
+        track_positions = [tr.estimate.mean[:2] for tr in fused]
         match = match_observations_to_truth(track_positions, truth_positions, MATCH_MAX_DIST)
         tick_sse = 0.0
         tick_matched = 0
@@ -396,8 +396,8 @@ def _fusion_pass(
                     "tracks": [
                         {
                             "id": tr.id,
-                            "x": float(tr.estimate.state.x),
-                            "y": float(tr.estimate.state.y),
+                            "x": float(tr.estimate.mean[0]),
+                            "y": float(tr.estimate.mean[1]),
                             "class": tr.object_class,
                         }
                         for tr in fused

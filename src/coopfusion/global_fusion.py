@@ -17,14 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .association import AssociationConfig, Track, associate_frame
-from .error_models import (
-    ErrorModel,
-    GaussianEstimate,
-    PlatformPose,
-    localization_covariance,
-    validated_covariance,
-)
-from .geometry import rotation, symmetrized
+from .error_models import ErrorModel, GaussianEstimate, PlatformPose, localization_covariance
+from .geometry import min_eig_2x2, rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
 
 
@@ -52,14 +46,36 @@ class PlatformPacket:
     pose_covariance: tuple[tuple[float, float], tuple[float, float]]
     tracks: tuple[PacketTrack, ...] = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.timestamp):
-            raise PacketError("packet timestamp must be finite")
+
+def check_packet(packet: PlatformPacket) -> None:
+    """Raise ``PacketError`` unless every number in the packet is finite and
+    every covariance is symmetric (to 1e-9) and positive semi-definite (to
+    -1e-12).
+
+    Packets are where platform input enters the RSU, so this is the one
+    validity test: ``packet_from_wire`` and ``GlobalFusion.ingest`` apply it
+    and nothing downstream re-checks.
+    """
+    pose = packet.pose
+    covariances = [packet.pose_covariance, *(tr.covariance for tr in packet.tracks)]
+    values = [packet.timestamp, pose.x, pose.y, pose.theta, pose.v]
+    for tr in packet.tracks:
+        values.extend(tr.mean)
+    for cov in covariances:
+        for row in cov:
+            values.extend(row)
+    if not all(math.isfinite(v) for v in values):
+        raise PacketError("packet contains non-finite numbers")
+    for cov in covariances:
+        if abs(cov[0][1] - cov[1][0]) > 1e-9:
+            raise PacketError("packet covariance is not symmetric")
+        if min_eig_2x2(symmetrized(np.array(cov, dtype=float))) < -1e-12:
+            raise PacketError("packet covariance is not positive semi-definite")
 
 
 def track_to_world(estimate: TrackEstimate, pose: PlatformPose) -> np.ndarray:
     """Rigid transform of a platform-frame track position into the world frame."""
-    local = estimate.state.position
+    local = estimate.mean[:2]
     return pose.position + rotation(pose.theta) @ local
 
 
@@ -184,21 +200,7 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise PacketError(f"malformed platform packet: {exc}") from exc
-    values = [packet.pose.x, packet.pose.y, packet.pose.theta, packet.pose.v]
-    for row in packet.pose_covariance:
-        values.extend(row)
-    for tr in packet.tracks:
-        values.extend(tr.mean)
-        for row in tr.covariance:
-            values.extend(row)
-    if not all(math.isfinite(v) for v in values):
-        raise PacketError("packet contains non-finite numbers")
-    # The same test GlobalFusion.step applies, so a packet that parses fuses.
-    for cov in (packet.pose_covariance, *(tr.covariance for tr in packet.tracks)):
-        try:
-            validated_covariance(cov)
-        except ValueError as exc:
-            raise PacketError(f"packet covariance rejected: {exc}") from exc
+    check_packet(packet)
     return packet
 
 
@@ -235,13 +237,21 @@ class GlobalFusion:
         self._current_time = -math.inf
         self.duplicate_packets = 0
         self.late_packets = 0
+        self.invalid_packets = 0
 
     def ingest(self, packet: PlatformPacket) -> None:
         """Queue one packet for the next tick; latest per platform wins.
 
-        A packet more than one frame period (``config.noise.dt``) older than
-        the last fused tick is counted as late and dropped.
+        A packet that fails ``check_packet`` is counted as invalid and
+        dropped, and so is one more than one frame period
+        (``config.noise.dt``) older than the last fused tick, counted as late.
         """
+        try:
+            check_packet(packet)
+        except PacketError:
+            with self._lock:
+                self.invalid_packets += 1
+            return
         with self._lock:
             if packet.timestamp < self._current_time - self.config.noise.dt:
                 self.late_packets += 1
@@ -265,7 +275,7 @@ class GlobalFusion:
             observations = [
                 GaussianEstimate(
                     np.array(tr.mean),
-                    np.array(tr.covariance),
+                    symmetrized(np.array(tr.covariance)),
                     source=packet.platform_id,
                     object_class=tr.object_class,
                 )
@@ -275,7 +285,7 @@ class GlobalFusion:
                 observations.append(
                     GaussianEstimate(
                         packet.pose.position,
-                        np.array(packet.pose_covariance),
+                        symmetrized(np.array(packet.pose_covariance)),
                         source=packet.platform_id,
                         object_class="platform",
                     )

@@ -29,44 +29,19 @@ class NumericalError(RuntimeError):
     """Raised when an update cannot be computed (singular innovation)."""
 
 
-@dataclass(frozen=True)
-class KinematicState:
-    """CTRV state: position, speed, heading, yaw rate."""
-
-    x: float
-    y: float
-    v: float
-    psi: float
-    psi_dot: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "psi", float(wrap_angle(self.psi)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.v, self.psi, self.psi_dot])
-
-    @classmethod
-    def from_array(cls, arr) -> "KinematicState":
-        x, y, v, psi, psi_dot = (float(value) for value in arr)
-        return cls(x, y, v, psi, psi_dot)
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
-
 @dataclass
 class TrackEstimate:
-    """State estimate with its 5x5 covariance."""
+    """State mean [x, y, v, psi, psi_dot] with its 5x5 covariance.
 
-    state: KinematicState
+    A plain record: the filter steps below keep psi wrapped and the
+    covariance symmetric, so nothing is re-checked here.
+    """
+
+    mean: np.ndarray
     covariance: np.ndarray
 
-    def __post_init__(self):
-        self.covariance = symmetrized(np.asarray(self.covariance, dtype=float).reshape(5, 5))
-
     def copy(self) -> "TrackEstimate":
-        return TrackEstimate(self.state, self.covariance.copy())
+        return TrackEstimate(self.mean.copy(), self.covariance.copy())
 
 
 @dataclass(frozen=True)
@@ -161,16 +136,14 @@ def ctrv_jacobian(state: np.ndarray, dt: float) -> np.ndarray:
 
 def ctrv_predict(track: TrackEstimate, cfg: ProcessNoiseConfig) -> TrackEstimate:
     """One motion-model predict step: propagate the mean, grow the covariance."""
-    state = track.state.as_array()
-    jac = ctrv_jacobian(state, cfg.dt)
-    predicted = ctrv_motion(state, cfg.dt)
+    jac = ctrv_jacobian(track.mean, cfg.dt)
     cov = jac @ track.covariance @ jac.T + process_noise_matrix(cfg)
-    return TrackEstimate(KinematicState.from_array(predicted), cov)
+    return TrackEstimate(ctrv_motion(track.mean, cfg.dt), symmetrized(cov))
 
 
 def ekf_update(track: TrackEstimate, z: GaussianEstimate) -> TrackEstimate:
     """Kalman update of the position block from one Gaussian observation."""
-    state = track.state.as_array()
+    state = track.mean
     cov = track.covariance
     innovation_cov = cov[:2, :2] + z.covariance
     det = (
@@ -191,11 +164,12 @@ def ekf_update(track: TrackEstimate, z: GaussianEstimate) -> TrackEstimate:
     )
     gain = cov[:, :2] @ inv
     updated = state + gain @ (z.mean - state[:2])
+    updated[3] = wrap_angle(updated[3])
     # Joseph form keeps the covariance symmetric PSD under round-off.
     identity_minus_gain = np.eye(5)
     identity_minus_gain[:, :2] -= gain
     cov_new = identity_minus_gain @ cov @ identity_minus_gain.T + gain @ z.covariance @ gain.T
-    return TrackEstimate(KinematicState.from_array(updated), cov_new)
+    return TrackEstimate(updated, symmetrized(cov_new))
 
 
 def multi_update(track: TrackEstimate, zs: list[GaussianEstimate]) -> TrackEstimate:

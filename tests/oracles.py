@@ -16,7 +16,7 @@ def jpda_oracle(tracks, observations, cfg):
     gated = np.zeros((n, m), dtype=bool)
     density = np.zeros((n, m))
     for i, track in enumerate(tracks):
-        pos = track.estimate.state.position
+        pos = track.estimate.mean[:2]
         cov = track.estimate.covariance[:2, :2]
         for j, obs in enumerate(observations):
             s = cov + obs.covariance
@@ -70,7 +70,7 @@ def pair_stats_reference(tracks, observations):
     dist2 = np.full((n, m), np.inf)
     density = np.zeros((n, m))
     for i, track in enumerate(tracks):
-        pos = track.estimate.state.position
+        pos = track.estimate.mean[:2]
         pos_cov = track.estimate.covariance[:2, :2]
         for j, obs in enumerate(observations):
             s = pos_cov + obs.covariance

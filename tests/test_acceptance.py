@@ -30,7 +30,6 @@ from coopfusion.global_fusion import covariance_union
 from coopfusion.local_fusion import SensorPipelineConfig
 from coopfusion.simulator import LocalizerDrift, stream_rng, synth_sensor_frame
 from coopfusion.tracking import (
-    KinematicState,
     ProcessNoiseConfig,
     TrackEstimate,
     ctrv_jacobian,
@@ -197,9 +196,7 @@ class TestCriterion5JpdaOracle:
                 cov = np.diag(
                     [float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)), 1, 1, 1]
                 )
-                state = KinematicState(
-                    float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), 0, 0, 0
-                )
+                state = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0, 0, 0])
                 tracks.append(Track(id=tid, estimate=TrackEstimate(state, cov)))
             observations = [
                 GaussianEstimate(
@@ -245,7 +242,7 @@ class TestCriterion6EkfConsistency:
         for _ in range(runs):
             estimate_mean = np.array([0.0, 0.0, 0.5, 0.1, 0.3])
             truth = estimate_mean + sqrt_p0 @ rng.normal(size=5)
-            track = TrackEstimate(KinematicState(*estimate_mean), p0)
+            track = TrackEstimate(estimate_mean, p0)
             for k in range(frames):
                 truth = ctrv_motion(truth, cfg.dt) + sqrt_q @ rng.normal(size=5)
                 track = ctrv_predict(track, cfg)
@@ -253,7 +250,7 @@ class TestCriterion6EkfConsistency:
                     truth[:2] + math.sqrt(meas_var) * rng.normal(size=2), meas_var * np.eye(2)
                 )
                 track = ekf_update(track, z)
-                err = truth - track.state.as_array()
+                err = truth - track.mean
                 err[3] = math.atan2(math.sin(err[3]), math.cos(err[3]))
                 nees_sum[k] += float(err @ np.linalg.solve(track.covariance, err))
         nees = nees_sum / runs

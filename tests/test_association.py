@@ -14,12 +14,12 @@ from coopfusion.association import (
     new_track_estimate,
 )
 from coopfusion.error_models import GaussianEstimate
-from coopfusion.tracking import KinematicState, TrackEstimate
+from coopfusion.tracking import TrackEstimate
 
 
 def make_track(tid, x, y, pos_var=1.0):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
-    return Track(id=tid, estimate=TrackEstimate(KinematicState(x, y, 0, 0, 0), cov))
+    return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
 
 
 def make_obs(x, y, var=1.0, source=""):
@@ -47,7 +47,7 @@ class TestGate:
 
     def test_singular_innovation_not_gated(self):
         track = Track(
-            id=0, estimate=TrackEstimate(KinematicState(0, 0, 0, 0, 0), np.zeros((5, 5)))
+            id=0, estimate=TrackEstimate(np.array([0, 0, 0, 0, 0], dtype=float), np.zeros((5, 5)))
         )
         obs = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
         feasible = gate([track], [obs], AssociationConfig())
@@ -73,7 +73,7 @@ class TestGate:
         def track(i, kind):
             cov = np.diag([1.0, 1.0, 1.0, math.pi**2, 1.0])
             cov[:2, :2] = block(kind)
-            state = KinematicState(*rng.uniform(-3, 3, 2), 0, 0, 0)
+            state = np.array([*rng.uniform(-3, 3, 2), 0, 0, 0])
             return Track(id=i, estimate=TrackEstimate(state, cov))
 
         track_kinds = ["pd", "zero", "rank_one", "near_singular", "negative"]
@@ -198,6 +198,13 @@ class TestJpdaWeights:
         with pytest.raises(ValueError):
             AssociationConfig(max_events=0)
 
+    @pytest.mark.parametrize("weight_floor", [-0.1, 1.0])
+    def test_weight_floor_outside_unit_interval_rejected(self, weight_floor):
+        # Below 0 a zero-weight observation would divide a covariance by 0;
+        # at 1 or above no observation could ever be accepted.
+        with pytest.raises(ValueError):
+            AssociationConfig(weight_floor=weight_floor)
+
 
 class TestApplyAssociation:
     """Track lifecycle from one source's frame, through ``associate_frame``."""
@@ -266,7 +273,7 @@ class TestApplyAssociation:
             counter = iter(range(5, 50))
             for _ in range(3):
                 tracks = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
-            return [(t.id, t.frames_seen, tuple(t.estimate.state.as_array())) for t in tracks]
+            return [(t.id, t.frames_seen, tuple(t.estimate.mean)) for t in tracks]
 
         assert run() == run()
 
@@ -305,7 +312,7 @@ class TestAssociateFrame:
         observations = [make_obs(0, 0, 0.05, "s"), make_obs(10, 0, 0.05, "s")]
         updated = associate_frame([], {"s": observations}, AssociationConfig(), lambda: next(counter))
         assert [t.id for t in updated] == [3, 4]
-        assert [tuple(t.estimate.state.position) for t in updated] == [(0.0, 0.0), (10.0, 0.0)]
+        assert [tuple(t.estimate.mean[:2]) for t in updated] == [(0.0, 0.0), (10.0, 0.0)]
 
     def test_same_frame_spawns_deduplicated(self):
         cfg = AssociationConfig()
@@ -321,7 +328,7 @@ class TestAssociateFrame:
 def test_new_track_estimate_seeds_from_observation():
     obs = make_obs(1.0, -2.0, var=0.3)
     estimate = new_track_estimate(obs)
-    assert estimate.state.position == pytest.approx([1.0, -2.0])
+    assert estimate.mean[:2] == pytest.approx([1.0, -2.0])
     assert estimate.covariance[:2, :2] == pytest.approx(0.3 * np.eye(2))
     assert estimate.covariance[2, 2] == 1.0
     assert estimate.covariance[3, 3] == pytest.approx(math.pi**2)

@@ -8,7 +8,6 @@ from coopfusion.error_models import (
     DEFAULT_FIXED_MODELS,
     DEFAULT_PARAMETERIZED_MODELS,
     ErrorModel,
-    GaussianEstimate,
     ModelError,
     ModelSet,
     PlatformPose,
@@ -218,14 +217,6 @@ class TestTypes:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             PolarObservation(-0.1, 0.0)
-
-    def test_gaussian_estimate_rejects_asymmetry(self):
-        with pytest.raises(ValueError):
-            GaussianEstimate(np.zeros(2), np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-    def test_gaussian_estimate_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            GaussianEstimate(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_platform_pose_rejects_negative_speed(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from coopfusion.global_fusion import (
     packetize,
     track_to_world,
 )
-from coopfusion.tracking import KinematicState, TrackEstimate
+from coopfusion.tracking import TrackEstimate
 
 LON = DEFAULT_PARAMETERIZED_MODELS.localizer_longitudinal
 LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
@@ -28,7 +28,7 @@ LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
 
 def local_track(tid, x, y, pos_var=0.01):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
-    return Track(id=tid, estimate=TrackEstimate(KinematicState(x, y, 0, 0, 0), cov))
+    return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
 
 
 def pose_packet(pid, t, pose, pose_var=1e-6, tracks=()):
@@ -43,15 +43,15 @@ def pose_packet(pid, t, pose, pose_var=1e-6, tracks=()):
 
 class TestTrackToWorld:
     def test_identity_pose(self):
-        est = TrackEstimate(KinematicState(1, 2, 0, 0, 0), np.eye(5))
+        est = TrackEstimate(np.array([1, 2, 0, 0, 0], dtype=float), np.eye(5))
         assert track_to_world(est, PlatformPose(0, 0, 0, 0)) == pytest.approx([1, 2])
 
     def test_translation_only(self):
-        est = TrackEstimate(KinematicState(1, 0, 0, 0, 0), np.eye(5))
+        est = TrackEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
         assert track_to_world(est, PlatformPose(5, 5, 0, 0)) == pytest.approx([6, 5])
 
     def test_quarter_turn(self):
-        est = TrackEstimate(KinematicState(1, 0, 0, 0, 0), np.eye(5))
+        est = TrackEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
         out = track_to_world(est, PlatformPose(0, 0, math.pi / 2, 0))
         # rigid-transform oracle: t + R(theta) p
         c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
@@ -187,14 +187,24 @@ class TestWireFormat:
 
     def test_nonfinite_rejected(self):
         packet = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))
-        wire = packet_to_wire(packet)
-        wire["pose"]["x"] = float("nan")
-        with pytest.raises(PacketError):
-            packet_from_line(json.dumps(wire))
+        bad_x = packet_to_wire(packet)
+        bad_x["pose"]["x"] = float("nan")
+        bad_t = packet_to_wire(packet)
+        bad_t["t"] = float("nan")
+        for wire in (bad_x, bad_t):
+            with pytest.raises(PacketError):
+                packet_from_line(json.dumps(wire))
 
     @pytest.mark.parametrize("field", ["cov", "pose_cov"])
     @pytest.mark.parametrize(
-        "matrix", [[[0.01, 0.0], [0.0, -0.01]], [[0.01, 0.5], [0.0, 0.01]]], ids=["not_psd", "asymmetric"]
+        "matrix",
+        [
+            [[0.01, 0.0], [0.0, -0.01]],
+            [[0.01, 0.5], [0.0, 0.01]],
+            [[1.0, 0.5], [0.1, 1.0]],
+            [[1.0, 2.0], [2.0, 1.0]],
+        ],
+        ids=["not_psd", "asymmetric", "asymmetric_unit", "indefinite"],
     )
     def test_invalid_covariance_rejected(self, field, matrix):
         packet = pose_packet(
@@ -231,7 +241,7 @@ class TestGlobalFusion:
             )
             confirmed = fusion.step_with([packet], k * 0.125)
         positions = sorted(
-            [tuple(np.round(t.estimate.state.position, 2)) for t in confirmed]
+            [tuple(np.round(t.estimate.mean[:2], 2)) for t in confirmed]
         )
         assert (1.0, 1.0) in positions
 
@@ -283,7 +293,7 @@ class TestGlobalFusion:
             ]
             confirmed = fusion.step_with(packets, k * 0.125)
         assert len(confirmed) == 1
-        x = confirmed[0].estimate.state.x
+        x = confirmed[0].estimate.mean[0]
         # gain-ratio oracle: steady-state mean sits near the information blend
         blend = (1.0 / 0.004 * 1.0 + 1.0 / 0.09 * 1.3) / (1.0 / 0.004 + 1.0 / 0.09)
         assert abs(x - blend) < abs(x - 1.3)
@@ -296,7 +306,7 @@ class TestGlobalFusion:
             packet = pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4)
             confirmed = fusion.step_with([packet], k * 0.125)
         assert len(confirmed) == 1
-        assert confirmed[0].estimate.state.position == pytest.approx([2.0, -1.0], abs=0.01)
+        assert confirmed[0].estimate.mean[:2] == pytest.approx([2.0, -1.0], abs=0.01)
 
     def test_duplicate_packet_latest_wins(self):
         fusion = GlobalFusion()
@@ -306,7 +316,7 @@ class TestGlobalFusion:
         fusion.ingest(late)
         assert fusion.duplicate_packets == 1
         fusion.step(0.125)
-        assert fusion.tracks[0].estimate.state.position == pytest.approx([1, 1], abs=1e-6)
+        assert fusion.tracks[0].estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
 
     def test_stale_packet_dropped_and_counted(self):
         fusion = GlobalFusion()
@@ -315,3 +325,32 @@ class TestGlobalFusion:
         assert fusion.late_packets == 1
         fusion.step(10.125)
         assert fusion.tracks == []
+
+    @pytest.mark.parametrize(
+        "mean, cov, t",
+        [
+            ((math.inf, 0.0), ((0.01, 0.0), (0.0, 0.01)), 0.0),
+            ((2.0, 0.0), ((0.01, 0.5), (0.0, 0.01)), 0.0),
+            ((2.0, 0.0), ((0.01, 0.0), (0.0, -0.01)), 0.0),
+            ((2.0, 0.0), ((0.01, 0.0), (0.0, 0.01)), math.nan),
+        ],
+        ids=["nonfinite_mean", "asymmetric", "indefinite", "nan_timestamp"],
+    )
+    def test_invalid_packet_dropped_and_counted(self, mean, cov, t):
+        good = pose_packet(
+            "cis0",
+            0.0,
+            PlatformPose(0, 2, 0, 0),
+            tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))],
+        )
+        bad = pose_packet(
+            "cav1", t, PlatformPose(3, 3, 0, 0), tracks=[PacketTrack(id="0", mean=mean, covariance=cov)]
+        )
+        fusion = GlobalFusion()
+        fusion.ingest(good)
+        fusion.ingest(bad)
+        fusion.step(0.0)
+        assert fusion.invalid_packets == 1
+        positions = sorted(tuple(track.estimate.mean[:2]) for track in fusion.tracks)
+        assert positions == [(0.0, 2.0), (1.0, 1.0)]
+        assert all(track.sources == {"cis0"} for track in fusion.tracks)

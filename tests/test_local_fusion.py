@@ -67,7 +67,7 @@ class TestStep:
         ):
             confirmed = fusion.step(frame)
         assert len(confirmed) == 1
-        assert confirmed[0].estimate.state.position == pytest.approx([1.0, 0.0], abs=0.05)
+        assert confirmed[0].estimate.mean[:2] == pytest.approx([1.0, 0.0], abs=0.05)
         assert confirmed[0].sources == {"camera", "lidar"}
 
     def test_two_pipelines_tighter_than_either_alone(self):
@@ -110,7 +110,7 @@ class TestModelModes:
     def run_reduction(self, distal, perp, distance):
         """Covariance-trace reduction from one update on an identical prior."""
         from coopfusion.association import Track
-        from coopfusion.tracking import KinematicState, TrackEstimate
+        from coopfusion.tracking import TrackEstimate
 
         camera = SensorPipelineConfig(
             name="camera",
@@ -122,9 +122,8 @@ class TestModelModes:
         )
         fusion = LocalFusion([camera])
         prior = np.diag([0.04, 0.04, 1.0, math.pi**2, 1.0])
-        fusion.tracks = [
-            Track(id=0, estimate=TrackEstimate(KinematicState(distance, 0, 0, 0, 0), prior))
-        ]
+        state = np.array([distance, 0, 0, 0, 0], dtype=float)
+        fusion.tracks = [Track(id=0, estimate=TrackEstimate(state, prior))]
         before = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))
         fusion.step(LocalFrame(0.125, {"camera": [polar(distance)]}))
         after = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))

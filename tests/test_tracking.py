@@ -5,7 +5,6 @@ import pytest
 
 from coopfusion.error_models import GaussianEstimate
 from coopfusion.tracking import (
-    KinematicState,
     NumericalError,
     ProcessNoiseConfig,
     TrackEstimate,
@@ -22,7 +21,7 @@ from coopfusion.tracking import (
 def make_track(x=0.0, y=0.0, v=0.0, psi=0.0, psi_dot=0.0, cov=None):
     if cov is None:
         cov = np.eye(5)
-    return TrackEstimate(KinematicState(x, y, v, psi, psi_dot), cov)
+    return TrackEstimate(np.array([x, y, v, psi, psi_dot], dtype=float), cov)
 
 
 def ctrv_oracle_turn(v, psi, psi_dot, dt):
@@ -37,28 +36,28 @@ class TestCtrvPredict:
         cfg = ProcessNoiseConfig()
         track = make_track()
         out = ctrv_predict(track, cfg)
-        assert out.state.x == 0.0 and out.state.y == 0.0
+        assert out.mean[0] == 0.0 and out.mean[1] == 0.0
         assert np.trace(out.covariance) > np.trace(track.covariance)
 
     def test_straight_line_at_frame_rate(self):
         cfg = ProcessNoiseConfig(dt=0.125)
         out = ctrv_predict(make_track(v=1.0), cfg)
-        assert out.state.x == pytest.approx(0.125, abs=1e-12)
-        assert out.state.y == pytest.approx(0.0, abs=1e-12)
+        assert out.mean[0] == pytest.approx(0.125, abs=1e-12)
+        assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_matches_closed_form(self):
         cfg = ProcessNoiseConfig(dt=1.0)
         out = ctrv_predict(make_track(v=1.0, psi_dot=math.pi / 2), cfg)
         dx, dy = ctrv_oracle_turn(1.0, 0.0, math.pi / 2, 1.0)
         assert dx == pytest.approx(2.0 / math.pi)
-        assert out.state.x == pytest.approx(dx, abs=1e-12)
-        assert out.state.y == pytest.approx(dy, abs=1e-12)
+        assert out.mean[0] == pytest.approx(dx, abs=1e-12)
+        assert out.mean[1] == pytest.approx(dy, abs=1e-12)
 
     def test_trace_strictly_increases(self):
         cfg = ProcessNoiseConfig()
         rng = np.random.default_rng(2)
         for _ in range(20):
-            state = KinematicState(*rng.uniform(-1, 1, size=5))
+            state = rng.uniform(-1, 1, size=5)
             track = TrackEstimate(state, np.diag(rng.uniform(0.1, 1.0, size=5)))
             out = ctrv_predict(track, cfg)
             assert np.trace(out.covariance) > np.trace(track.covariance)
@@ -129,22 +128,22 @@ class TestEkfUpdate:
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 0.0]), np.eye(2))
         out = ekf_update(track, z)
-        assert out.state.x == pytest.approx(0.5, abs=1e-12)
-        assert out.state.y == pytest.approx(0.0, abs=1e-12)
+        assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
+        assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_gain_limit(self):
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 1.0]), 1e9 * np.eye(2))
         out = ekf_update(track, z)
-        assert out.state.x == pytest.approx(0.0, abs=1e-6)
-        assert out.state.y == pytest.approx(0.0, abs=1e-6)
+        assert out.mean[0] == pytest.approx(0.0, abs=1e-6)
+        assert out.mean[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_full_gain_limit(self):
         track = make_track(cov=1e9 * np.eye(5))
         z = GaussianEstimate(np.array([2.0, -1.0]), np.eye(2) * 1e-4)
         out = ekf_update(track, z)
-        assert out.state.x == pytest.approx(2.0, abs=1e-6)
-        assert out.state.y == pytest.approx(-1.0, abs=1e-6)
+        assert out.mean[0] == pytest.approx(2.0, abs=1e-6)
+        assert out.mean[1] == pytest.approx(-1.0, abs=1e-6)
 
     def test_position_trace_never_increases(self):
         rng = np.random.default_rng(8)
@@ -156,6 +155,17 @@ class TestEkfUpdate:
             out = ekf_update(track, z)
             assert np.trace(out.covariance[:2, :2]) <= np.trace(cov[:2, :2]) + 1e-12
             assert np.linalg.eigvalsh(out.covariance).min() >= -1e-10
+
+    def test_heading_stays_wrapped_across_pi(self):
+        # x and psi correlated: a measurement to the right of the track pulls
+        # psi up past pi, and the update must wrap it round to near -pi.
+        cov = np.diag([1.0, 1.0, 0.1, 1.0, 0.1])
+        cov[0, 3] = cov[3, 0] = 0.5
+        track = ctrv_predict(make_track(psi=math.pi - 1e-3, cov=cov), ProcessNoiseConfig())
+        assert track.mean[3] == pytest.approx(math.pi - 1e-3)
+        out = ekf_update(track, GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2)))
+        assert -math.pi < out.mean[3] <= math.pi
+        assert out.mean[3] < -math.pi / 2
 
     def test_singular_innovation_raises(self):
         cov = np.zeros((5, 5))
@@ -184,7 +194,7 @@ class TestMultiUpdate:
         z2 = GaussianEstimate(np.array([-0.2, 0.3]), np.diag([0.7, 0.1]), source="b")
         fwd = multi_update(track, [z1, z2])
         rev = multi_update(make_track(), [z2, z1])
-        assert fwd.state.as_array() == pytest.approx(rev.state.as_array(), abs=1e-9)
+        assert fwd.mean == pytest.approx(rev.mean, abs=1e-9)
         assert fwd.covariance == pytest.approx(rev.covariance, abs=1e-9)
 
 
@@ -193,13 +203,11 @@ class TestConvergence:
         cfg = ProcessNoiseConfig()
         rng = np.random.default_rng(4)
         truth = np.array([0.0, 0.0, 0.5, 0.2, 0.3])
-        track = TrackEstimate(
-            KinematicState(*truth), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0])
-        )
+        track = TrackEstimate(truth.copy(), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0]))
         for _ in range(50):
             truth = ctrv_motion_raw(truth, cfg.dt)
             track = ctrv_predict(track, cfg)
             z = GaussianEstimate(truth[:2] + rng.normal(0, 1e-4, 2), 1e-8 * np.eye(2))
             track = ekf_update(track, z)
-        err = np.hypot(track.state.x - truth[0], track.state.y - truth[1])
+        err = np.hypot(track.mean[0] - truth[0], track.mean[1] - truth[1])
         assert err < 1e-3
