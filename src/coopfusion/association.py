@@ -265,6 +265,9 @@ def jpda_weights(
 ) -> AssociationResult:
     """Exact JPDA marginal association probabilities for one frame."""
     n, m = len(tracks), len(observations)
+    if n == 0 or m == 0:
+        # Nothing to gate: skip the numpy set-up, which dominates small calls.
+        return AssociationResult(np.zeros((n, m)), np.ones(n), list(range(m)))
     dist2, det = _pair_stats(tracks, observations)
     feasible = dist2 <= cfg.gate_threshold
     rows, cols = np.nonzero(feasible)
@@ -449,13 +452,13 @@ def associate_frame(
     Sources (sensor pipelines locally, platforms globally) each report an
     object at most once, so association runs per source: within one source
     a track takes at most one observation, while across sources a track
-    accumulates up to one update per source.  This is what makes a second
-    platform's view of the same object add information instead of splitting
-    the first one's weight.
+    accumulates up to one observation per source.  This is what makes a
+    second platform's view of the same object add information instead of
+    splitting the first one's weight.
 
-    Each track updates with every observation whose weight clears the floor,
-    the observation covariance inflated by 1/weight to realize the soft
-    assignment.  Unassociated observations spawn tentative tracks unless a
+    Each track updates once with every observation whose weight clears the
+    floor (see ``multi_update``), the observation covariance inflated by
+    1/weight to realize the soft assignment.  Unassociated observations spawn tentative tracks unless a
     live track already covers them within the widened spawn gate.
     """
     accepted: list[list[GaussianEstimate]] = [[] for _ in tracks]

@@ -85,12 +85,14 @@ def _cmd_simulate(args) -> int:
             obj = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
         if args.duration is not None:
             obj["duration"] = args.duration
         config = ScenarioConfig.from_dict(obj)
     else:
         config = scenario_preset(
-            args.preset, seed=args.seed, duration=args.duration if args.duration else 120.0
+            args.preset, seed=args.seed, duration=120.0 if args.duration is None else args.duration
         )
 
     model_sets = None

@@ -219,6 +219,8 @@ class ModelSet:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ModelSet":
+        if not isinstance(obj, dict):
+            raise ModelError("model set must be a JSON object")
         missing = [name for name in model_names() if name not in obj]
         if missing:
             raise ModelError(f"model set is missing entries: {missing}")
@@ -236,9 +238,11 @@ def save_model_set(model_set: ModelSet, path: str | Path) -> None:
 
 def load_model_set(path: str | Path) -> ModelSet:
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ModelError("model file must hold a JSON object")
     if obj.get("schema") != MODEL_FILE_SCHEMA:
         raise ModelError(f"unsupported model file schema: {obj.get('schema')!r}")
-    return ModelSet.from_json_dict(obj["models"])
+    return ModelSet.from_json_dict(obj.get("models"))
 
 
 def _distance_model(*coefficients: float) -> ErrorModel:

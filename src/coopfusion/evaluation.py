@@ -152,6 +152,8 @@ class RunReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunReport":
+        if not isinstance(obj, dict):
+            raise LogError("a report must be a JSON object")
         if obj.get("schema") != LOG_SCHEMA:
             raise LogError(f"unsupported report schema {obj.get('schema')!r}")
         kwargs = {k: v for k, v in obj.items() if k != "schema"}
@@ -513,6 +515,8 @@ def _parse_log(path: str | Path) -> tuple[dict, list[_TickGroup]]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise LogError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(record, dict):
+                raise LogError(f"line {lineno}: expected a JSON object")
             kind = record.get("kind")
             if lineno == 1:
                 if kind != "meta":

@@ -1,10 +1,10 @@
 """Constant turn rate and velocity (CTRV) extended Kalman filter.
 
-The same filter serves both fusion tiers: one predict per frame, then up to
-n position updates from whatever observations were associated to the track.
-State is [x, y, v, psi, psi_dot]; measurements are 2D positions with their
-own covariance, so the observation matrix just selects the first two state
-components.
+The same filter serves both fusion tiers: one predict per frame, then one
+position update from whatever observations were associated to the track,
+folded into a single equivalent measurement.  State is [x, y, v, psi,
+psi_dot]; measurements are 2D positions with their own covariance, so the
+observation matrix just selects the first two state components.
 """
 
 from __future__ import annotations
@@ -172,16 +172,52 @@ def ekf_update(track: TrackEstimate, z: GaussianEstimate) -> TrackEstimate:
     return TrackEstimate(updated, symmetrized(cov_new))
 
 
-def multi_update(track: TrackEstimate, zs: list[GaussianEstimate]) -> TrackEstimate:
-    """Fold sequential updates over observations, ordered by source tag.
+def _folded(zs: list[GaussianEstimate]) -> GaussianEstimate:
+    """The one position measurement equivalent to several, fused in order.
 
-    Measurements whose update fails numerically are skipped; the remaining
-    ones still apply.
+    Each next observation joins the running one by a 2x2 Kalman step (gain
+    ``R_f (R_f + R_i)^-1``, covariance ``R_f - G R_f``), on Python floats
+    read once per observation.  One whose sum with the running fold fails
+    ``ekf_update``'s singularity test is skipped.  The information form is
+    not used: a zero covariance is a legal observation and has no inverse.
     """
-    current = track
-    for z in sorted(zs, key=lambda z: z.source):
-        try:
-            current = ekf_update(current, z)
-        except NumericalError:
+    mx, my = zs[0].mean.tolist()
+    (r00, r01), (r10, r11) = zs[0].covariance.tolist()
+    for z in zs[1:]:
+        zx, zy = z.mean.tolist()
+        (q00, q01), (q10, q11) = z.covariance.tolist()
+        s00, s01, s10, s11 = r00 + q00, r01 + q01, r10 + q10, r11 + q11
+        det = s00 * s11 - s01 * s10
+        scale = max(abs(s00) + abs(s11), 1e-30)
+        if not math.isfinite(det) or abs(det) < 1e-15 * scale * scale:
             continue
-    return current
+        i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
+        g00, g01 = r00 * i00 + r01 * i10, r00 * i01 + r01 * i11
+        g10, g11 = r10 * i00 + r11 * i10, r10 * i01 + r11 * i11
+        dx, dy = zx - mx, zy - my
+        mx, my = mx + (g00 * dx + g01 * dy), my + (g10 * dx + g11 * dy)
+        r00, r01, r10, r11 = (
+            r00 - (g00 * r00 + g01 * r10),
+            r01 - (g00 * r01 + g01 * r11),
+            r10 - (g10 * r00 + g11 * r10),
+            r11 - (g10 * r01 + g11 * r11),
+        )
+        r01 = r10 = 0.5 * (r01 + r10)
+    return GaussianEstimate(np.array([mx, my]), np.array([[r00, r01], [r10, r11]]))
+
+
+def multi_update(track: TrackEstimate, zs: list[GaussianEstimate]) -> TrackEstimate:
+    """One update from all of a frame's observations, ordered by source tag.
+
+    Every observation measures position (H = [I 0]), so k of them fold into
+    one equivalent measurement and the track pays one Joseph update; a
+    single observation is used as it is.  If that update fails numerically
+    the track keeps its prediction.
+    """
+    if not zs:
+        return track
+    ordered = sorted(zs, key=lambda z: z.source)
+    try:
+        return ekf_update(track, ordered[0] if len(ordered) == 1 else _folded(ordered))
+    except NumericalError:
+        return track

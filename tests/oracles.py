@@ -1,13 +1,17 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately brute force and shares no code with the
-package internals.
+package internals, except that the sequential update reference applies the
+package's single-observation ``ekf_update``: the fold around it is what it
+checks.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from coopfusion.tracking import NumericalError, ekf_update
 
 
 def jpda_oracle(tracks, observations, cfg):
@@ -91,6 +95,21 @@ def pair_stats_reference(tracks, observations):
             dist2[i, j] = d2
             density[i, j] = math.exp(-0.5 * d2) / (2 * math.pi * math.sqrt(det)) if d2 < 1e3 else 0.0
     return dist2, density
+
+
+def sequential_update_reference(track, zs):
+    """One EKF update per observation, in source order.
+
+    The loop the folded ``multi_update`` must agree with: an update that
+    fails numerically is skipped and the remaining ones still apply.
+    """
+    current = track
+    for z in sorted(zs, key=lambda z: z.source):
+        try:
+            current = ekf_update(current, z)
+        except NumericalError:
+            continue
+    return current
 
 
 def assignment_oracle(observations, truth, max_dist):

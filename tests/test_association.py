@@ -169,13 +169,20 @@ class TestJpdaWeights:
 
     def test_no_tracks(self):
         result = jpda_weights([], [make_obs(0, 0), make_obs(5, 5)], AssociationConfig())
-        assert result.weights.shape == (0, 2) and result.miss.shape == (0,)
+        assert result.weights.shape == (0, 2) and result.weights.dtype == float
+        assert result.miss.shape == (0,) and result.miss.dtype == float
         assert result.unassociated_observations == [0, 1]
+
+    def test_no_tracks_and_no_observations(self):
+        result = jpda_weights([], [], AssociationConfig())
+        assert result.weights.shape == (0, 0) and result.miss.shape == (0,)
+        assert result.unassociated_observations == []
 
     def test_no_observations(self):
         tracks = [make_track(0, 0, 0), make_track(1, 5, 5)]
         result = jpda_weights(tracks, [], AssociationConfig())
-        assert result.weights.shape == (2, 0)
+        assert result.weights.shape == (2, 0) and result.weights.dtype == float
+        assert result.miss.shape == (2,) and result.miss.dtype == float
         assert result.miss.tolist() == [1.0, 1.0]
         assert result.unassociated_observations == []
 

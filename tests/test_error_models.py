@@ -250,6 +250,15 @@ class TestSerialization:
         with pytest.raises(ModelError):
             ModelSet.from_json_dict(obj)
 
+    @pytest.mark.parametrize(
+        "content", ["[]", '"models"', '{"schema": 1}', '{"schema": 1, "models": []}']
+    )
+    def test_non_object_rejected(self, tmp_path, content):
+        path = tmp_path / "models.json"
+        path.write_text(content)
+        with pytest.raises(ModelError, match="JSON object"):
+            load_model_set(path)
+
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "models.json"
         path.write_text(json.dumps({"schema": 99, "models": {}}))

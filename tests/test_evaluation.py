@@ -130,6 +130,16 @@ class TestDeterminismAndReplay:
         with pytest.raises(LogError, match=r"line 11"):
             replay(broken, "parameterized")
 
+    @pytest.mark.parametrize("lineno", [1, 6])
+    def test_non_object_line_names_line(self, tmp_path, lineno):
+        run_scenario(tiny(duration=3.0), "parameterized", out_dir=tmp_path)
+        lines = (tmp_path / "log.ndjson").read_text().splitlines()
+        lines[lineno - 1] = "[1, 2]"
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join(lines))
+        with pytest.raises(LogError, match=rf"line {lineno}: expected a JSON object"):
+            replay(bad, "parameterized")
+
     def test_schema_mismatch_rejected(self, tmp_path):
         run_scenario(tiny(duration=3.0), "parameterized", out_dir=tmp_path)
         lines = (tmp_path / "log.ndjson").read_text().splitlines()
@@ -144,6 +154,11 @@ class TestDeterminismAndReplay:
         report = run_scenario(tiny(duration=3.0), "fixed", out_dir=tmp_path)
         loaded = RunReport.from_json_dict(json.loads((tmp_path / "report.json").read_text()))
         assert loaded.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("obj", [[], "report", 3])
+    def test_report_not_an_object_rejected(self, obj):
+        with pytest.raises(LogError, match="JSON object"):
+            RunReport.from_json_dict(obj)
 
 
 STOPPED_KEYS = (
@@ -271,6 +286,14 @@ class TestCli:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("content, extra", [("[]", ["--duration", "1"]), ("5", [])])
+    def test_non_object_config_exits_2(self, tmp_path, capsys, content, extra):
+        path = tmp_path / "scenario.json"
+        path.write_text(content)
+        argv = ["simulate", "--config", str(path), "--mode", "fixed", *extra]
+        assert cli.main([*argv, "--out", str(tmp_path / "x")]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value",
         [("miss_probability", 1.5), ("loc_correlation_time", -6.0), ("cis_pose_var", -1.0)],
@@ -286,6 +309,33 @@ class TestCli:
         rc = cli.main(["simulate", "--config", str(path), "--mode", "fixed", "--out", str(out)])
         assert rc == 2
         assert not out.exists()
+
+    def test_zero_duration_exits_2_before_any_tick(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "sm/sp", "--duration", "0", "--mode", "fixed"]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_non_object_model_file_exits_2(self, tmp_path, capsys):
+        models = tmp_path / "models.json"
+        models.write_text("[]")
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "sm/sp", "--duration", "1", "--mode", "fixed"]
+        assert cli.main([*argv, "--models-fixed", str(models), "--out", str(out)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_object_log_line_exits_2(self, tmp_path, capsys):
+        log = tmp_path / "log.ndjson"
+        log.write_text("[1, 2]\n")
+        assert cli.main(["replay", "--log", str(log), "--mode", "fixed"]) == 2
+        assert "line 1: expected a JSON object" in capsys.readouterr().err
+
+    def test_non_object_report_exits_2(self, tmp_path, capsys):
+        (tmp_path / "run").mkdir()
+        (tmp_path / "run" / "report.json").write_text("[]")
+        assert cli.main(["report", "--runs", str(tmp_path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
     def test_fit_command(self, tmp_path):
         rng = np.random.default_rng(3)

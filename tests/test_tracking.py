@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sequential_update_reference
 
-from coopfusion.error_models import GaussianEstimate
+from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import (
     NumericalError,
     ProcessNoiseConfig,
@@ -196,6 +197,98 @@ class TestMultiUpdate:
         rev = multi_update(make_track(), [z2, z1])
         assert fwd.mean == pytest.approx(rev.mean, abs=1e-9)
         assert fwd.covariance == pytest.approx(rev.covariance, abs=1e-9)
+
+    @staticmethod
+    def random_scene(rng, k):
+        """A predicted track and k observations near it, each covariance
+        inflated by 1/weight for a JPDA weight in (0.2, 1]."""
+        a = rng.normal(size=(5, 5))
+        mean = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3), 0.3])
+        track = ctrv_predict(
+            TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)),
+            ProcessNoiseConfig(),
+        )
+        zs = [
+            GaussianEstimate(
+                track.mean[:2] + rng.normal(scale=0.3, size=2),
+                rotated_covariance(*rng.uniform(0.005, 0.3, 2), rng.uniform(-math.pi, math.pi))
+                / (1.0 - 0.8 * rng.uniform()),
+                source=f"cav{i:02d}",
+            )
+            for i in range(k)
+        ]
+        return track, zs
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_fold_matches_sequential_reference(self, k):
+        # The fold is exact in exact arithmetic; 1e-9 relative leaves room
+        # for round-off (the worst seen over 2,000 scenes is 1.2e-13).
+        rng = np.random.default_rng(100 + k)
+        for _ in range(20):
+            track, zs = self.random_scene(rng, k)
+            out = multi_update(track, zs)
+            ref = sequential_update_reference(track, zs)
+            delta = out.mean - ref.mean
+            delta[3] = math.remainder(delta[3], 2 * math.pi)
+            assert np.all(np.abs(delta) <= 1e-9 * np.maximum(np.abs(ref.mean), 1.0))
+            scale = np.abs(ref.covariance).max()
+            assert np.abs(out.covariance - ref.covariance).max() <= 1e-9 * scale
+
+    def test_single_observation_is_exactly_ekf_update(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            track, zs = self.random_scene(rng, 1)
+            out = multi_update(track, zs)
+            once = ekf_update(track, zs[0])
+            assert np.array_equal(out.mean, once.mean)
+            assert np.array_equal(out.covariance, once.covariance)
+
+    # Track position blocks are uncorrelated here: after an exact (zero
+    # covariance) update with a correlated block, the sequential loop is left
+    # with a round-off position covariance, and whether its next update passes
+    # the singularity test is decided by that round-off.
+    @pytest.mark.parametrize("track_cov", [np.eye(5), np.diag([0.3, 0.7, 1.0, 2.0, 0.5])])
+    @pytest.mark.parametrize(
+        "covs",
+        [
+            pytest.param((np.zeros((2, 2)), np.zeros((2, 2))), id="two_exact"),
+            pytest.param((np.diag([0.0, 1.0]), np.diag([0.0, 1.0])), id="exact_in_x_twice"),
+            pytest.param((np.zeros((2, 2)), 0.5 * np.eye(2)), id="exact_then_noisy"),
+        ],
+    )
+    def test_degenerate_observations_skipped_like_reference(self, track_cov, covs):
+        track = make_track(x=0.1, y=-0.2, v=0.5, psi=0.3, cov=track_cov)
+        zs = [
+            GaussianEstimate(np.array([1.0, 2.0]), covs[0], source="a"),
+            GaussianEstimate(np.array([-1.0, 0.5]), covs[1], source="b"),
+        ]
+        out = multi_update(track, zs)
+        ref = sequential_update_reference(track, zs)
+        assert out.mean == pytest.approx(ref.mean, rel=1e-12, abs=1e-12)
+        assert out.covariance == pytest.approx(ref.covariance, rel=1e-12, abs=1e-12)
+        # Both keep the first observation's exact coordinate.
+        assert out.mean[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_zero_covariance_track_is_unchanged(self):
+        track = make_track(x=0.1, y=-0.2, v=0.5, psi=0.3, cov=np.zeros((5, 5)))
+        zs = [
+            GaussianEstimate(np.array([1.0, 2.0]), 0.1 * np.eye(2), source="a"),
+            GaussianEstimate(np.array([-1.0, 0.5]), np.diag([0.2, 0.3]), source="b"),
+        ]
+        out = multi_update(track, zs)
+        ref = sequential_update_reference(track, zs)
+        assert out.mean == pytest.approx(track.mean, abs=1e-15)
+        assert ref.mean == pytest.approx(track.mean, abs=1e-15)
+        assert not out.covariance.any() and not ref.covariance.any()
+
+    def test_failed_update_keeps_prediction(self):
+        track = make_track(cov=np.zeros((5, 5)))
+        zs = [
+            GaussianEstimate(np.array([1.0, 2.0]), np.zeros((2, 2)), source="a"),
+            GaussianEstimate(np.array([-1.0, 0.5]), np.zeros((2, 2)), source="b"),
+        ]
+        assert multi_update(track, zs) is track
+        assert sequential_update_reference(track, zs) is track
 
 
 class TestConvergence:
