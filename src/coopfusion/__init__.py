@@ -48,7 +48,6 @@ from .evaluation import (
     MODES,
     RunReport,
     replay,
-    rmse,
     run_matrix,
     run_scenario,
     scenario_names,
@@ -56,7 +55,6 @@ from .evaluation import (
 )
 from .global_fusion import (
     GlobalFusion,
-    GlobalFusionConfig,
     PlatformPacket,
     covariance_to_world,
     covariance_union,
@@ -71,7 +69,6 @@ from .simulator import (
     LocalizerDrift,
     ScenarioConfig,
     Simulation,
-    TrafficLight,
     step_vehicle,
     stream_rng,
     synth_sensor_frame,

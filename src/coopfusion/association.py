@@ -20,6 +20,10 @@ from .tracking import TrackEstimate, multi_update
 
 _TWO_PI = 2.0 * math.pi
 
+# An unassociated observation spawns no track inside this multiple of the
+# gate of a live track or of a track spawned earlier in the same frame.
+SPAWN_GATE_FACTOR = 2.0
+
 
 class CombinatorialOverflowError(RuntimeError):
     """Raised when joint-event enumeration exceeds the configured cap."""
@@ -47,7 +51,9 @@ class AssociationConfig:
     """Gating, clutter, and lifecycle parameters.
 
     Defaults are artifact choices: gate at the chi-square 99% point for two
-    degrees of freedom, modest detection probability, light clutter.
+    degrees of freedom, modest detection probability, light clutter.  The
+    gate also decides which tracks coincide and merge, and, widened by
+    ``SPAWN_GATE_FACTOR``, where spawning is suppressed.
     """
 
     gate_threshold: float = 9.21
@@ -57,11 +63,7 @@ class AssociationConfig:
     delete_threshold: int = 5
     weight_floor: float = 0.2
     max_events: int = 1_000_000
-    # Track hygiene: suppress spawns inside a widened gate of a live track,
-    # merge coincident tracks, and drop tracks whose position uncertainty
-    # has grown useless.
-    spawn_gate_factor: float = 2.0
-    merge_threshold: float = 9.21
+    # Tracks whose position uncertainty has grown past this are dropped.
     max_position_variance: float = 1.0
 
     def __post_init__(self):
@@ -79,10 +81,8 @@ class AssociationConfig:
             # A weight above the floor is then positive, so dividing an
             # observation covariance by it keeps the covariance valid.
             raise ValueError("weight_floor must be in [0, 1)")
-        if not (self.spawn_gate_factor >= 1.0):
-            raise ValueError("spawn_gate_factor must be >= 1")
-        if not (self.merge_threshold > 0.0) or not (self.max_position_variance > 0.0):
-            raise ValueError("merge_threshold and max_position_variance must be positive")
+        if not (self.max_position_variance > 0.0):
+            raise ValueError("max_position_variance must be positive")
 
 
 @dataclass
@@ -114,29 +114,24 @@ def _observation_blocks(observations: Sequence[GaussianEstimate]) -> tuple[np.nd
     )
 
 
-def _pairwise(pos_a, cov_a, pos_b, cov_b):
-    """Entries of ``cov_a[i] + cov_b[j]`` and of ``pos_b[j] - pos_a[i]`` as (a, b) arrays."""
-    s = cov_a[:, None] + cov_b[None, :]
-    d = pos_b[None, :] - pos_a[:, None]
-    return s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1], d[..., 0], d[..., 1]
-
-
 def _quadratic(s00, s01, s11, d0, d1):
     """Numerator of the squared Mahalanobis distance: ``d^T adj(S) d``."""
     return s11 * d0 * d0 - 2.0 * s01 * d0 * d1 + s00 * d1 * d1
 
 
-def _pair_stats(
-    tracks: Sequence[Track], observations: Sequence[GaussianEstimate]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Squared Mahalanobis distance and innovation determinant for every pair.
+def _pair_stats(pos_a, cov_a, pos_b, cov_b) -> tuple[np.ndarray, np.ndarray]:
+    """Squared Mahalanobis distance of ``pos_b[j] - pos_a[i]`` under
+    ``cov_a[i] + cov_b[j]``, and that sum's determinant, as (a, b) arrays.
 
-    Pairs with a singular innovation covariance get an infinite distance so
-    they never gate.  Every entry takes the operations of a scalar per-pair
-    loop in the same order, so it is the same IEEE value as that loop gives
+    Pairs with a singular sum get an infinite distance so they never gate.
+    Every entry takes the operations of a scalar per-pair loop in the same
+    order, so it is the same IEEE value as that loop gives
     (``tests/oracles.py`` keeps it as the reference).
     """
-    s00, s01, s10, s11, d0, d1 = _pairwise(*_track_blocks(tracks), *_observation_blocks(observations))
+    s = cov_a[:, None] + cov_b[None, :]
+    d = pos_b[None, :] - pos_a[:, None]
+    s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
+    d0, d1 = d[..., 0], d[..., 1]
     with np.errstate(all="ignore"):
         det = s00 * s11 - s01 * s10
         scale = np.maximum(np.abs(s00) + np.abs(s11), 1e-30)
@@ -152,7 +147,7 @@ def gate(
     cfg: AssociationConfig,
 ) -> np.ndarray:
     """Boolean feasibility matrix: observation within a track's gate (inclusive)."""
-    dist2, _ = _pair_stats(tracks, observations)
+    dist2, _ = _pair_stats(*_track_blocks(tracks), *_observation_blocks(observations))
     return dist2 <= cfg.gate_threshold
 
 
@@ -268,7 +263,7 @@ def jpda_weights(
     if n == 0 or m == 0:
         # Nothing to gate: skip the numpy set-up, which dominates small calls.
         return AssociationResult(np.zeros((n, m)), np.ones(n), list(range(m)))
-    dist2, det = _pair_stats(tracks, observations)
+    dist2, det = _pair_stats(*_track_blocks(tracks), *_observation_blocks(observations))
     feasible = dist2 <= cfg.gate_threshold
     rows, cols = np.nonzero(feasible)
     # Densities of gated pairs only, through libm as in the scalar loop:
@@ -301,19 +296,6 @@ def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
     mean = np.zeros(5)
     mean[:2] = obs.mean
     return TrackEstimate(mean, cov)
-
-
-def _within(pos_a, cov_a, pos_b, cov_b, threshold: float) -> np.ndarray:
-    """(a, b) matrix: ``pos_b[j] - pos_a[i]`` within ``threshold`` squared
-    Mahalanobis distance under ``cov_a[i] + cov_b[j]``, inclusive.
-
-    A sum with a non-positive determinant is at infinite distance.
-    """
-    s00, s01, s10, s11, d0, d1 = _pairwise(pos_a, cov_a, pos_b, cov_b)
-    with np.errstate(all="ignore"):
-        det = s00 * s11 - s01 * s10
-        dist2 = np.where(det <= 0, np.inf, _quadratic(s00, s01, s11, d0, d1) / det)
-    return dist2 <= threshold
 
 
 def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
@@ -403,23 +385,22 @@ def _finish_frame(
         if t.frames_missed < cfg.delete_threshold
         and np.trace(t.estimate.covariance[:2, :2]) <= cfg.max_position_variance
     ]
-    survivors = _merge_coincident(survivors, cfg.merge_threshold)
+    survivors = _merge_coincident(survivors, cfg.gate_threshold)
     if not unassociated:
         return survivors
 
     # Coverage of each unassociated observation by every survivor and by the
     # track each earlier observation would spawn, which starts at that
     # observation's mean and covariance (see ``new_track_estimate``).
-    spawn_gate = cfg.spawn_gate_factor * cfg.gate_threshold
     obs_pos, obs_cov = _observation_blocks(unassociated)
     track_pos, track_cov = _track_blocks(survivors)
-    covers = _within(
+    dist2, _ = _pair_stats(
         np.concatenate([track_pos, obs_pos]),
         np.concatenate([track_cov, obs_cov]),
         obs_pos,
         obs_cov,
-        spawn_gate,
     )
+    covers = dist2 <= SPAWN_GATE_FACTOR * cfg.gate_threshold
     covered = covers[: len(survivors)].any(axis=0)
     spawners: list[int] = []
     spawned: list[Track] = []

@@ -27,14 +27,9 @@ from .error_models import (
     ModelSet,
     PlatformPose,
     PolarObservation,
+    localization_covariance,
 )
-from .global_fusion import (
-    GlobalFusion,
-    GlobalFusionConfig,
-    PlatformPacket,
-    packet_to_wire,
-    packetize,
-)
+from .global_fusion import GlobalFusion, PlatformPacket, packet_to_wire, packetize
 from .local_fusion import LocalFrame, LocalFusion
 from .simulator import ScenarioConfig, Simulation, TickData, cav_id, cis_id, sensor_pipelines
 from .tracking import ProcessNoiseConfig
@@ -47,12 +42,8 @@ MATCH_MAX_DIST = 0.5
 # near its dimension on simulated scenario trajectories.  Platform-frame
 # tracking sees large apparent maneuvers (the observer itself turns and
 # brakes), so the local tier needs far more slack than a world-frame tier.
-LOCAL_PROCESS_NOISE = ProcessNoiseConfig(
-    sigma_ax=3.0, sigma_ay=3.0, sigma_a=3.0, sigma_psi=0.1, sigma_psi_dot=3.0
-)
-GLOBAL_PROCESS_NOISE = ProcessNoiseConfig(
-    sigma_ax=4.0, sigma_ay=4.0, sigma_a=4.0, sigma_psi=0.1, sigma_psi_dot=4.0
-)
+LOCAL_PROCESS_NOISE = ProcessNoiseConfig(sigma_a=3.0, sigma_psi=0.1, sigma_psi_dot=3.0)
+GLOBAL_PROCESS_NOISE = ProcessNoiseConfig(sigma_a=4.0, sigma_psi=0.1, sigma_psi_dot=4.0)
 
 
 class ConfigError(ValueError):
@@ -61,18 +52,6 @@ class ConfigError(ValueError):
 
 class LogError(ValueError):
     """Malformed or incompatible run log."""
-
-
-def rmse(estimates: Sequence, truths: Sequence) -> float:
-    """Root-mean-square Euclidean distance over paired 2D positions."""
-    if len(estimates) == 0 or len(estimates) != len(truths):
-        raise ValueError("rmse needs equally many estimates and truths, at least one pair")
-    total = 0.0
-    for est, tru in zip(estimates, truths):
-        dx = float(est[0]) - float(tru[0])
-        dy = float(est[1]) - float(tru[1])
-        total += dx * dx + dy * dy
-    return math.sqrt(total / len(estimates))
 
 
 _PRESETS = {
@@ -264,7 +243,7 @@ class _ScenarioFusion:
             for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
             for pid in ids
         }
-        self.rsu = GlobalFusion(GlobalFusionConfig(noise=replace(GLOBAL_PROCESS_NOISE, dt=dt)))
+        self.rsu = GlobalFusion(noise=replace(GLOBAL_PROCESS_NOISE, dt=dt))
         self.cis_pose_cov = config.cis_pose_var * np.eye(2)
 
     def process(
@@ -273,21 +252,14 @@ class _ScenarioFusion:
         packets = []
         for pid in self.cav_ids:
             local_tracks = self.local[pid].step(frames[pid])
-            packets.append(
-                packetize(
-                    pid,
-                    t,
-                    loc_poses[pid],
-                    local_tracks,
-                    longitudinal=self.models.localizer_longitudinal,
-                    lateral=self.models.localizer_lateral,
-                )
+            pose = loc_poses[pid]
+            pose_cov = localization_covariance(
+                pose, self.models.localizer_longitudinal, self.models.localizer_lateral
             )
+            packets.append(packetize(pid, t, pose, local_tracks, pose_cov))
         for pid, pose in zip(self.cis_ids, self.cis_poses):
             local_tracks = self.local[pid].step(frames[pid])
-            packets.append(
-                packetize(pid, t, pose, local_tracks, pose_covariance=self.cis_pose_cov)
-            )
+            packets.append(packetize(pid, t, pose, local_tracks, self.cis_pose_cov))
         fused = self.rsu.step_with(packets, t)
         return packets, fused
 

@@ -12,12 +12,12 @@ import itertools
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .association import AssociationConfig, Track, associate_frame
-from .error_models import ErrorModel, GaussianEstimate, PlatformPose, localization_covariance
+from .error_models import GaussianEstimate, PlatformPose
 from .geometry import min_eig_2x2, rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
 
@@ -107,23 +107,15 @@ def packetize(
     timestamp: float,
     pose: PlatformPose,
     local_tracks: list[Track],
-    *,
-    longitudinal: ErrorModel | None = None,
-    lateral: ErrorModel | None = None,
-    pose_covariance: np.ndarray | None = None,
+    pose_covariance: np.ndarray,
 ) -> PlatformPacket:
     """Assemble one platform's RSU packet.
 
-    Mobile platforms pass their localizer error models; surveyed static
-    platforms pass an explicit (tiny) pose covariance instead.
+    ``pose_covariance`` is the 2x2 world-frame uncertainty of ``pose``: a
+    mobile platform's speed-driven localization covariance, or a surveyed
+    static platform's tiny fixed one.  It widens every track.
     """
-    if pose_covariance is None:
-        if longitudinal is None or lateral is None:
-            raise ValueError("need either localization models or an explicit pose covariance")
-        pose_cov = localization_covariance(pose, longitudinal, lateral)
-    else:
-        pose_cov = symmetrized(np.asarray(pose_covariance, dtype=float).reshape(2, 2))
-
+    pose_cov = np.asarray(pose_covariance, dtype=float)
     packet_tracks = []
     for track in local_tracks:
         mean = track_to_world(track.estimate, pose)
@@ -212,15 +204,6 @@ def packet_from_line(line: str) -> PlatformPacket:
     return packet_from_wire(json.loads(line))
 
 
-@dataclass(frozen=True)
-class GlobalFusionConfig:
-    """RSU fusion parameters; association defaults match the local tier."""
-
-    association: AssociationConfig = field(default_factory=AssociationConfig)
-    noise: ProcessNoiseConfig = field(default_factory=ProcessNoiseConfig)
-    include_platform_pose: bool = True
-
-
 class GlobalFusion:
     """RSU fusion state: a packet inbox plus the world-frame track list.
 
@@ -228,8 +211,15 @@ class GlobalFusion:
     ``step`` drains a consistent snapshot of the inbox for one tick.
     """
 
-    def __init__(self, config: GlobalFusionConfig | None = None):
-        self.config = config or GlobalFusionConfig()
+    def __init__(
+        self,
+        association: AssociationConfig | None = None,
+        noise: ProcessNoiseConfig | None = None,
+        include_platform_pose: bool = True,
+    ):
+        self.association = association or AssociationConfig()
+        self.noise = noise or ProcessNoiseConfig()
+        self.include_platform_pose = include_platform_pose
         self.tracks: list[Track] = []
         self._ids = itertools.count()
         self._inbox: dict[str, PlatformPacket] = {}
@@ -244,7 +234,7 @@ class GlobalFusion:
 
         A packet that fails ``check_packet`` is counted as invalid and
         dropped, and so is one more than one frame period
-        (``config.noise.dt``) older than the last fused tick, counted as late.
+        (``noise.dt``) older than the last fused tick, counted as late.
         """
         try:
             check_packet(packet)
@@ -253,7 +243,7 @@ class GlobalFusion:
                 self.invalid_packets += 1
             return
         with self._lock:
-            if packet.timestamp < self._current_time - self.config.noise.dt:
+            if packet.timestamp < self._current_time - self.noise.dt:
                 self.late_packets += 1
                 return
             held = self._inbox.get(packet.platform_id)
@@ -281,7 +271,7 @@ class GlobalFusion:
                 )
                 for tr in packet.tracks
             ]
-            if self.config.include_platform_pose:
+            if self.include_platform_pose:
                 observations.append(
                     GaussianEstimate(
                         packet.pose.position,
@@ -293,10 +283,10 @@ class GlobalFusion:
             by_platform[packet.platform_id] = observations
 
         for track in self.tracks:
-            track.estimate = ctrv_predict(track.estimate, self.config.noise)
+            track.estimate = ctrv_predict(track.estimate, self.noise)
 
         self.tracks = associate_frame(
-            self.tracks, by_platform, self.config.association, lambda: next(self._ids)
+            self.tracks, by_platform, self.association, lambda: next(self._ids)
         )
         return self.confirmed_tracks()
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -35,6 +36,13 @@ LIDAR_FOV = 2.0 * math.pi
 
 # Stop line sits this fraction of the straight length before the crossing.
 STOP_OFFSET_FRACTION = 0.25
+
+# Fixed-cycle two-phase light protecting the crossing: each direction sees
+# 6 s green then 10 s red, the two greens offset by half the cycle so they
+# never overlap (2 s all-red clearance on each changeover).
+LIGHT_GREEN = 6.0
+LIGHT_RED = 10.0
+LIGHT_OFFSET = 8.0
 
 
 def stream_rng(seed: int, name: str) -> np.random.Generator:
@@ -112,22 +120,9 @@ class FigureEightPath:
         return best
 
 
-@dataclass(frozen=True)
-class TrafficLight:
-    """Fixed-cycle two-phase light protecting the crossing.
-
-    Each direction sees 6 s green then 10 s red; the two greens are offset
-    by half the cycle so they never overlap (2 s all-red clearance on each
-    changeover).
-    """
-
-    green: float = 6.0
-    red: float = 10.0
-    offset: float = 8.0
-
-    def is_green(self, direction: int, t: float) -> bool:
-        cycle = self.green + self.red
-        return (t + self.offset * direction) % cycle < self.green
+def light_is_green(direction: int, t: float) -> bool:
+    """Whether the crossing's light shows green to ``direction`` (0 or 1) at ``t``."""
+    return (t + LIGHT_OFFSET * direction) % (LIGHT_GREEN + LIGHT_RED) < LIGHT_GREEN
 
 
 @dataclass
@@ -146,14 +141,14 @@ def step_vehicle(
     light_state: tuple[bool, bool],
     target_speed: float,
     accel: float = 1.0,
-    stop_offset: float | None = None,
     gap_ahead: float = math.inf,
     min_gap: float = 0.0,
     crossing_blocked: bool = False,
 ) -> VehicleState:
     """Advance one vehicle by ``dt`` with trapezoidal speed control.
 
-    The vehicle holds at the stop line for a red light at its next crossing
+    The vehicle holds at the stop line (``STOP_OFFSET_FRACTION`` of the
+    straight before the crossing) for a red light at its next crossing
     (or while the crossing is occupied by conflicting traffic) when it can
     still stop comfortably; otherwise it is committed and clears the
     intersection.  It never closes within ``min_gap`` of the vehicle ahead
@@ -161,11 +156,9 @@ def step_vehicle(
     """
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
-    if stop_offset is None:
-        stop_offset = STOP_OFFSET_FRACTION * path.straight_length
 
     dist_cross, direction = path.next_crossing(vehicle.s)
-    dist_stop = dist_cross - stop_offset
+    dist_stop = dist_cross - STOP_OFFSET_FRACTION * path.straight_length
     hold = (not light_state[direction]) or crossing_blocked
 
     stopping = vehicle.stopping
@@ -325,12 +318,19 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (self.straight_length > 0.0):
             raise ValueError("straight_length must be positive")
+        for name in ("cav_count", "cis_count", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.cav_count < 0 or self.cis_count < 0:
             raise ValueError("platform counts must be >= 0")
         if self.cis_count > 2:
             raise ValueError("at most two infrastructure sensors are placed")
         if not (self.tick_rate > 0.0) or not (self.duration > 0.0):
             raise ValueError("duration and tick_rate must be positive")
+        ticks = self.duration * self.tick_rate
+        if not math.isfinite(ticks) or round(ticks) < 1:
+            raise ValueError(f"duration * tick_rate must round to at least one tick, got {ticks}")
         if not (0.0 <= self.miss_probability <= 1.0):
             raise ValueError("miss_probability must be in [0, 1]")
         for name in ("camera_range", "lidar_range", "accel_limit"):
@@ -431,7 +431,6 @@ class Simulation:
     def __init__(self, config: ScenarioConfig):
         self.config = config
         self.path = FigureEightPath(config.straight_length)
-        self.light = TrafficLight()
         self.dt = 1.0 / config.tick_rate
         # Equal arc-length spacing with a seeded common phase: the half-slot
         # shift keeps vehicles off the two crossings (which sit exactly half
@@ -476,7 +475,7 @@ class Simulation:
 
     def _advance_vehicles(self, t: float) -> None:
         cfg = self.config
-        light_state = (self.light.is_green(0, t), self.light.is_green(1, t))
+        light_state = (light_is_green(0, t), light_is_green(1, t))
         current = list(self.vehicles)
         # A vehicle may not enter the crossing box while another vehicle
         # occupies it (they are solid; approaches conflict at the origin).

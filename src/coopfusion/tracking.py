@@ -22,8 +22,6 @@ from .geometry import symmetrized, wrap_angle
 # the constant-velocity limit.
 YAW_RATE_EPS = 1e-4
 
-STATE_DIM = 5
-
 
 class NumericalError(RuntimeError):
     """Raised when an update cannot be computed (singular innovation)."""
@@ -46,17 +44,19 @@ class TrackEstimate:
 
 @dataclass(frozen=True)
 class ProcessNoiseConfig:
-    """Process noise magnitudes and the frame period one predict covers."""
+    """Process noise magnitudes and the frame period one predict covers.
 
-    sigma_ax: float = 0.5
-    sigma_ay: float = 0.5
+    ``sigma_a`` is the one acceleration magnitude: it drives the speed
+    state and both position axes.
+    """
+
     sigma_a: float = 0.5
     sigma_psi: float = 0.1
     sigma_psi_dot: float = 0.5
     dt: float = 0.125
 
     def __post_init__(self):
-        for name in ("sigma_ax", "sigma_ay", "sigma_a", "sigma_psi", "sigma_psi_dot", "dt"):
+        for name in ("sigma_a", "sigma_psi", "sigma_psi_dot", "dt"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
 
@@ -68,13 +68,12 @@ def process_noise_matrix(cfg: ProcessNoiseConfig) -> np.ndarray:
     dt2 = dt * dt
     dt3 = dt2 * dt
     dt4 = dt3 * dt
-    vax = cfg.sigma_ax**2
-    vay = cfg.sigma_ay**2
+    va = cfg.sigma_a**2
     q = np.array(
         [
-            [dt4 / 4.0 * vax, 0.0, dt3 / 2.0 * vax, 0.0, 0.0],
-            [0.0, dt4 / 4.0 * vay, dt3 / 2.0 * vay, 0.0, 0.0],
-            [dt3 / 2.0 * vax, dt3 / 2.0 * vay, dt2 * cfg.sigma_a**2, 0.0, 0.0],
+            [dt4 / 4.0 * va, 0.0, dt3 / 2.0 * va, 0.0, 0.0],
+            [0.0, dt4 / 4.0 * va, dt3 / 2.0 * va, 0.0, 0.0],
+            [dt3 / 2.0 * va, dt3 / 2.0 * va, dt2 * va, 0.0, 0.0],
             [0.0, 0.0, 0.0, dt2 * cfg.sigma_psi**2, 0.0],
             [0.0, 0.0, 0.0, 0.0, dt2 * cfg.sigma_psi_dot**2],
         ]

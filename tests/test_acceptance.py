@@ -226,9 +226,7 @@ class TestCriterion6EkfConsistency:
         # near-linear regime: an extended filter can only be NEES-consistent
         # where first-order propagation holds, so the matched simulation uses
         # gentle process noise and tight priors
-        cfg = ProcessNoiseConfig(
-            sigma_ax=0.1, sigma_ay=0.1, sigma_a=0.1, sigma_psi=0.02, sigma_psi_dot=0.05
-        )
+        cfg = ProcessNoiseConfig(sigma_a=0.1, sigma_psi=0.02, sigma_psi_dot=0.05)
         q = process_noise_matrix(cfg)
         meas_var = 0.05**2
         runs = 50

@@ -265,6 +265,17 @@ class TestApplyAssociation:
         assert [t.id for t in updated] == [0, 2]
         assert updated[0].frames_seen == 5
 
+    def test_merge_gate_follows_gate_threshold(self):
+        # squared Mahalanobis separation 0.5^2 / 0.02 = 12.5: outside the
+        # default 9.21 gate, inside a gate raised to 16
+        def survivors(cfg):
+            tracks = [make_track(0, 0, 0, 0.01), make_track(1, 0.5, 0, 0.01)]
+            tracks[0].frames_seen = 5
+            return [t.id for t in associate_frame(tracks, {"s": []}, cfg, lambda: 99)]
+
+        assert survivors(AssociationConfig()) == [0, 1]
+        assert survivors(AssociationConfig(gate_threshold=16.0)) == [0]
+
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)
         track = make_track(0, 0, 0, pos_var=1.0)

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from coopfusion.evaluation import (
     RunReport,
     _ScenarioFusion,
     replay,
-    rmse,
     run_scenario,
     scenario_names,
     scenario_preset,
@@ -24,25 +22,6 @@ from coopfusion.simulator import ScenarioConfig, cis_poses
 
 def tiny(name="sm/sp", seed=5, duration=8.0, **kw):
     return scenario_preset(name, seed=seed, duration=duration, **kw)
-
-
-class TestRmse:
-    def test_identical_pairs(self):
-        assert rmse([(1, 2), (3, 4)], [(1, 2), (3, 4)]) == 0.0
-
-    def test_three_four_five(self):
-        assert rmse([(0.3, 0.4)], [(0.0, 0.0)]) == pytest.approx(0.5, abs=1e-12)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(2)
-        est = rng.uniform(-5, 5, size=(40, 2))
-        tru = rng.uniform(-5, 5, size=(40, 2))
-        oracle = math.sqrt(np.mean(np.sum((est - tru) ** 2, axis=1)))
-        assert rmse(est, tru) == pytest.approx(oracle, abs=1e-12)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            rmse([], [])
 
 
 class TestPresets:
@@ -96,7 +75,7 @@ class TestTimeStep:
         fusion = _ScenarioFusion(config, DEFAULT_PARAMETERIZED_MODELS, cis_poses(config))
         assert len(fusion.local) == 6
         assert all(local.noise.dt == 0.25 for local in fusion.local.values())
-        assert fusion.rsu.config.noise.dt == 0.25
+        assert fusion.rsu.noise.dt == 0.25
 
 
 class TestDeterminismAndReplay:
@@ -148,6 +127,19 @@ class TestDeterminismAndReplay:
         bad = tmp_path / "bad.ndjson"
         bad.write_text("\n".join([json.dumps(meta)] + lines[1:]))
         with pytest.raises(LogError, match="schema"):
+            replay(bad, "parameterized")
+
+    @pytest.mark.parametrize(
+        "key, value", [("cav_count", 2.5), ("seed", "7"), ("seed", 7.5), ("duration", 0.05)]
+    )
+    def test_out_of_range_meta_config_rejected(self, tmp_path, key, value):
+        run_scenario(tiny(duration=3.0), "parameterized", out_dir=tmp_path)
+        lines = (tmp_path / "log.ndjson").read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["config"][key] = value
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join([json.dumps(meta)] + lines[1:]))
+        with pytest.raises(LogError, match=key):
             replay(bad, "parameterized")
 
     def test_report_json_round_trip(self, tmp_path):
@@ -296,7 +288,16 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("miss_probability", 1.5), ("loc_correlation_time", -6.0), ("cis_pose_var", -1.0)],
+        [
+            ("miss_probability", 1.5),
+            ("loc_correlation_time", -6.0),
+            ("cis_pose_var", -1.0),
+            ("cav_count", 2.5),
+            ("cis_count", 1.5),
+            ("seed", "7"),
+            ("seed", 7.5),
+            ("duration", 0.05),
+        ],
     )
     def test_out_of_range_config_exits_2_before_any_tick(self, tmp_path, key, value):
         obj = ScenarioConfig(

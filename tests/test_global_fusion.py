@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from coopfusion.association import Track
-from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS, PlatformPose
+from coopfusion.error_models import (
+    DEFAULT_PARAMETERIZED_MODELS,
+    PlatformPose,
+    localization_covariance,
+)
 from coopfusion.global_fusion import (
     GlobalFusion,
-    GlobalFusionConfig,
     PacketError,
     PlatformPacket,
     PacketTrack,
@@ -24,6 +27,11 @@ from coopfusion.tracking import TrackEstimate
 
 LON = DEFAULT_PARAMETERIZED_MODELS.localizer_longitudinal
 LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
+
+
+def cav_packet(pid, t, pose, tracks):
+    """A mobile platform's packet, widened by its localization covariance."""
+    return packetize(pid, t, pose, tracks, localization_covariance(pose, LON, LAT))
 
 
 def local_track(tid, x, y, pos_var=0.01):
@@ -128,59 +136,39 @@ class TestCovarianceUnion:
 class TestPacketize:
     def test_surveyed_platform_keeps_local_covariance(self):
         pose = PlatformPose(0, 1, -math.pi / 2, 0.0)
-        packet = packetize(
-            "cis0", 1.0, pose, [local_track(0, 1.0, 0.0)], pose_covariance=1e-6 * np.eye(2)
-        )
+        packet = packetize("cis0", 1.0, pose, [local_track(0, 1.0, 0.0)], 1e-6 * np.eye(2))
         track_cov = np.array(packet.tracks[0].covariance)
         assert np.abs(track_cov - 0.01 * np.eye(2)).max() < 1e-5
 
     def test_speed_inflates_track_covariance(self):
         tracks = [local_track(0, 1.0, 0.0)]
-        slow = packetize("cav0", 0.0, PlatformPose(0, 0, 0, 0.0), tracks, longitudinal=LON, lateral=LAT)
-        fast = packetize("cav0", 0.0, PlatformPose(0, 0, 0, 0.5), tracks, longitudinal=LON, lateral=LAT)
+        slow = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.0), tracks)
+        fast = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.5), tracks)
         assert np.trace(np.array(fast.tracks[0].covariance)) > np.trace(
             np.array(slow.tracks[0].covariance)
         )
 
     def test_empty_track_list_is_valid(self):
-        packet = packetize("cav0", 0.0, PlatformPose(0, 0, 0, 0.1), [], longitudinal=LON, lateral=LAT)
+        packet = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.1), [])
         assert packet.tracks == ()
-
-    def test_needs_models_or_covariance(self):
-        with pytest.raises(ValueError):
-            packetize("cav0", 0.0, PlatformPose(0, 0, 0, 0.1), [])
 
     def test_world_transform_applied(self):
         pose = PlatformPose(5.0, 5.0, math.pi / 2, 0.0)
-        packet = packetize(
-            "cav0", 0.0, pose, [local_track(0, 1.0, 0.0)], longitudinal=LON, lateral=LAT
-        )
+        packet = cav_packet("cav0", 0.0, pose, [local_track(0, 1.0, 0.0)])
         assert packet.tracks[0].mean == pytest.approx((5.0, 6.0), abs=1e-12)
 
 
 class TestWireFormat:
     def test_exact_field_names(self):
-        packet = packetize(
-            "cav0",
-            0.25,
-            PlatformPose(1, 2, 0.1, 0.5),
-            [local_track(3, 0.5, 0.5)],
-            longitudinal=LON,
-            lateral=LAT,
-        )
+        packet = cav_packet("cav0", 0.25, PlatformPose(1, 2, 0.1, 0.5), [local_track(3, 0.5, 0.5)])
         wire = packet_to_wire(packet)
         assert sorted(wire) == ["platform_id", "pose", "pose_cov", "t", "tracks"]
         assert sorted(wire["pose"]) == ["theta", "v", "x", "y"]
         assert sorted(wire["tracks"][0]) == ["class", "cov", "id", "mu"]
 
     def test_line_round_trip(self):
-        packet = packetize(
-            "cav1",
-            0.375,
-            PlatformPose(-1, 0.5, 2.0, 0.25),
-            [local_track(9, 1.5, -0.25)],
-            longitudinal=LON,
-            lateral=LAT,
+        packet = cav_packet(
+            "cav1", 0.375, PlatformPose(-1, 0.5, 2.0, 0.25), [local_track(9, 1.5, -0.25)]
         )
         again = packet_from_line(packet_to_line(packet))
         assert again == packet
@@ -247,7 +235,7 @@ class TestGlobalFusion:
 
     def test_two_platforms_shrink_covariance(self):
         def run(platforms):
-            fusion = GlobalFusion(GlobalFusionConfig(include_platform_pose=False))
+            fusion = GlobalFusion(include_platform_pose=False)
             confirmed = []
             for k in range(8):
                 packets = [
@@ -270,7 +258,7 @@ class TestGlobalFusion:
     def test_confident_source_dominates_fused_mean(self):
         # one tight source and one loose source reporting the same object at
         # different positions: the fused mean must sit closer to the tight one
-        fusion = GlobalFusion(GlobalFusionConfig(include_platform_pose=False))
+        fusion = GlobalFusion(include_platform_pose=False)
         confirmed = []
         for k in range(8):
             packets = [
@@ -309,14 +297,18 @@ class TestGlobalFusion:
         assert confirmed[0].estimate.mean[:2] == pytest.approx([2.0, -1.0], abs=0.01)
 
     def test_duplicate_packet_latest_wins(self):
-        fusion = GlobalFusion()
         early = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0), 1e-4)
         late = pose_packet("cav0", 0.06, PlatformPose(1, 1, 0, 0), 1e-4)
-        fusion.ingest(early)
-        fusion.ingest(late)
-        assert fusion.duplicate_packets == 1
-        fusion.step(0.125)
-        assert fusion.tracks[0].estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
+        # in either arrival order the newer packet is fused and the other
+        # one is counted as a duplicate
+        for arrivals in ((early, late), (late, early)):
+            fusion = GlobalFusion()
+            for packet in arrivals:
+                fusion.ingest(packet)
+            assert fusion.duplicate_packets == 1
+            fusion.step(0.125)
+            assert len(fusion.tracks) == 1
+            assert fusion.tracks[0].estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
 
     def test_stale_packet_dropped_and_counted(self):
         fusion = GlobalFusion()

@@ -11,8 +11,8 @@ from coopfusion.simulator import (
     LocalizerDrift,
     ScenarioConfig,
     Simulation,
-    TrafficLight,
     VehicleState,
+    light_is_green,
     step_vehicle,
     stream_rng,
     synth_sensor_frame,
@@ -85,15 +85,13 @@ class TestFigureEightPath:
 
 class TestTrafficLight:
     def test_greens_never_overlap(self):
-        light = TrafficLight()
         for t in np.arange(0.0, 32.0, 0.05):
-            assert not (light.is_green(0, t) and light.is_green(1, t))
+            assert not (light_is_green(0, t) and light_is_green(1, t))
 
     def test_duty_cycle(self):
-        light = TrafficLight()
         ts = np.arange(0.0, 16.0, 0.001)
         for direction in (0, 1):
-            frac = np.mean([light.is_green(direction, t) for t in ts])
+            frac = np.mean([light_is_green(direction, t) for t in ts])
             assert frac == pytest.approx(6.0 / 16.0, abs=0.01)
 
 
@@ -374,6 +372,12 @@ class TestSimulation:
             ("lidar_range", -8.0),
             ("accel_limit", 0.0),
             ("min_gap", -0.55),
+            ("cav_count", 2.5),
+            ("cis_count", 1.5),
+            ("cav_count", True),
+            ("seed", "7"),
+            ("seed", 7.5),
+            ("duration", 0.05),
         ],
     )
     def test_out_of_range_config_rejected(self, key, value):

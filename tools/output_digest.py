@@ -1,0 +1,80 @@
+"""Write a fixed set of run outputs and print the SHA-256 of every file.
+
+The set is 56 files:
+
+- the 8 presets in both modes (seed 601, 10 s), each run's ``log.ndjson``,
+  ``report.json`` and ``residuals.csv``;
+- a 5 s dense run (16 CAVs, 2 CIS, straight length 4, parameterized);
+- a 5 s ``lg/de/CIS`` record with clutter (``clutter_rate`` 2,
+  ``miss_probability`` 0.1) plus its parameterized and fixed replays.
+
+One ``sha256  path`` line is printed per file, sorted by path relative to
+OUT_DIR, so two checkouts produce byte-identical outputs exactly when
+their listings are equal:
+
+    python3 tools/output_digest.py OUT_DIR > digest.txt
+
+The package is imported from ``src/`` next to this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from coopfusion.evaluation import (  # noqa: E402
+    MODES,
+    replay,
+    run_scenario,
+    scenario_names,
+    scenario_preset,
+)
+from coopfusion.simulator import ScenarioConfig  # noqa: E402
+
+SEED = 601
+RUN_FILES = ("log.ndjson", "report.json", "residuals.csv")
+
+
+def write_outputs(out: Path) -> list[Path]:
+    """Run the whole set into ``out``; returns the paths written."""
+    run_dirs = []
+    for name in scenario_names():
+        for mode in MODES:
+            run_dir = out / "presets" / f"{name.replace('/', '_')}_{mode}"
+            run_scenario(scenario_preset(name, SEED, 10.0), mode, out_dir=run_dir)
+            run_dirs.append(run_dir)
+
+    dense = ScenarioConfig(
+        name="dense", straight_length=4.0, cav_count=16, cis_count=2, duration=5.0, seed=SEED
+    )
+    run_scenario(dense, "parameterized", out_dir=out / "dense")
+    run_dirs.append(out / "dense")
+
+    clutter = scenario_preset("lg/de/CIS", SEED, 5.0, clutter_rate=2.0, miss_probability=0.1)
+    record = out / "clutter"
+    run_scenario(clutter, "parameterized", out_dir=record)
+    run_dirs.append(record)
+    replays = []
+    for mode in MODES:
+        replays.append(record / f"replay_{mode}.json")
+        replay(record / "log.ndjson", mode, out_path=replays[-1])
+
+    return [run_dir / name for run_dir in run_dirs for name in RUN_FILES] + replays
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", metavar="OUT_DIR", help="directory the outputs are written to")
+    out = Path(parser.parse_args(argv).out_dir)
+    for path in sorted(write_outputs(out)):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
