@@ -74,7 +74,6 @@ from .simulator import (
     synth_sensor_frame,
 )
 from .tracking import (
-    NumericalError,
     ProcessNoiseConfig,
     TrackEstimate,
     ctrv_jacobian,

@@ -215,31 +215,41 @@ def _enumerate_cluster(
                 "split the scene into smaller clusters or raise max_events"
             )
 
-    assignment: list[int] = [-1] * len(track_ids)
-    used: set[int] = set()
-    total = 0.0
-    marg = {i: {j: 0.0 for j in [-1, *obs_ids]} for i in track_ids}
+    if len(track_ids) == 1:
+        # One track (most clusters): its events are the miss and each gated
+        # observation, with the recursion's products, added in its order.
+        total = p_miss * clutter**n_obs
+        events = {-1: total}
+        for j, density in options[0]:
+            events[j] = p_detect * density * clutter ** (n_obs - 1)
+            total += events[j]
+        marg = {track_ids[0]: events}
+    else:
+        assignment: list[int] = [-1] * len(track_ids)
+        used: set[int] = set()
+        total = 0.0
+        marg = {i: {j: 0.0 for j in [-1, *obs_ids]} for i in track_ids}
 
-    def recurse(level: int, likelihood: float) -> None:
-        nonlocal total
-        if level == len(track_ids):
-            event_likelihood = likelihood * clutter ** (n_obs - len(used))
-            total += event_likelihood
-            for pos, tid in enumerate(track_ids):
-                marg[tid][assignment[pos]] += event_likelihood
-            return
-        assignment[level] = -1
-        recurse(level + 1, likelihood * p_miss)
-        for j, density in options[level]:
-            if j in used:
-                continue
-            used.add(j)
-            assignment[level] = j
-            recurse(level + 1, likelihood * p_detect * density)
-            used.discard(j)
-        assignment[level] = -1
+        def recurse(level: int, likelihood: float) -> None:
+            nonlocal total
+            if level == len(track_ids):
+                event_likelihood = likelihood * clutter ** (n_obs - len(used))
+                total += event_likelihood
+                for pos, tid in enumerate(track_ids):
+                    marg[tid][assignment[pos]] += event_likelihood
+                return
+            assignment[level] = -1
+            recurse(level + 1, likelihood * p_miss)
+            for j, density in options[level]:
+                if j in used:
+                    continue
+                used.add(j)
+                assignment[level] = j
+                recurse(level + 1, likelihood * p_detect * density)
+                used.discard(j)
+            assignment[level] = -1
 
-    recurse(0, 1.0)
+        recurse(0, 1.0)
 
     if not (total > 0.0) or not math.isfinite(total):
         # No event carries likelihood (e.g. zero clutter density with more
@@ -368,9 +378,10 @@ def _finish_frame(
     next_id: Callable[[], int],
 ) -> list[Track]:
     """Apply updates and lifecycle: update, confirm, delete, merge, spawn."""
-    for track, zs in zip(tracks, accepted):
+    updated = multi_update([t.estimate for t in tracks], accepted)
+    for track, estimate, zs in zip(tracks, updated, accepted):
+        track.estimate = estimate
         if zs:
-            track.estimate = multi_update(track.estimate, zs)
             track.frames_seen += 1
             track.frames_missed = 0
             track.sources.update(z.source for z in zs)

@@ -49,6 +49,8 @@ class ErrorModel:
         if len(self.coefficients) == 0:
             raise ModelError("error model needs at least one coefficient")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        if not all(math.isfinite(c) for c in self.coefficients):
+            raise ModelError(f"error model coefficients must be finite, got {self.coefficients}")
         if self.predictor not in _PREDICTORS:
             raise ModelError(f"unknown predictor kind {self.predictor!r}")
 
@@ -82,8 +84,12 @@ class PolarObservation:
     object_class: str = "vehicle"
 
     def __post_init__(self):
-        if not (self.distance_obs >= 0.0):
-            raise ValueError(f"observation distance must be >= 0, got {self.distance_obs}")
+        if not (0.0 <= self.distance_obs < math.inf):
+            raise ValueError(
+                f"observation distance must be finite and >= 0, got {self.distance_obs}"
+            )
+        if not math.isfinite(self.theta_obs):
+            raise ValueError(f"observation bearing must be finite, got {self.theta_obs}")
         object.__setattr__(self, "theta_obs", float(wrap_angle(self.theta_obs)))
 
 
@@ -109,8 +115,12 @@ class PlatformPose:
     v: float = 0.0
 
     def __post_init__(self):
-        if not (self.v >= 0.0):
-            raise ValueError(f"platform speed must be >= 0, got {self.v}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
+            raise ValueError(
+                f"platform pose must be finite, got ({self.x}, {self.y}, {self.theta})"
+            )
+        if not (0.0 <= self.v < math.inf):
+            raise ValueError(f"platform speed must be finite and >= 0, got {self.v}")
         object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
 
     @property

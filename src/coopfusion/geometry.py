@@ -20,8 +20,8 @@ def rotation(angle: float) -> np.ndarray:
 
 
 def symmetrized(m: np.ndarray) -> np.ndarray:
-    """Return 0.5 * (M + M^T), removing round-off asymmetry."""
-    return 0.5 * (m + m.T)
+    """Return 0.5 * (M + M^T), removing round-off asymmetry; M may be a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def min_eig_2x2(m: np.ndarray) -> float:

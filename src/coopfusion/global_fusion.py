@@ -282,8 +282,10 @@ class GlobalFusion:
                 )
             by_platform[packet.platform_id] = observations
 
-        for track in self.tracks:
-            track.estimate = ctrv_predict(track.estimate, self.noise)
+        for track, estimate in zip(
+            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
+        ):
+            track.estimate = estimate
 
         self.tracks = associate_frame(
             self.tracks, by_platform, self.association, lambda: next(self._ids)

@@ -82,8 +82,10 @@ class LocalFusion:
                 for obs in frame.observations.get(name, [])
             ]
 
-        for track in self.tracks:
-            track.estimate = ctrv_predict(track.estimate, self.noise)
+        for track, estimate in zip(
+            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
+        ):
+            track.estimate = estimate
 
         self.tracks = associate_frame(
             self.tracks, by_pipeline, self.association, lambda: next(self._ids)

@@ -1,9 +1,8 @@
 """Independent reference implementations used to check the real ones.
 
 Everything here is deliberately brute force and shares no code with the
-package internals, except that the sequential update reference applies the
-package's single-observation ``ekf_update``: the fold around it is what it
-checks.
+package internals, except that the per-track filter references take the
+package's process noise matrix and its angle wrap and symmetrize helpers.
 """
 
 import itertools
@@ -11,7 +10,8 @@ import math
 
 import numpy as np
 
-from coopfusion.tracking import NumericalError, ekf_update
+from coopfusion.geometry import symmetrized, wrap_angle
+from coopfusion.tracking import YAW_RATE_EPS, TrackEstimate, process_noise_matrix
 
 
 def jpda_oracle(tracks, observations, cfg):
@@ -31,6 +31,16 @@ def jpda_oracle(tracks, observations, cfg):
                 density[i, j] = math.exp(-0.5 * d2) / (
                     2 * math.pi * math.sqrt(np.linalg.det(s))
                 )
+    return jpda_enumeration(gated, density, cfg)
+
+
+def jpda_enumeration(gated, density, cfg):
+    """Marginals from every joint event, given the gates and pair densities.
+
+    Events are visited track by track, each track's miss before its gated
+    observations in ascending order.
+    """
+    n, m = gated.shape
     options = [[-1] + [j for j in range(m) if gated[i, j]] for i in range(n)]
     # Observations inside no gate sit outside the association problem; they
     # would contribute one clutter factor to every event, which cancels.
@@ -97,6 +107,80 @@ def pair_stats_reference(tracks, observations):
     return dist2, density
 
 
+def ctrv_predict_reference(track, cfg):
+    """One track's CTRV predict on numpy scalars, one 5x5 product at a time.
+
+    The stacked ``ctrv_predict`` must give every track exactly these bits.
+    """
+    x, y, v, psi, psi_dot = track.mean
+    dt = cfg.dt
+    psi_next = psi + psi_dot * dt
+    jac = np.eye(5)
+    jac[3, 4] = dt
+    if abs(psi_dot) >= YAW_RATE_EPS:
+        ratio = v / psi_dot
+        x_next = x + ratio * (math.sin(psi_next) - math.sin(psi))
+        y_next = y + ratio * (math.cos(psi) - math.cos(psi_next))
+        sin_d = math.sin(psi_next) - math.sin(psi)
+        cos_d = math.cos(psi) - math.cos(psi_next)
+        inv = 1.0 / psi_dot
+        jac[0, 2] = inv * sin_d
+        jac[0, 3] = v * inv * (math.cos(psi_next) - math.cos(psi))
+        jac[0, 4] = v * dt * inv * math.cos(psi_next) - v * inv * inv * sin_d
+        jac[1, 2] = inv * cos_d
+        jac[1, 3] = v * inv * sin_d
+        jac[1, 4] = v * dt * inv * math.sin(psi_next) - v * inv * inv * cos_d
+    else:
+        x_next = x + v * math.cos(psi) * dt
+        y_next = y + v * math.sin(psi) * dt
+        cos_p = math.cos(psi)
+        sin_p = math.sin(psi)
+        jac[0, 2] = cos_p * dt
+        jac[0, 3] = -v * sin_p * dt
+        jac[0, 4] = -0.5 * v * sin_p * dt * dt
+        jac[1, 2] = sin_p * dt
+        jac[1, 3] = v * cos_p * dt
+        jac[1, 4] = 0.5 * v * cos_p * dt * dt
+    cov = jac @ track.covariance @ jac.T + process_noise_matrix(cfg)
+    mean = np.array([x_next, y_next, v, wrap_angle(psi_next), psi_dot])
+    return TrackEstimate(mean, symmetrized(cov))
+
+
+def ekf_update_reference(track, z):
+    """One track's position update from one observation, on numpy scalars.
+
+    A singular or non-finite innovation covariance leaves the track as it
+    is (the same object).  The stacked ``ekf_update`` must give every track
+    exactly these bits.
+    """
+    state = track.mean
+    cov = track.covariance
+    innovation_cov = cov[:2, :2] + z.covariance
+    det = (
+        innovation_cov[0, 0] * innovation_cov[1, 1]
+        - innovation_cov[0, 1] * innovation_cov[1, 0]
+    )
+    scale = max(abs(innovation_cov[0, 0]) + abs(innovation_cov[1, 1]), 1e-30)
+    if not math.isfinite(det) or abs(det) < 1e-15 * scale * scale:
+        return track
+    inv = (
+        np.array(
+            [
+                [innovation_cov[1, 1], -innovation_cov[0, 1]],
+                [-innovation_cov[1, 0], innovation_cov[0, 0]],
+            ]
+        )
+        / det
+    )
+    gain = cov[:, :2] @ inv
+    updated = state + gain @ (z.mean - state[:2])
+    updated[3] = wrap_angle(updated[3])
+    identity_minus_gain = np.eye(5)
+    identity_minus_gain[:, :2] -= gain
+    cov_new = identity_minus_gain @ cov @ identity_minus_gain.T + gain @ z.covariance @ gain.T
+    return TrackEstimate(updated, symmetrized(cov_new))
+
+
 def sequential_update_reference(track, zs):
     """One EKF update per observation, in source order.
 
@@ -105,10 +189,7 @@ def sequential_update_reference(track, zs):
     """
     current = track
     for z in sorted(zs, key=lambda z: z.source):
-        try:
-            current = ekf_update(current, z)
-        except NumericalError:
-            continue
+        current = ekf_update_reference(current, z)
     return current
 
 

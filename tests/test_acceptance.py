@@ -243,11 +243,11 @@ class TestCriterion6EkfConsistency:
             track = TrackEstimate(estimate_mean, p0)
             for k in range(frames):
                 truth = ctrv_motion(truth, cfg.dt) + sqrt_q @ rng.normal(size=5)
-                track = ctrv_predict(track, cfg)
+                (track,) = ctrv_predict([track], cfg)
                 z = GaussianEstimate(
                     truth[:2] + math.sqrt(meas_var) * rng.normal(size=2), meas_var * np.eye(2)
                 )
-                track = ekf_update(track, z)
+                (track,) = ekf_update([track], [z])
                 err = truth - track.mean
                 err[3] = math.atan2(math.sin(err[3]), math.cos(err[3]))
                 nees_sum[k] += float(err @ np.linalg.solve(track.covariance, err))

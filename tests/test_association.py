@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import jpda_oracle, pair_stats_reference
+from oracles import jpda_enumeration, jpda_oracle, pair_stats_reference
 
 from coopfusion.association import (
     AssociationConfig,
@@ -161,6 +161,27 @@ class TestJpdaWeights:
             weights, miss = jpda_oracle(tracks, observations, cfg)
             assert result.weights == pytest.approx(weights, abs=1e-9)
             assert result.miss == pytest.approx(miss, abs=1e-9)
+
+    @pytest.mark.parametrize("clutter_density", [0.0, 0.05, 0.5])
+    @pytest.mark.parametrize("detection_probability", [0.7, 1.0])
+    def test_one_track_matches_enumeration_exactly(self, clutter_density, detection_probability):
+        # One track makes a one-track cluster, which takes a closed form; with
+        # the reference densities, full enumeration gives the same bits.
+        cfg = AssociationConfig(
+            detection_probability=detection_probability, clutter_density=clutter_density
+        )
+        rng = np.random.default_rng(int(100 * clutter_density + 10 * detection_probability))
+        for _ in range(50):
+            tracks = [make_track(0, *rng.uniform(-1, 1, 2), pos_var=rng.uniform(0.1, 2.0))]
+            observations = [
+                make_obs(*rng.uniform(-3, 3, 2), var=rng.uniform(0.1, 2.0))
+                for _ in range(rng.integers(0, 6))
+            ]
+            dist2, density = pair_stats_reference(tracks, observations)
+            weights, miss = jpda_enumeration(dist2 <= cfg.gate_threshold, density, cfg)
+            result = jpda_weights(tracks, observations, cfg)
+            np.testing.assert_array_equal(result.weights, weights)
+            np.testing.assert_array_equal(result.miss, miss)
 
     def test_ungated_observation_reported_unassociated(self):
         cfg = AssociationConfig()

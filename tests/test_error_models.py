@@ -222,6 +222,27 @@ class TestTypes:
         with pytest.raises(ValueError):
             PlatformPose(0, 0, 0, -0.1)
 
+    @pytest.mark.parametrize(
+        "distance, bearing", [(math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf)]
+    )
+    def test_non_finite_observation_rejected(self, distance, bearing):
+        with pytest.raises(ValueError, match="finite"):
+            PolarObservation(distance, bearing)
+
+    @pytest.mark.parametrize(
+        "pose",
+        [
+            (math.nan, 0.0, math.inf, 1.0),
+            (math.nan, 0.0, 0.0, 1.0),
+            (0.0, -math.inf, 0.0, 1.0),
+            (0.0, 0.0, math.nan, 1.0),
+            (0.0, 0.0, 0.0, math.inf),
+        ],
+    )
+    def test_non_finite_platform_pose_rejected(self, pose):
+        with pytest.raises(ValueError, match="finite"):
+            PlatformPose(*pose)
+
 
 class TestSerialization:
     def test_model_json_round_trip(self):
@@ -257,6 +278,17 @@ class TestSerialization:
         path = tmp_path / "models.json"
         path.write_text(content)
         with pytest.raises(ModelError, match="JSON object"):
+            load_model_set(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, tmp_path, value):
+        with pytest.raises(ModelError, match="finite"):
+            ErrorModel((0.01, value))
+        obj = {"schema": 1, "models": DEFAULT_PARAMETERIZED_MODELS.to_json_dict()}
+        obj["models"]["camera_distal"]["coefficients"][1] = value
+        path = tmp_path / "models.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ModelError, match="finite"):
             load_model_set(path)
 
     def test_bad_schema_rejected(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -324,6 +325,37 @@ class TestCli:
         argv = ["simulate", "--preset", "sm/sp", "--duration", "1", "--mode", "fixed"]
         assert cli.main([*argv, "--models-fixed", str(models), "--out", str(out)]) == 2
         assert "JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_model_coefficient_exits_2_before_any_tick(self, tmp_path, capsys, value):
+        models = tmp_path / "models.json"
+        obj = {"schema": 1, "models": DEFAULT_PARAMETERIZED_MODELS.to_json_dict()}
+        obj["models"]["lidar_distal"]["coefficients"][0] = value
+        models.write_text(json.dumps(obj))
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "sm/sp", "--duration", "1", "--mode", "parameterized"]
+        assert cli.main([*argv, "--models-parameterized", str(models), "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_of_non_finite_detection_exits_2_without_report(self, tmp_path, capsys):
+        run_scenario(tiny(duration=3.0), "parameterized", out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "log.ndjson").read_text().splitlines()
+        for index, line in enumerate(lines):
+            record = json.loads(line)
+            if record["kind"] == "obs" and record["detections"]:
+                record["detections"][0]["theta"] = math.nan
+                lines[index] = json.dumps(record)
+                break
+        else:
+            pytest.fail("the log holds no detection")
+        log = tmp_path / "bad.ndjson"
+        log.write_text("\n".join(lines))
+        out = tmp_path / "replay.json"
+        argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "bearing must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_log_line_exits_2(self, tmp_path, capsys):

@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from oracles import sequential_update_reference
+from oracles import ctrv_predict_reference, ekf_update_reference, sequential_update_reference
 
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import (
-    NumericalError,
     ProcessNoiseConfig,
     TrackEstimate,
     YAW_RATE_EPS,
+    _folded,
     ctrv_jacobian,
     ctrv_motion,
     ctrv_predict,
@@ -36,19 +36,19 @@ class TestCtrvPredict:
     def test_stationary_target(self):
         cfg = ProcessNoiseConfig()
         track = make_track()
-        out = ctrv_predict(track, cfg)
+        (out,) = ctrv_predict([track], cfg)
         assert out.mean[0] == 0.0 and out.mean[1] == 0.0
         assert np.trace(out.covariance) > np.trace(track.covariance)
 
     def test_straight_line_at_frame_rate(self):
         cfg = ProcessNoiseConfig(dt=0.125)
-        out = ctrv_predict(make_track(v=1.0), cfg)
+        (out,) = ctrv_predict([make_track(v=1.0)], cfg)
         assert out.mean[0] == pytest.approx(0.125, abs=1e-12)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_matches_closed_form(self):
         cfg = ProcessNoiseConfig(dt=1.0)
-        out = ctrv_predict(make_track(v=1.0, psi_dot=math.pi / 2), cfg)
+        (out,) = ctrv_predict([make_track(v=1.0, psi_dot=math.pi / 2)], cfg)
         dx, dy = ctrv_oracle_turn(1.0, 0.0, math.pi / 2, 1.0)
         assert dx == pytest.approx(2.0 / math.pi)
         assert out.mean[0] == pytest.approx(dx, abs=1e-12)
@@ -60,7 +60,7 @@ class TestCtrvPredict:
         for _ in range(20):
             state = rng.uniform(-1, 1, size=5)
             track = TrackEstimate(state, np.diag(rng.uniform(0.1, 1.0, size=5)))
-            out = ctrv_predict(track, cfg)
+            (out,) = ctrv_predict([track], cfg)
             assert np.trace(out.covariance) > np.trace(track.covariance)
 
     def test_process_noise_is_psd_and_symmetric(self):
@@ -128,21 +128,21 @@ class TestEkfUpdate:
     def test_half_gain_closed_form(self):
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 0.0]), np.eye(2))
-        out = ekf_update(track, z)
+        (out,) = ekf_update([track], [z])
         assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_gain_limit(self):
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 1.0]), 1e9 * np.eye(2))
-        out = ekf_update(track, z)
+        (out,) = ekf_update([track], [z])
         assert out.mean[0] == pytest.approx(0.0, abs=1e-6)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_full_gain_limit(self):
         track = make_track(cov=1e9 * np.eye(5))
         z = GaussianEstimate(np.array([2.0, -1.0]), np.eye(2) * 1e-4)
-        out = ekf_update(track, z)
+        (out,) = ekf_update([track], [z])
         assert out.mean[0] == pytest.approx(2.0, abs=1e-6)
         assert out.mean[1] == pytest.approx(-1.0, abs=1e-6)
 
@@ -153,7 +153,7 @@ class TestEkfUpdate:
             cov = base @ base.T + 0.1 * np.eye(5)
             track = make_track(cov=cov)
             z = GaussianEstimate(rng.uniform(-1, 1, size=2), np.diag(rng.uniform(0.01, 1.0, 2)))
-            out = ekf_update(track, z)
+            (out,) = ekf_update([track], [z])
             assert np.trace(out.covariance[:2, :2]) <= np.trace(cov[:2, :2]) + 1e-12
             assert np.linalg.eigvalsh(out.covariance).min() >= -1e-10
 
@@ -162,39 +162,39 @@ class TestEkfUpdate:
         # psi up past pi, and the update must wrap it round to near -pi.
         cov = np.diag([1.0, 1.0, 0.1, 1.0, 0.1])
         cov[0, 3] = cov[3, 0] = 0.5
-        track = ctrv_predict(make_track(psi=math.pi - 1e-3, cov=cov), ProcessNoiseConfig())
+        (track,) = ctrv_predict([make_track(psi=math.pi - 1e-3, cov=cov)], ProcessNoiseConfig())
         assert track.mean[3] == pytest.approx(math.pi - 1e-3)
-        out = ekf_update(track, GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2)))
+        (out,) = ekf_update([track], [GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2))])
         assert -math.pi < out.mean[3] <= math.pi
         assert out.mean[3] < -math.pi / 2
 
-    def test_singular_innovation_raises(self):
+    def test_singular_innovation_keeps_estimate(self):
         cov = np.zeros((5, 5))
         track = make_track(cov=cov)
         z = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(NumericalError):
-            ekf_update(track, z)
+        (out,) = ekf_update([track], [z])
+        assert out is track
 
 
 class TestMultiUpdate:
     def test_empty_returns_track_unchanged(self):
         track = make_track(x=1.0, y=2.0)
-        out = multi_update(track, [])
+        (out,) = multi_update([track], [[]])
         assert out is track
 
     def test_two_measurements_tighter_than_one(self):
         track = make_track()
         z = GaussianEstimate(np.array([0.5, 0.0]), np.eye(2))
-        once = ekf_update(track, z)
-        twice = multi_update(track, [z, z])
+        (once,) = ekf_update([track], [z])
+        (twice,) = multi_update([track], [[z, z]])
         assert np.trace(twice.covariance[:2, :2]) < np.trace(once.covariance[:2, :2])
 
     def test_order_permutation_invariant(self):
         track = make_track()
         z1 = GaussianEstimate(np.array([0.4, -0.1]), np.diag([0.2, 0.5]), source="a")
         z2 = GaussianEstimate(np.array([-0.2, 0.3]), np.diag([0.7, 0.1]), source="b")
-        fwd = multi_update(track, [z1, z2])
-        rev = multi_update(make_track(), [z2, z1])
+        (fwd,) = multi_update([track], [[z1, z2]])
+        (rev,) = multi_update([make_track()], [[z2, z1]])
         assert fwd.mean == pytest.approx(rev.mean, abs=1e-9)
         assert fwd.covariance == pytest.approx(rev.covariance, abs=1e-9)
 
@@ -204,8 +204,8 @@ class TestMultiUpdate:
         inflated by 1/weight for a JPDA weight in (0.2, 1]."""
         a = rng.normal(size=(5, 5))
         mean = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3), 0.3])
-        track = ctrv_predict(
-            TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)),
+        (track,) = ctrv_predict(
+            [TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5))],
             ProcessNoiseConfig(),
         )
         zs = [
@@ -226,7 +226,7 @@ class TestMultiUpdate:
         rng = np.random.default_rng(100 + k)
         for _ in range(20):
             track, zs = self.random_scene(rng, k)
-            out = multi_update(track, zs)
+            (out,) = multi_update([track], [zs])
             ref = sequential_update_reference(track, zs)
             delta = out.mean - ref.mean
             delta[3] = math.remainder(delta[3], 2 * math.pi)
@@ -238,8 +238,8 @@ class TestMultiUpdate:
         rng = np.random.default_rng(7)
         for _ in range(50):
             track, zs = self.random_scene(rng, 1)
-            out = multi_update(track, zs)
-            once = ekf_update(track, zs[0])
+            (out,) = multi_update([track], [zs])
+            (once,) = ekf_update([track], [zs[0]])
             assert np.array_equal(out.mean, once.mean)
             assert np.array_equal(out.covariance, once.covariance)
 
@@ -262,7 +262,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), covs[0], source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), covs[1], source="b"),
         ]
-        out = multi_update(track, zs)
+        (out,) = multi_update([track], [zs])
         ref = sequential_update_reference(track, zs)
         assert out.mean == pytest.approx(ref.mean, rel=1e-12, abs=1e-12)
         assert out.covariance == pytest.approx(ref.covariance, rel=1e-12, abs=1e-12)
@@ -275,7 +275,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), 0.1 * np.eye(2), source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), np.diag([0.2, 0.3]), source="b"),
         ]
-        out = multi_update(track, zs)
+        (out,) = multi_update([track], [zs])
         ref = sequential_update_reference(track, zs)
         assert out.mean == pytest.approx(track.mean, abs=1e-15)
         assert ref.mean == pytest.approx(track.mean, abs=1e-15)
@@ -287,7 +287,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), np.zeros((2, 2)), source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), np.zeros((2, 2)), source="b"),
         ]
-        assert multi_update(track, zs) is track
+        assert multi_update([track], [zs])[0] is track
         assert sequential_update_reference(track, zs) is track
 
 
@@ -299,8 +299,139 @@ class TestConvergence:
         track = TrackEstimate(truth.copy(), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0]))
         for _ in range(50):
             truth = ctrv_motion_raw(truth, cfg.dt)
-            track = ctrv_predict(track, cfg)
+            (track,) = ctrv_predict([track], cfg)
             z = GaussianEstimate(truth[:2] + rng.normal(0, 1e-4, 2), 1e-8 * np.eye(2))
-            track = ekf_update(track, z)
+            (track,) = ekf_update([track], [z])
         err = np.hypot(track.mean[0] - truth[0], track.mean[1] - truth[1])
         assert err < 1e-3
+
+
+class TestStackedFilter:
+    """Every stacked call gives each track exactly the bits of the per-track
+    references in ``tests/oracles.py``, whatever else shares the stack."""
+
+    SIZES = (0, 1, 2, 7, 20)
+
+    @staticmethod
+    def random_tracks(rng, n):
+        # Yaw rates on both sides of the turn/straight switch, in one stack.
+        yaw_rates = (0.0, 0.999 * YAW_RATE_EPS, -YAW_RATE_EPS, YAW_RATE_EPS, 1.001 * YAW_RATE_EPS)
+        tracks = []
+        for _ in range(n):
+            a = rng.normal(size=(5, 5))
+            if rng.uniform() < 0.5:
+                psi_dot = yaw_rates[rng.integers(len(yaw_rates))]
+            else:
+                psi_dot = rng.uniform(-2, 2)
+            position, speed, heading = rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3)
+            mean = np.array([*position, speed, heading, psi_dot])
+            tracks.append(TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)))
+        return tracks
+
+    @staticmethod
+    def random_observation(rng, track, source="a"):
+        return GaussianEstimate(
+            track.mean[:2] + rng.normal(scale=0.3, size=2),
+            rotated_covariance(*rng.uniform(0.005, 0.3, 2), rng.uniform(-math.pi, math.pi))
+            / (1.0 - 0.8 * rng.uniform()),
+            source=source,
+        )
+
+    @staticmethod
+    def assert_bits_equal(out, ref):
+        # Byte comparison: stricter than array_equal (it tells -0.0 from 0.0)
+        # and it holds for NaN entries too.
+        assert len(out) == len(ref)
+        for got, want in zip(out, ref):
+            assert got.mean.tobytes() == want.mean.tobytes()
+            assert got.covariance.tobytes() == want.covariance.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_predict_matches_per_track_loop(self, n):
+        rng = np.random.default_rng(300 + n)
+        cfg = ProcessNoiseConfig()
+        for _ in range(10):
+            tracks = self.random_tracks(rng, n)
+            out = ctrv_predict(tracks, cfg)
+            self.assert_bits_equal(out, [ctrv_predict_reference(t, cfg) for t in tracks])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_update_matches_per_track_loop(self, n):
+        rng = np.random.default_rng(400 + n)
+        for _ in range(10):
+            tracks = self.random_tracks(rng, n)
+            zs = [self.random_observation(rng, t) for t in tracks]
+            out = ekf_update(tracks, zs)
+            self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(tracks, zs)])
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_multi_update_matches_per_track_loop(self, n):
+        rng = np.random.default_rng(500 + n)
+        for _ in range(10):
+            tracks = self.random_tracks(rng, n)
+            observations = [
+                [
+                    self.random_observation(rng, t, f"cav{k}")
+                    for k in rng.permutation(rng.integers(4))
+                ]
+                for t in tracks
+            ]
+            ref = [
+                t if not zs else ekf_update_reference(
+                    t, zs[0] if len(zs) == 1 else _folded(sorted(zs, key=lambda z: z.source))
+                )
+                for t, zs in zip(tracks, observations)
+            ]
+            self.assert_bits_equal(multi_update(tracks, observations), ref)
+
+    def test_singular_rows_keep_prediction_between_updated_ones(self):
+        rng = np.random.default_rng(11)
+        tracks = self.random_tracks(rng, 5)
+        tracks[1] = make_track(x=1.0, cov=np.zeros((5, 5)))
+        tracks[3] = make_track(y=-1.0, cov=np.full((5, 5), np.nan))
+        zs = [self.random_observation(rng, t) for t in tracks]
+        zs[1] = GaussianEstimate(np.array([2.0, 0.0]), np.zeros((2, 2)))
+        out = ekf_update(tracks, zs)
+        assert out[1] is tracks[1] and out[3] is tracks[3]
+        for i in (0, 2, 4):
+            assert not np.array_equal(out[i].mean, tracks[i].mean)
+        self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(tracks, zs)])
+
+    def test_heading_near_pi_wraps_per_track(self):
+        cov = np.diag([1.0, 1.0, 0.1, 1.0, 0.1])
+        cov[0, 3] = cov[3, 0] = 0.5
+        cfg = ProcessNoiseConfig()
+        tracks = [
+            make_track(psi=math.pi - 1e-3, psi_dot=0.1, cov=cov),
+            make_track(psi=-(math.pi - 1e-3), psi_dot=-0.1, cov=cov),
+            make_track(psi=math.pi - 1e-3, cov=cov),
+            make_track(psi=-(math.pi - 1e-3), cov=cov),
+        ]
+        predicted = ctrv_predict(tracks, cfg)
+        self.assert_bits_equal(predicted, [ctrv_predict_reference(t, cfg) for t in tracks])
+        assert predicted[0].mean[3] < 0.0 < predicted[1].mean[3]
+        zs = [
+            GaussianEstimate(np.array([x, 0.0]), 0.5 * np.eye(2)) for x in (1.0, -1.0, 1.0, -1.0)
+        ]
+        out = ekf_update(predicted, zs)
+        self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(predicted, zs)])
+        assert all(-math.pi < e.mean[3] <= math.pi for e in out)
+        assert out[2].mean[3] < -math.pi / 2 and out[3].mean[3] > math.pi / 2
+
+    def test_zero_covariance_observations(self):
+        rng = np.random.default_rng(12)
+        tracks = self.random_tracks(rng, 7)
+        zs = [GaussianEstimate(t.mean[:2] + rng.normal(size=2), np.zeros((2, 2))) for t in tracks]
+        out = ekf_update(tracks, zs)
+        self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(tracks, zs)])
+        for got, z in zip(out, zs):
+            assert got.mean[:2] == pytest.approx(z.mean, abs=1e-9)
+
+    def test_tracks_without_observations_keep_their_estimate(self):
+        rng = np.random.default_rng(13)
+        tracks = self.random_tracks(rng, 4)
+        observations = [[], [self.random_observation(rng, tracks[1])], [], []]
+        out = multi_update(tracks, observations)
+        assert out[0] is tracks[0] and out[2] is tracks[2] and out[3] is tracks[3]
+        self.assert_bits_equal(out[1:2], [ekf_update_reference(tracks[1], observations[1][0])])
+        assert multi_update(tracks, [[]] * 4) == tracks
