@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -32,18 +32,10 @@ from .error_models import (
 from .global_fusion import GlobalFusion, PlatformPacket, packet_to_wire, packetize
 from .local_fusion import LocalFrame, LocalFusion
 from .simulator import ScenarioConfig, Simulation, TickData, cav_id, cis_id, sensor_pipelines
-from .tracking import ProcessNoiseConfig
 
 LOG_SCHEMA = 1
 MODES = ("parameterized", "fixed")
 MATCH_MAX_DIST = 0.5
-
-# Process noise used by the evaluation pipeline, tuned so track NEES stays
-# near its dimension on simulated scenario trajectories.  Platform-frame
-# tracking sees large apparent maneuvers (the observer itself turns and
-# brakes), so the local tier needs far more slack than a world-frame tier.
-LOCAL_PROCESS_NOISE = ProcessNoiseConfig(sigma_a=3.0, sigma_psi=0.1, sigma_psi_dot=3.0)
-GLOBAL_PROCESS_NOISE = ProcessNoiseConfig(sigma_a=4.0, sigma_psi=0.1, sigma_psi_dot=4.0)
 
 
 class ConfigError(ValueError):
@@ -237,13 +229,12 @@ class _ScenarioFusion:
         self.cis_ids = [cis_id(i) for i in range(config.cis_count)]
         # Both tiers predict over one scenario tick.
         dt = 1.0 / config.tick_rate
-        local_noise = replace(LOCAL_PROCESS_NOISE, dt=dt)
         self.local = {
-            pid: LocalFusion(sensor_pipelines(config, kind, models), noise=local_noise)
+            pid: LocalFusion(sensor_pipelines(config, kind, models), dt)
             for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
             for pid in ids
         }
-        self.rsu = GlobalFusion(noise=replace(GLOBAL_PROCESS_NOISE, dt=dt))
+        self.rsu = GlobalFusion(dt)
         self.cis_pose_cov = config.cis_pose_var * np.eye(2)
 
     def process(
@@ -260,23 +251,41 @@ class _ScenarioFusion:
         for pid, pose in zip(self.cis_ids, self.cis_poses):
             local_tracks = self.local[pid].step(frames[pid])
             packets.append(packetize(pid, t, pose, local_tracks, self.cis_pose_cov))
-        fused = self.rsu.step_with(packets, t)
-        return packets, fused
+        for packet in packets:
+            self.rsu.ingest(packet)
+        return packets, self.rsu.step(t)
 
 
-def _parse_group(group: _TickGroup) -> tuple[float, dict, dict]:
-    t = group.truth["t"]
-    loc_poses = {
-        rec["platform"]: PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
-        for rec in group.loc
-    }
-    frames: dict[str, LocalFrame] = {}
-    for rec in group.obs:
-        frame = frames.setdefault(rec["platform"], LocalFrame(timestamp=t, observations={}))
-        frame.observations[rec["sensor"]] = [
-            PolarObservation(d["d"], d["theta"], d["class"]) for d in rec["detections"]
-        ]
-    return t, loc_poses, frames
+def _parse_group(group: _TickGroup, index: int, cav_ids: list, cis_ids: list) -> tuple:
+    """A tick's (time, truth poses, localized poses, frames); a record that cannot
+    be read, or a platform without one, raises ``LogError`` naming the tick."""
+    try:
+        t = group.truth["t"]
+        if not math.isfinite(t):
+            raise ValueError(f"time {t} is not finite")
+        cavs = group.truth["cavs"]
+        if [cav["id"] for cav in cavs] != cav_ids:
+            raise ValueError(f"truth CAVs are not {cav_ids}")
+        truth = [PlatformPose(cav["x"], cav["y"], cav["theta"], cav["v"]) for cav in cavs]
+        loc_poses = {
+            rec["platform"]: PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
+            for rec in group.loc
+        }
+        frames: dict[str, LocalFrame] = {}
+        for rec in group.obs:
+            frame = frames.setdefault(rec["platform"], LocalFrame(timestamp=t, observations={}))
+            if not isinstance(rec["detections"], list):
+                raise TypeError("detections must be a list")
+            frame.observations[rec["sensor"]] = [
+                PolarObservation(d["d"], d["theta"], d["class"]) for d in rec["detections"]
+            ]
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise LogError(f"tick {index}: malformed record: {exc}") from exc
+    for kind, records, ids in (("loc", loc_poses, cav_ids), ("obs", frames, cav_ids + cis_ids)):
+        missing = [pid for pid in ids if pid not in records]
+        if missing:
+            raise LogError(f"tick {index}: no {kind} record for {', '.join(missing)}")
+    return t, truth, loc_poses, frames
 
 
 def _fusion_pass(
@@ -304,19 +313,17 @@ def _fusion_pass(
     stopped_loc_sse_total = 0.0
     stopped_loc_count_total = 0
 
-    for group in groups:
-        t, loc_poses, frames = _parse_group(group)
+    for index, group in enumerate(groups):
+        t, truth, loc_poses, frames = _parse_group(group, index, fusion.cav_ids, fusion.cis_ids)
         packets, fused = fusion.process(t, loc_poses, frames)
 
-        truth_positions = [
-            np.array([cav["x"], cav["y"]]) for cav in group.truth["cavs"]
-        ] + cis_positions
+        truth_positions = [pose.position for pose in truth] + cis_positions
 
-        stopped = [cav["v"] == 0.0 for cav in group.truth["cavs"]]
+        stopped = [pose.v == 0.0 for pose in truth]
         loc_sse = 0.0
-        for cav, is_stopped in zip(group.truth["cavs"], stopped):
-            pose = loc_poses[cav["id"]]
-            err2 = (pose.x - cav["x"]) ** 2 + (pose.y - cav["y"]) ** 2
+        for pid, true_pose, is_stopped in zip(fusion.cav_ids, truth, stopped):
+            pose = loc_poses[pid]
+            err2 = (pose.x - true_pose.x) ** 2 + (pose.y - true_pose.y) ** 2
             loc_sse += err2
             if is_stopped:
                 stopped_loc_sse_total += err2
@@ -551,12 +558,11 @@ def run_matrix(
     scenarios: Sequence[str],
     seeds: Sequence[int],
     duration: float = 120.0,
-    modes: Sequence[str] = MODES,
     workers: int | None = None,
 ) -> list[RunReport]:
     """Run every scenario x seed x mode combination, optionally in parallel."""
     tasks = [
-        (name, seed, duration, mode) for name in scenarios for seed in seeds for mode in modes
+        (name, seed, duration, mode) for name in scenarios for seed in seeds for mode in MODES
     ]
     if workers is None:
         workers = min(8, os.cpu_count() or 1)

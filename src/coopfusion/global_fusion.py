@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .association import AssociationConfig, Track, associate_frame
 from .error_models import GaussianEstimate, PlatformPose
 from .geometry import min_eig_2x2, rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
+
+# Process noise of this tier, tuned like local_fusion.PROCESS_NOISE.
+PROCESS_NOISE = ProcessNoiseConfig(sigma_a=4.0, sigma_psi=0.1, sigma_psi_dot=4.0)
 
 
 class PacketError(ValueError):
@@ -208,18 +211,13 @@ class GlobalFusion:
     """RSU fusion state: a packet inbox plus the world-frame track list.
 
     ``ingest`` may be called from any thread and never blocks on fusion;
-    ``step`` drains a consistent snapshot of the inbox for one tick.
+    ``step`` drains a consistent snapshot of the inbox for one tick; each
+    predict covers ``dt``.
     """
 
-    def __init__(
-        self,
-        association: AssociationConfig | None = None,
-        noise: ProcessNoiseConfig | None = None,
-        include_platform_pose: bool = True,
-    ):
-        self.association = association or AssociationConfig()
-        self.noise = noise or ProcessNoiseConfig()
-        self.include_platform_pose = include_platform_pose
+    def __init__(self, dt: float):
+        self.association = AssociationConfig()
+        self.noise = replace(PROCESS_NOISE, dt=dt)
         self.tracks: list[Track] = []
         self._ids = itertools.count()
         self._inbox: dict[str, PlatformPacket] = {}
@@ -255,6 +253,8 @@ class GlobalFusion:
 
     def step(self, timestamp: float) -> list[Track]:
         """Fuse everything queued for this tick; returns confirmed snapshots."""
+        if not math.isfinite(timestamp):
+            raise ValueError(f"fusion time must be finite, got {timestamp}")
         with self._lock:
             self._current_time = timestamp
             packets = [self._inbox[pid] for pid in sorted(self._inbox)]
@@ -271,15 +271,14 @@ class GlobalFusion:
                 )
                 for tr in packet.tracks
             ]
-            if self.include_platform_pose:
-                observations.append(
-                    GaussianEstimate(
-                        packet.pose.position,
-                        symmetrized(np.array(packet.pose_covariance)),
-                        source=packet.platform_id,
-                        object_class="platform",
-                    )
+            observations.append(
+                GaussianEstimate(
+                    packet.pose.position,
+                    symmetrized(np.array(packet.pose_covariance)),
+                    source=packet.platform_id,
+                    object_class="platform",
                 )
+            )
             by_platform[packet.platform_id] = observations
 
         for track, estimate in zip(
@@ -291,12 +290,6 @@ class GlobalFusion:
             self.tracks, by_platform, self.association, lambda: next(self._ids)
         )
         return self.confirmed_tracks()
-
-    def step_with(self, packets: list[PlatformPacket], timestamp: float) -> list[Track]:
-        """Convenience for synchronous drivers: ingest then step."""
-        for packet in packets:
-            self.ingest(packet)
-        return self.step(timestamp)
 
     def confirmed_tracks(self) -> list[Track]:
         return [t.snapshot() for t in self.tracks if t.confirmed]

@@ -180,6 +180,15 @@ def step_vehicle(
     return VehicleState(s=s_new, v=v_new, stopping=stopping)
 
 
+def _gauss_markov(prev: tuple[float, float] | None, sigma: float, rho: float, rng) -> float:
+    """Next AR(1) error with marginal N(0, sigma^2) after ``prev`` = (error,
+    sigma), rescaled to the new sigma; None starts with a fresh draw."""
+    if prev is None:
+        return sigma * rng.normal()
+    error, prev_sigma = prev
+    return rho * error * (sigma / prev_sigma) + sigma * math.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal()
+
+
 def synth_sensor_frame(
     pipeline: SensorPipelineConfig,
     platform_pose: PlatformPose,
@@ -187,7 +196,7 @@ def synth_sensor_frame(
     rng: np.random.Generator,
     miss_probability: float = 0.0,
     clutter_rate: float = 0.0,
-    error_states: dict[int, tuple[float, float, float, float]] | None = None,
+    error_states: dict[int, tuple] | None = None,
     rho: float = 0.0,
 ) -> list[PolarObservation]:
     """Noisy polar detections of world-frame targets for one sensor tick.
@@ -204,7 +213,7 @@ def synth_sensor_frame(
     sensor_x = platform_pose.x + mount.x_sensor * heading[0] - mount.y_sensor * heading[1]
     sensor_y = platform_pose.y + mount.x_sensor * heading[1] + mount.y_sensor * heading[0]
     sensor_heading = platform_pose.theta + mount.theta_sensor
-    innovation_scale = math.sqrt(max(1.0 - rho * rho, 0.0))
+    states = {} if error_states is None else error_states
 
     observations = []
     for target_idx, target in enumerate(targets):
@@ -220,16 +229,10 @@ def synth_sensor_frame(
             continue
         sigma_distal = eval_error_model(pipeline.distal_model, dist)
         sigma_perp = eval_error_model(pipeline.perp_model, dist)
-        prev = error_states.get(target_idx) if error_states is not None else None
-        if prev is None or rho == 0.0:
-            eps_distal = sigma_distal * rng.normal()
-            eps_perp = sigma_perp * rng.normal()
-        else:
-            prev_d, prev_p, prev_sd, prev_sp = prev
-            eps_distal = rho * prev_d * (sigma_distal / prev_sd) + sigma_distal * innovation_scale * rng.normal()
-            eps_perp = rho * prev_p * (sigma_perp / prev_sp) + sigma_perp * innovation_scale * rng.normal()
-        if error_states is not None:
-            error_states[target_idx] = (eps_distal, eps_perp, sigma_distal, sigma_perp)
+        prev_distal, prev_perp = states.get(target_idx, (None, None))
+        eps_distal = _gauss_markov(prev_distal, sigma_distal, rho, rng)
+        eps_perp = _gauss_markov(prev_perp, sigma_perp, rho, rng)
+        states[target_idx] = ((eps_distal, sigma_distal), (eps_perp, sigma_perp))
         cos_b = math.cos(bearing)
         sin_b = math.sin(bearing)
         px = (dist + eps_distal) * cos_b - eps_perp * sin_b
@@ -266,20 +269,15 @@ class LocalizerDrift:
         self.lateral = lateral
         self.heading_sigma = heading_sigma
         self.rho = math.exp(-dt / correlation_time) if correlation_time > 0.0 else 0.0
-        self._state: tuple[float, float, float, float] | None = None
+        self._state: tuple = (None, None)
 
     def measure(self, true_pose: PlatformPose, rng: np.random.Generator) -> PlatformPose:
         sigma_lon = eval_error_model(self.longitudinal, true_pose.v)
         sigma_lat = eval_error_model(self.lateral, true_pose.v)
-        innov = math.sqrt(max(1.0 - self.rho * self.rho, 0.0))
-        if self._state is None:
-            eps_lon = sigma_lon * rng.normal()
-            eps_lat = sigma_lat * rng.normal()
-        else:
-            prev_lon, prev_lat, prev_slon, prev_slat = self._state
-            eps_lon = self.rho * prev_lon * (sigma_lon / prev_slon) + sigma_lon * innov * rng.normal()
-            eps_lat = self.rho * prev_lat * (sigma_lat / prev_slat) + sigma_lat * innov * rng.normal()
-        self._state = (eps_lon, eps_lat, sigma_lon, sigma_lat)
+        prev_lon, prev_lat = self._state
+        eps_lon = _gauss_markov(prev_lon, sigma_lon, self.rho, rng)
+        eps_lat = _gauss_markov(prev_lat, sigma_lat, self.rho, rng)
+        self._state = ((eps_lon, sigma_lon), (eps_lat, sigma_lat))
         cos_h = math.cos(true_pose.theta)
         sin_h = math.sin(true_pose.theta)
         return PlatformPose(
@@ -466,7 +464,7 @@ class Simulation:
             if config.sensing_correlation_time > 0.0
             else 0.0
         )
-        self._sensor_error_states: dict[str, dict[int, tuple[float, float, float, float]]] = {}
+        self._sensor_error_states: dict[str, dict[int, tuple]] = {}
 
     def rng(self, name: str) -> np.random.Generator:
         if name not in self._rngs:

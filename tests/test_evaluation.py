@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from coopfusion import cli
+from coopfusion import cli, global_fusion, local_fusion
 from coopfusion.calibration import LabeledSample, write_samples_csv
 from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS
 from coopfusion.evaluation import (
@@ -23,6 +24,45 @@ from coopfusion.simulator import ScenarioConfig, cis_poses
 
 def tiny(name="sm/sp", seed=5, duration=8.0, **kw):
     return scenario_preset(name, seed=seed, duration=duration, **kw)
+
+
+def first(records, kind, platform=None):
+    """The first log record of ``kind``, on ``platform`` if given."""
+    return next(
+        record
+        for record in records
+        if record["kind"] == kind and platform in (None, record.get("platform"))
+    )
+
+
+def first_detection(records):
+    return next(rec for rec in records if rec["kind"] == "obs" and rec["detections"])["detections"][0]
+
+
+def drop_obs(records, platform):
+    for record in [rec for rec in records if rec["kind"] == "obs" and rec["platform"] == platform]:
+        records.remove(record)
+
+
+# Edits that each break the first tick of a recorded sm/sp/CIS log, each with
+# the start of the message replay must report.
+MALFORMED_TICK_0 = {
+    "theta_not_a_number": (lambda recs: first_detection(recs).update(theta="abc"), "malformed"),
+    "theta_missing": (lambda recs: first_detection(recs).pop("theta"), "malformed record: 'theta'"),
+    "detections_a_string": (lambda recs: first(recs, "obs").update(detections="abc"), "malformed"),
+    "detections_empty_string": (lambda recs: first(recs, "obs").update(detections=""), "malformed"),
+    "loc_x_null": (lambda recs: first(recs, "loc").update(x=None), "malformed"),
+    "truth_cav_without_x": (lambda recs: first(recs, "truth")["cavs"][0].pop("x"), "malformed"),
+    "truth_cav_renamed": (
+        lambda recs: first(recs, "truth")["cavs"][1].update(id="cav9"),
+        "malformed record: truth CAVs",
+    ),
+    "truth_without_t": (lambda recs: first(recs, "truth").pop("t"), "malformed record: 't'"),
+    "t_not_a_number": (lambda recs: first(recs, "truth").update(t="abc"), "malformed"),
+    "t_nan": (lambda recs: first(recs, "truth").update(t=math.nan), "malformed record: time nan"),
+    "no_loc_for_cav1": (lambda recs: recs.remove(first(recs, "loc", "cav1")), "no loc record for cav1"),
+    "no_obs_for_cis0": (lambda recs: drop_obs(recs, "cis0"), "no obs record for cis0"),
+}
 
 
 class TestPresets:
@@ -77,6 +117,9 @@ class TestTimeStep:
         assert len(fusion.local) == 6
         assert all(local.noise.dt == 0.25 for local in fusion.local.values())
         assert fusion.rsu.noise.dt == 0.25
+        local_noise = replace(local_fusion.PROCESS_NOISE, dt=0.25)
+        assert all(local.noise == local_noise for local in fusion.local.values())
+        assert fusion.rsu.noise == replace(global_fusion.PROCESS_NOISE, dt=0.25)
 
 
 class TestDeterminismAndReplay:
@@ -356,6 +399,20 @@ class TestCli:
         argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
         assert cli.main(argv) == 2
         assert "bearing must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", MALFORMED_TICK_0.values(), ids=MALFORMED_TICK_0.keys())
+    def test_replay_of_malformed_record_exits_2_without_report(self, tmp_path, capsys, edit, message):
+        run_scenario(tiny("sm/sp/CIS", duration=2.0), "parameterized", out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "log.ndjson").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        edit(records)
+        log = tmp_path / "bad.ndjson"
+        log.write_text("\n".join(json.dumps(record) for record in records))
+        out = tmp_path / "replay.json"
+        argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert f"tick 0: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_log_line_exits_2(self, tmp_path, capsys):

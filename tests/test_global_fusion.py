@@ -27,6 +27,7 @@ from coopfusion.tracking import TrackEstimate
 
 LON = DEFAULT_PARAMETERIZED_MODELS.localizer_longitudinal
 LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
+DT = 0.125
 
 
 def cav_packet(pid, t, pose, tracks):
@@ -37,6 +38,16 @@ def cav_packet(pid, t, pose, tracks):
 def local_track(tid, x, y, pos_var=0.01):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
     return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
+
+
+def fuse(fusion, packets, t):
+    for packet in packets:
+        fusion.ingest(packet)
+    return fusion.step(t)
+
+
+def vehicle_tracks(tracks):
+    return [track for track in tracks if track.object_class == "vehicle"]
 
 
 def pose_packet(pid, t, pose, pose_var=1e-6, tracks=()):
@@ -216,7 +227,7 @@ class TestWireFormat:
 
 class TestGlobalFusion:
     def test_single_platform_track_passthrough(self):
-        fusion = GlobalFusion()
+        fusion = GlobalFusion(DT)
         confirmed = []
         for k in range(6):
             packet = pose_packet(
@@ -227,7 +238,7 @@ class TestGlobalFusion:
                     PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))
                 ],
             )
-            confirmed = fusion.step_with([packet], k * 0.125)
+            confirmed = fuse(fusion, [packet], k * 0.125)
         positions = sorted(
             [tuple(np.round(t.estimate.mean[:2], 2)) for t in confirmed]
         )
@@ -235,21 +246,21 @@ class TestGlobalFusion:
 
     def test_two_platforms_shrink_covariance(self):
         def run(platforms):
-            fusion = GlobalFusion(include_platform_pose=False)
+            fusion = GlobalFusion(DT)
             confirmed = []
             for k in range(8):
                 packets = [
                     pose_packet(
                         pid,
                         k * 0.125,
-                        PlatformPose(0, 0, 0, 0),
+                        PlatformPose(4, 3, 0, 0),
                         tracks=[
                             PacketTrack(id="0", mean=(1.0, 0.0), covariance=((0.05, 0), (0, 0.05)))
                         ],
                     )
                     for pid in platforms
                 ]
-                confirmed = fusion.step_with(packets, k * 0.125)
+                confirmed = vehicle_tracks(fuse(fusion, packets, k * 0.125))
             assert len(confirmed) == 1
             return float(np.trace(confirmed[0].estimate.covariance[:2, :2]))
 
@@ -258,14 +269,14 @@ class TestGlobalFusion:
     def test_confident_source_dominates_fused_mean(self):
         # one tight source and one loose source reporting the same object at
         # different positions: the fused mean must sit closer to the tight one
-        fusion = GlobalFusion(include_platform_pose=False)
+        fusion = GlobalFusion(DT)
         confirmed = []
         for k in range(8):
             packets = [
                 pose_packet(
                     "cis0",
                     k * 0.125,
-                    PlatformPose(0, 2, 0, 0),
+                    PlatformPose(0, 4, 0, 0),
                     tracks=[
                         PacketTrack(id="0", mean=(1.0, 0.0), covariance=((0.004, 0), (0, 0.004)))
                     ],
@@ -279,7 +290,7 @@ class TestGlobalFusion:
                     ],
                 ),
             ]
-            confirmed = fusion.step_with(packets, k * 0.125)
+            confirmed = vehicle_tracks(fuse(fusion, packets, k * 0.125))
         assert len(confirmed) == 1
         x = confirmed[0].estimate.mean[0]
         # gain-ratio oracle: steady-state mean sits near the information blend
@@ -288,11 +299,11 @@ class TestGlobalFusion:
         assert abs(x - 1.0) < 0.1
 
     def test_platform_pose_is_tracked(self):
-        fusion = GlobalFusion()
+        fusion = GlobalFusion(DT)
         confirmed = []
         for k in range(6):
             packet = pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4)
-            confirmed = fusion.step_with([packet], k * 0.125)
+            confirmed = fuse(fusion, [packet], k * 0.125)
         assert len(confirmed) == 1
         assert confirmed[0].estimate.mean[:2] == pytest.approx([2.0, -1.0], abs=0.01)
 
@@ -302,7 +313,7 @@ class TestGlobalFusion:
         # in either arrival order the newer packet is fused and the other
         # one is counted as a duplicate
         for arrivals in ((early, late), (late, early)):
-            fusion = GlobalFusion()
+            fusion = GlobalFusion(DT)
             for packet in arrivals:
                 fusion.ingest(packet)
             assert fusion.duplicate_packets == 1
@@ -311,12 +322,31 @@ class TestGlobalFusion:
             assert fusion.tracks[0].estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
 
     def test_stale_packet_dropped_and_counted(self):
-        fusion = GlobalFusion()
-        fusion.step_with([], 10.0)
+        fusion = GlobalFusion(DT)
+        fusion.step(10.0)
         fusion.ingest(pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0)))
         assert fusion.late_packets == 1
         fusion.step(10.125)
         assert fusion.tracks == []
+
+    def test_late_window_is_the_given_period(self):
+        fusion = GlobalFusion(0.25)
+        fusion.step(10.0)
+        fusion.ingest(pose_packet("cav0", 9.75, PlatformPose(0, 0, 0, 0)))
+        fusion.ingest(pose_packet("cav1", 9.75 - 1e-9, PlatformPose(3, 3, 0, 0)))
+        assert fusion.late_packets == 1
+        fusion.step(10.25)
+        assert [track.sources for track in fusion.tracks] == [{"cav0"}]
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_rejected(self, timestamp):
+        fusion = GlobalFusion(DT)
+        fusion.step(10.0)
+        with pytest.raises(ValueError):
+            fusion.step(timestamp)
+        # the rejected tick leaves the late-packet window where it was
+        fusion.ingest(pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0)))
+        assert fusion.late_packets == 1
 
     @pytest.mark.parametrize(
         "mean, cov, t",
@@ -338,7 +368,7 @@ class TestGlobalFusion:
         bad = pose_packet(
             "cav1", t, PlatformPose(3, 3, 0, 0), tracks=[PacketTrack(id="0", mean=mean, covariance=cov)]
         )
-        fusion = GlobalFusion()
+        fusion = GlobalFusion(DT)
         fusion.ingest(good)
         fusion.ingest(bad)
         fusion.step(0.0)

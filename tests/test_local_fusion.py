@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from coopfusion.association import AssociationConfig
 from coopfusion.error_models import (
     DEFAULT_FIXED_MODELS,
     DEFAULT_PARAMETERIZED_MODELS,
@@ -12,6 +11,8 @@ from coopfusion.error_models import (
     SensorPose,
 )
 from coopfusion.local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
+
+DT = 0.125
 
 CAMERA = SensorPipelineConfig(
     name="camera",
@@ -38,29 +39,39 @@ def polar(d, theta=0.0):
 def frames_of(detections_by_tick):
     """[{pipeline: [obs]}, ...] -> LocalFrame sequence at 8 Hz."""
     return [
-        LocalFrame(timestamp=k * 0.125, observations=obs)
+        LocalFrame(timestamp=k * DT, observations=obs)
         for k, obs in enumerate(detections_by_tick)
     ]
 
 
 class TestStep:
     def test_empty_frame_increments_misses(self):
-        fusion = LocalFusion([CAMERA, LIDAR])
+        fusion = LocalFusion([CAMERA, LIDAR], DT)
         fusion.step(LocalFrame(0.0, {"camera": [polar(1.0)], "lidar": [polar(1.0)]}))
         assert fusion.tracks[0].frames_missed == 0
         fusion.step(LocalFrame(0.125, {}))
         assert fusion.tracks[0].frames_missed == 1
 
     def test_stale_frame_rejected(self):
-        fusion = LocalFusion([CAMERA])
+        fusion = LocalFusion([CAMERA], DT)
         fusion.step(LocalFrame(1.0, {}))
         with pytest.raises(StaleFrameError):
             fusion.step(LocalFrame(1.0, {}))
         with pytest.raises(StaleFrameError):
             fusion.step(LocalFrame(0.5, {}))
 
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf])
+    def test_non_finite_frame_rejected(self, timestamp):
+        fusion = LocalFusion([CAMERA], DT)
+        fusion.step(LocalFrame(1.0, {}))
+        with pytest.raises(StaleFrameError):
+            fusion.step(LocalFrame(timestamp, {}))
+        # the rejected frame leaves the ordering check armed
+        with pytest.raises(StaleFrameError):
+            fusion.step(LocalFrame(0.0, {}))
+
     def test_stationary_object_confirmed_once(self):
-        fusion = LocalFusion([CAMERA, LIDAR])
+        fusion = LocalFusion([CAMERA, LIDAR], DT)
         confirmed = []
         for frame in frames_of(
             [{"camera": [polar(1.0)], "lidar": [polar(1.0, 0.01)]} for _ in range(20)]
@@ -72,7 +83,7 @@ class TestStep:
 
     def test_two_pipelines_tighter_than_either_alone(self):
         def run(mask):
-            fusion = LocalFusion([CAMERA, LIDAR])
+            fusion = LocalFusion([CAMERA, LIDAR], DT)
             confirmed = []
             for frame in frames_of(
                 [
@@ -91,7 +102,7 @@ class TestStep:
     def test_lidar_only_object_still_tracked(self):
         # bearing outside the camera field of view: the frame simply has no
         # camera detection, and the track forms from the lidar stream alone
-        fusion = LocalFusion([CAMERA, LIDAR])
+        fusion = LocalFusion([CAMERA, LIDAR], DT)
         confirmed = []
         for frame in frames_of(
             [{"camera": [], "lidar": [polar(1.5, math.radians(100))]} for _ in range(10)]
@@ -101,7 +112,7 @@ class TestStep:
         assert confirmed[0].sources == {"lidar"}
 
     def test_unknown_pipeline_names_ignored(self):
-        fusion = LocalFusion([CAMERA])
+        fusion = LocalFusion([CAMERA], DT)
         fusion.step(LocalFrame(0.0, {"radar": [polar(1.0)]}))
         assert fusion.tracks == []
 
@@ -120,7 +131,7 @@ class TestModelModes:
             distal_model=distal,
             perp_model=perp,
         )
-        fusion = LocalFusion([camera])
+        fusion = LocalFusion([camera], DT)
         prior = np.diag([0.04, 0.04, 1.0, math.pi**2, 1.0])
         state = np.array([distance, 0, 0, 0, 0], dtype=float)
         fusion.tracks = [Track(id=0, estimate=TrackEstimate(state, prior))]
@@ -145,7 +156,7 @@ class TestModelModes:
 class TestConfigValidation:
     def test_duplicate_pipeline_names_rejected(self):
         with pytest.raises(ValueError):
-            LocalFusion([CAMERA, CAMERA])
+            LocalFusion([CAMERA, CAMERA], DT)
 
     def test_bad_fov_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +170,8 @@ class TestConfigValidation:
             )
 
     def test_confirmed_snapshot_is_detached(self):
-        fusion = LocalFusion([CAMERA], association=AssociationConfig(confirm_threshold=1))
-        confirmed = fusion.step(LocalFrame(0.0, {"camera": [polar(1.0)]}))
+        fusion = LocalFusion([CAMERA], DT)
+        for frame in frames_of([{"camera": [polar(1.0)]}] * 3):
+            confirmed = fusion.step(frame)
         confirmed[0].estimate.covariance[0, 0] = 123.0
         assert fusion.tracks[0].estimate.covariance[0, 0] != 123.0
