@@ -39,7 +39,7 @@ from .error_models import (
     eval_error_model,
     load_model_set,
     localization_covariance,
-    observation_estimate,
+    observation_estimates,
     rotated_covariance,
     save_model_set,
     sensor_to_platform,
@@ -58,8 +58,6 @@ from .global_fusion import (
     PlatformPacket,
     covariance_to_world,
     covariance_union,
-    packet_from_line,
-    packet_to_line,
     packetize,
     track_to_world,
 )

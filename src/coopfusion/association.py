@@ -5,10 +5,17 @@ Association weights come from exact enumeration of joint assignment events
 observation per event).  Tracks and observations are first split into
 connected components of the gating graph, which keeps enumeration exact
 while bounding its cost by the size of one contended neighborhood.
+
+A tier's frame covers all of its groups at once (every platform of the
+local tier, the one group of the RSU): gating, the filter update and spawn
+coverage each run once over the frame as stacked arrays, computing only
+the pairs within a group, while enumeration and the track lifecycle run per
+group on Python floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -27,6 +34,10 @@ SPAWN_GATE_FACTOR = 2.0
 
 class CombinatorialOverflowError(RuntimeError):
     """Raised when joint-event enumeration exceeds the configured cap."""
+
+
+class StaleFrameError(ValueError):
+    """Raised when a frame's time is not finite or not after the last fused one."""
 
 
 @dataclass
@@ -99,6 +110,25 @@ class AssociationResult:
     unassociated_observations: list[int]
 
 
+@dataclass
+class ObservationBatch:
+    """One tier frame's observations as stacked arrays.
+
+    Observation k has mean ``means[k]`` (an (m, 2) array) and covariance
+    ``covariances[k]`` (an (m, 2, 2) array); it belongs to group
+    ``groups[k]``, came from ``sources[k]`` and is of class ``classes[k]``.
+    Observations are ordered by group and, within a group, by source name,
+    so that each (group, source) block is one run: association runs block
+    by block in that order.
+    """
+
+    means: np.ndarray
+    covariances: np.ndarray
+    groups: list[int]
+    sources: list[str]
+    classes: list[str]
+
+
 def _track_blocks(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
     """Positions as an (n, 2) array and position covariances as (n, 2, 2)."""
     return (
@@ -120,16 +150,16 @@ def _quadratic(s00, s01, s11, d0, d1):
 
 
 def _pair_stats(pos_a, cov_a, pos_b, cov_b) -> tuple[np.ndarray, np.ndarray]:
-    """Squared Mahalanobis distance of ``pos_b[j] - pos_a[i]`` under
-    ``cov_a[i] + cov_b[j]``, and that sum's determinant, as (a, b) arrays.
+    """Squared Mahalanobis distance of ``pos_b - pos_a`` under ``cov_a + cov_b``,
+    and that sum's determinant, elementwise over the broadcast leading axes.
 
     Pairs with a singular sum get an infinite distance so they never gate.
     Every entry takes the operations of a scalar per-pair loop in the same
     order, so it is the same IEEE value as that loop gives
     (``tests/oracles.py`` keeps it as the reference).
     """
-    s = cov_a[:, None] + cov_b[None, :]
-    d = pos_b[None, :] - pos_a[:, None]
+    s = cov_a + cov_b
+    d = pos_b - pos_a
     s00, s01, s10, s11 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     d0, d1 = d[..., 0], d[..., 1]
     with np.errstate(all="ignore"):
@@ -141,19 +171,71 @@ def _pair_stats(pos_a, cov_a, pos_b, cov_b) -> tuple[np.ndarray, np.ndarray]:
     return dist2, det
 
 
+def _block_pairs(blocks: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarray, ...]:
+    """Row index, column index and block number of every pair within each
+    ``(row start, row stop, column start, column stop)`` block: blocks in
+    order, and rows, then columns, ascending within a block."""
+    spans = np.array(blocks, dtype=np.intp).reshape(-1, 4)
+    widths = spans[:, 3] - spans[:, 2]
+    sizes = (spans[:, 1] - spans[:, 0]) * widths
+    block = np.repeat(np.arange(len(spans)), sizes)
+    k = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    width = widths[block]
+    return spans[block, 0] + k // width, spans[block, 2] + k % width, block
+
+
 def gate(
     tracks: Sequence[Track],
     observations: Sequence[GaussianEstimate],
     cfg: AssociationConfig,
 ) -> np.ndarray:
     """Boolean feasibility matrix: observation within a track's gate (inclusive)."""
-    dist2, _ = _pair_stats(*_track_blocks(tracks), *_observation_blocks(observations))
+    (track_pos, track_cov), (obs_pos, obs_cov) = _track_blocks(tracks), _observation_blocks(observations)
+    dist2, _ = _pair_stats(track_pos[:, None], track_cov[:, None], obs_pos[None], obs_cov[None])
     return dist2 <= cfg.gate_threshold
 
 
 # Gated observations of each track that has any: track -> [(observation, density)],
 # both ascending.
 _Gated = dict[int, list[tuple[int, float]]]
+
+
+def _gate_blocks(
+    track_pos: np.ndarray,
+    track_cov: np.ndarray,
+    obs_pos: np.ndarray,
+    obs_cov: np.ndarray,
+    blocks: Sequence[tuple[int, int, int, int]],
+    cfg: AssociationConfig,
+) -> list[tuple[_Gated, list[int]]]:
+    """Gate every (track range, observation range) block of a frame in one pass.
+
+    Returns, per block, its gated pairs and the observations inside no gate,
+    with indices into the given arrays.  Only pairs within a block are
+    computed, so the work is that of gating each block alone, paid as one
+    set of array operations.
+    """
+    gated: list[_Gated] = [{} for _ in blocks]
+    rows, cols, block = _block_pairs(blocks)
+    if len(rows):
+        dist2, det = _pair_stats(track_pos[rows], track_cov[rows], obs_pos[cols], obs_cov[cols])
+        hits = np.flatnonzero(dist2 <= cfg.gate_threshold)
+        # Densities of gated pairs only, through libm as in the scalar loop:
+        # np.exp need not match math.exp bit for bit.
+        for b, i, j, d2, det_ij in zip(
+            block[hits].tolist(),
+            rows[hits].tolist(),
+            cols[hits].tolist(),
+            dist2[hits].tolist(),
+            det[hits].tolist(),
+        ):
+            density = math.exp(-0.5 * d2) / (_TWO_PI * math.sqrt(det_ij)) if d2 < 1e3 else 0.0
+            gated[b].setdefault(i, []).append((j, density))
+    result = []
+    for block_gated, (_, _, start, stop) in zip(gated, blocks):
+        inside = {j for options in block_gated.values() for j, _ in options}
+        result.append((block_gated, [j for j in range(start, stop) if j not in inside]))
+    return result
 
 
 def _clusters(gated: _Gated) -> list[tuple[list[int], list[int]]]:
@@ -195,10 +277,9 @@ def _enumerate_cluster(
     obs_ids: list[int],
     gated: _Gated,
     cfg: AssociationConfig,
-    weights: np.ndarray,
-    miss: np.ndarray,
-) -> None:
-    """Accumulate normalized event marginals for one cluster in place."""
+) -> dict[int, dict[int, float]]:
+    """Normalized event marginals of one cluster: for each of its tracks, the
+    miss (key -1) and each observation of the cluster."""
     p_detect = cfg.detection_probability
     p_miss = 1.0 - p_detect
     clutter = cfg.clutter_density
@@ -254,13 +335,16 @@ def _enumerate_cluster(
     if not (total > 0.0) or not math.isfinite(total):
         # No event carries likelihood (e.g. zero clutter density with more
         # observations than tracks): fall back to all-miss.
-        for tid in track_ids:
-            miss[tid] = 1.0
-        return
-    for tid in track_ids:
-        miss[tid] = marg[tid][-1] / total
-        for j in obs_ids:
-            weights[tid, j] = marg[tid][j] / total
+        return {tid: {-1: 1.0} for tid in track_ids}
+    return {tid: {j: p / total for j, p in marg[tid].items()} for tid in track_ids}
+
+
+def _marginals(gated: _Gated, cfg: AssociationConfig) -> dict[int, dict[int, float]]:
+    """The event marginals of every gated track of one block."""
+    marginals: dict[int, dict[int, float]] = {}
+    for track_ids, obs_ids in _clusters(gated):
+        marginals.update(_enumerate_cluster(track_ids, obs_ids, gated, cfg))
+    return marginals
 
 
 def jpda_weights(
@@ -268,27 +352,19 @@ def jpda_weights(
     observations: Sequence[GaussianEstimate],
     cfg: AssociationConfig,
 ) -> AssociationResult:
-    """Exact JPDA marginal association probabilities for one frame."""
+    """Exact JPDA marginal association probabilities for one source's frame."""
     n, m = len(tracks), len(observations)
-    if n == 0 or m == 0:
-        # Nothing to gate: skip the numpy set-up, which dominates small calls.
-        return AssociationResult(np.zeros((n, m)), np.ones(n), list(range(m)))
-    dist2, det = _pair_stats(*_track_blocks(tracks), *_observation_blocks(observations))
-    feasible = dist2 <= cfg.gate_threshold
-    rows, cols = np.nonzero(feasible)
-    # Densities of gated pairs only, through libm as in the scalar loop:
-    # np.exp need not match math.exp bit for bit.
-    gated: _Gated = {}
-    for i, j, d2, det_ij in zip(
-        rows.tolist(), cols.tolist(), dist2[rows, cols].tolist(), det[rows, cols].tolist()
-    ):
-        density = math.exp(-0.5 * d2) / (_TWO_PI * math.sqrt(det_ij)) if d2 < 1e3 else 0.0
-        gated.setdefault(i, []).append((j, density))
+    ((gated, unassociated),) = _gate_blocks(
+        *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
+    )
     weights = np.zeros((n, m))
     miss = np.ones(n)
-    for track_ids, obs_ids in _clusters(gated):
-        _enumerate_cluster(track_ids, obs_ids, gated, cfg, weights, miss)
-    unassociated = np.flatnonzero(~feasible.any(axis=0)).tolist()
+    for i, marginals in _marginals(gated, cfg).items():
+        for j, probability in marginals.items():
+            if j < 0:
+                miss[i] = probability
+            else:
+                weights[i, j] = probability
     return AssociationResult(weights=weights, miss=miss, unassociated_observations=unassociated)
 
 
@@ -306,6 +382,11 @@ def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
     mean = np.zeros(5)
     mean[:2] = obs.mean
     return TrackEstimate(mean, cov)
+
+
+def _position_trace(track: Track) -> float:
+    covariance = track.estimate.covariance
+    return covariance[0, 0] + covariance[1, 1]
 
 
 def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
@@ -348,38 +429,135 @@ def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
     return [t for idx, t in enumerate(tracks) if idx not in absorbed]
 
 
-def _accepted_observations(
-    tracks: Sequence[Track],
-    observations: Sequence[GaussianEstimate],
-    result: AssociationResult,
+def _spawn(
+    survivors: list[list[Track]],
+    unassociated: list[list[int]],
+    observations: ObservationBatch,
     cfg: AssociationConfig,
-) -> list[list[GaussianEstimate]]:
-    """Per-track weight-bearing observations, covariance inflated by 1/weight."""
-    accepted: list[list[GaussianEstimate]] = [[] for _ in tracks]
-    rows, cols = np.nonzero(result.weights > cfg.weight_floor)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        obs = observations[j]
-        accepted[i].append(
-            GaussianEstimate(
-                obs.mean,
-                obs.covariance / result.weights[i, j],
-                source=obs.source,
-                object_class=obs.object_class,
+    next_ids: Sequence[Callable[[], int]],
+) -> list[list[Track]]:
+    """Each group's survivors plus a tentative track for every unassociated
+    observation that no survivor, and no track spawned from an earlier
+    observation of the frame, covers within the widened spawn gate."""
+    spawning = [g for g, columns in enumerate(unassociated) if columns]
+    if not spawning:
+        return survivors
+    # A group's coverage candidates are its survivors, then the track each of
+    # its unassociated observations would spawn, which starts at that
+    # observation's mean and covariance (see ``new_track_estimate``).
+    candidates = [t for g in spawning for t in survivors[g]]
+    columns = [j for g in spawning for j in unassociated[g]]
+    track_pos, track_cov = _track_blocks(candidates)
+    obs_pos, obs_cov = observations.means[columns], observations.covariances[columns]
+    order: list[int] = []
+    blocks = []
+    first_track = first_obs = 0
+    for g in spawning:
+        n, u = len(survivors[g]), len(unassociated[g])
+        start = len(order)
+        order.extend(range(first_track, first_track + n))
+        order.extend(range(len(candidates) + first_obs, len(candidates) + first_obs + u))
+        blocks.append((start, len(order), first_obs, first_obs + u))
+        first_track, first_obs = first_track + n, first_obs + u
+    rows, cols, _ = _block_pairs(blocks)
+    rows = np.array(order, dtype=np.intp)[rows]
+    dist2, _ = _pair_stats(
+        np.concatenate([track_pos, obs_pos])[rows],
+        np.concatenate([track_cov, obs_cov])[rows],
+        obs_pos[cols],
+        obs_cov[cols],
+    )
+    # Block entry (candidate r, observation k) sits at offset + r * u + k.
+    covers = (dist2 <= SPAWN_GATE_FACTOR * cfg.gate_threshold).tolist()
+    result = list(survivors)
+    offset = 0
+    for g in spawning:
+        n, u = len(survivors[g]), len(unassociated[g])
+        spawners: list[int] = []
+        spawned: list[Track] = []
+        for k, j in enumerate(unassociated[g]):
+            covered_by = covers[offset + k : offset + (n + u) * u : u]
+            if any(covered_by[:n]) or any(covered_by[n + s] for s in spawners):
+                continue
+            spawners.append(k)
+            source = observations.sources[j]
+            spawned.append(
+                Track(
+                    id=next_ids[g](),
+                    estimate=new_track_estimate(
+                        GaussianEstimate(observations.means[j], observations.covariances[j])
+                    ),
+                    frames_seen=1,
+                    frames_missed=0,
+                    confirmed=cfg.confirm_threshold <= 1,
+                    object_class=observations.classes[j],
+                    sources={source} if source else set(),
+                )
             )
-        )
-    return accepted
+        result[g] = survivors[g] + spawned
+        offset += (n + u) * u
+    return result
 
 
-def _finish_frame(
-    tracks: Sequence[Track],
-    accepted: list[list[GaussianEstimate]],
-    unassociated: list[GaussianEstimate],
+def associate_frame(
+    tracks: Sequence[Sequence[Track]],
+    observations: ObservationBatch,
     cfg: AssociationConfig,
-    next_id: Callable[[], int],
-) -> list[Track]:
-    """Apply updates and lifecycle: update, confirm, delete, merge, spawn."""
-    updated = multi_update([t.estimate for t in tracks], accepted)
-    for track, estimate, zs in zip(tracks, updated, accepted):
+    next_ids: Sequence[Callable[[], int]],
+) -> list[list[Track]]:
+    """One fusion frame over every group of a tier; returns each group's new
+    track list.
+
+    ``tracks[g]`` are group g's tracks, already predicted to the frame time,
+    and ``next_ids[g]`` hands out its new track ids.  Sources (sensor
+    pipelines locally, platforms globally) each report an object at most
+    once, so association runs per (group, source) block: within one source
+    a track takes at most one observation, while across sources a track
+    accumulates up to one observation per source.  This is what makes a
+    second platform's view of the same object add information instead of
+    splitting the first one's weight.  Every block is gated in one pass;
+    JPDA enumeration then runs per block.
+
+    Each track updates once with every observation whose weight clears the
+    floor (see ``multi_update``), the observation covariance inflated by
+    1/weight to realize the soft assignment; all groups' tracks update
+    together.  Then, per group, tracks are confirmed, deleted and merged,
+    and unassociated observations spawn tentative tracks unless a live
+    track already covers them within the widened spawn gate.
+    """
+    flat = [t for group in tracks for t in group]
+    starts = list(itertools.accumulate((len(group) for group in tracks), initial=0))
+    blocks, block_groups = [], []
+    first = 0
+    for (g, _), run in itertools.groupby(zip(observations.groups, observations.sources)):
+        stop = first + sum(1 for _ in run)
+        blocks.append((starts[g], starts[g + 1], first, stop))
+        block_groups.append(g)
+        first = stop
+
+    rows, cols, weights = [], [], []
+    unassociated: list[list[int]] = [[] for _ in tracks]
+    gating = _gate_blocks(
+        *_track_blocks(flat), observations.means, observations.covariances, blocks, cfg
+    )
+    for g, (gated, missed) in zip(block_groups, gating):
+        marginals = _marginals(gated, cfg)
+        for i, options in gated.items():
+            for j, _ in options:
+                weight = marginals[i].get(j, 0.0)
+                if weight > cfg.weight_floor:
+                    rows.append(i)
+                    cols.append(j)
+                    weights.append(weight)
+        unassociated[g].extend(missed)
+    inflated = observations.covariances[cols] / np.array(weights).reshape(-1, 1, 1)
+    accepted: list[list[GaussianEstimate]] = [[] for _ in flat]
+    for i, j, covariance in zip(rows, cols, inflated):
+        accepted[i].append(
+            GaussianEstimate(observations.means[j], covariance, source=observations.sources[j])
+        )
+
+    for track, estimate, zs in zip(flat, multi_update([t.estimate for t in flat], accepted), accepted):
         track.estimate = estimate
         if zs:
             track.frames_seen += 1
@@ -391,74 +569,15 @@ def _finish_frame(
             track.confirmed = True
 
     survivors = [
-        t
-        for t in tracks
-        if t.frames_missed < cfg.delete_threshold
-        and np.trace(t.estimate.covariance[:2, :2]) <= cfg.max_position_variance
-    ]
-    survivors = _merge_coincident(survivors, cfg.gate_threshold)
-    if not unassociated:
-        return survivors
-
-    # Coverage of each unassociated observation by every survivor and by the
-    # track each earlier observation would spawn, which starts at that
-    # observation's mean and covariance (see ``new_track_estimate``).
-    obs_pos, obs_cov = _observation_blocks(unassociated)
-    track_pos, track_cov = _track_blocks(survivors)
-    dist2, _ = _pair_stats(
-        np.concatenate([track_pos, obs_pos]),
-        np.concatenate([track_cov, obs_cov]),
-        obs_pos,
-        obs_cov,
-    )
-    covers = dist2 <= SPAWN_GATE_FACTOR * cfg.gate_threshold
-    covered = covers[: len(survivors)].any(axis=0)
-    spawners: list[int] = []
-    spawned: list[Track] = []
-    for k, obs in enumerate(unassociated):
-        if covered[k] or covers[spawners, k].any():
-            continue
-        spawners.append(len(survivors) + k)
-        spawned.append(
-            Track(
-                id=next_id(),
-                estimate=new_track_estimate(obs),
-                frames_seen=1,
-                frames_missed=0,
-                confirmed=cfg.confirm_threshold <= 1,
-                object_class=obs.object_class,
-                sources={obs.source} if obs.source else set(),
-            )
+        _merge_coincident(
+            [
+                t
+                for t in group
+                if t.frames_missed < cfg.delete_threshold
+                and _position_trace(t) <= cfg.max_position_variance
+            ],
+            cfg.gate_threshold,
         )
-    return survivors + spawned
-
-
-def associate_frame(
-    tracks: Sequence[Track],
-    observations_by_source: dict[str, Sequence[GaussianEstimate]],
-    cfg: AssociationConfig,
-    next_id: Callable[[], int],
-) -> list[Track]:
-    """One fusion frame over several independent sources.
-
-    Sources (sensor pipelines locally, platforms globally) each report an
-    object at most once, so association runs per source: within one source
-    a track takes at most one observation, while across sources a track
-    accumulates up to one observation per source.  This is what makes a
-    second platform's view of the same object add information instead of
-    splitting the first one's weight.
-
-    Each track updates once with every observation whose weight clears the
-    floor (see ``multi_update``), the observation covariance inflated by
-    1/weight to realize the soft assignment.  Unassociated observations spawn tentative tracks unless a
-    live track already covers them within the widened spawn gate.
-    """
-    accepted: list[list[GaussianEstimate]] = [[] for _ in tracks]
-    unassociated: list[GaussianEstimate] = []
-    for source in sorted(observations_by_source):
-        observations = list(observations_by_source[source])
-        result = jpda_weights(tracks, observations, cfg)
-        for per_track, more in zip(accepted, _accepted_observations(tracks, observations, result, cfg)):
-            per_track.extend(more)
-        unassociated.extend(observations[j] for j in result.unassociated_observations)
-    return _finish_frame(tracks, accepted, unassociated, cfg, next_id)
+        for group in tracks
+    ]
+    return _spawn(survivors, unassociated, observations, cfg, next_ids)

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -144,6 +145,24 @@ class GaussianEstimate:
     object_class: str = "vehicle"
 
 
+def _rotated_covariances(rows) -> np.ndarray:
+    """(n, 2, 2) covariances ``R diag(sigma_a^2, sigma_b^2) R^T`` from
+    (sigma_a, sigma_b, angle) rows, R the rotation by the angle.
+
+    The rotations and variances are built on Python floats and multiplied
+    as one stacked ``@``, which runs the same product per matrix as a single
+    2x2 ``@`` does, so a row gets the same bits in any batch.
+    """
+    rotations, variances = [], []
+    for sigma_a, sigma_b, angle in rows:
+        c = math.cos(angle)
+        s = math.sin(angle)
+        rotations.append((c, -s, s, c))
+        variances.append((sigma_a * sigma_a, 0.0, 0.0, sigma_b * sigma_b))
+    rot = np.array(rotations).reshape(-1, 2, 2)
+    return symmetrized(rot @ np.array(variances).reshape(-1, 2, 2) @ rot.swapaxes(1, 2))
+
+
 def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarray:
     """2x2 covariance with std-dev ``sigma_a`` along the direction ``angle``
     and ``sigma_b`` across it.
@@ -154,44 +173,50 @@ def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarr
     """
     if not (sigma_a > 0.0 and sigma_b > 0.0):
         raise ValueError(f"sigmas must be positive, got ({sigma_a}, {sigma_b})")
-    c = math.cos(angle)
-    s = math.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    cov = rot @ np.diag([sigma_a * sigma_a, sigma_b * sigma_b]) @ rot.T
-    return symmetrized(cov)
+    return _rotated_covariances([(sigma_a, sigma_b, angle)])[0]
 
 
-def sensor_to_platform(obs: PolarObservation, pose: SensorPose) -> tuple[np.ndarray, float]:
+def sensor_to_platform(
+    obs: PolarObservation, pose: SensorPose
+) -> tuple[tuple[float, float], float]:
     """Convert a polar detection to platform-frame coordinates.
 
     Returns the 2D position and the bearing of the detection ray in the
     platform frame.
     """
     phi_obs = float(wrap_angle(pose.theta_sensor + obs.theta_obs))
-    mu = np.array(
-        [
-            pose.x_sensor + obs.distance_obs * math.cos(phi_obs),
-            pose.y_sensor + obs.distance_obs * math.sin(phi_obs),
-        ]
+    position = (
+        pose.x_sensor + obs.distance_obs * math.cos(phi_obs),
+        pose.y_sensor + obs.distance_obs * math.sin(phi_obs),
     )
-    return mu, phi_obs
+    return position, phi_obs
 
 
-def observation_estimate(
-    obs: PolarObservation,
-    pose: SensorPose,
-    distal: ErrorModel,
-    perp: ErrorModel,
-    source: str = "",
-) -> GaussianEstimate:
-    """Platform-frame Gaussian for one detection, with distance-driven covariance."""
-    if distal.predictor != PREDICTOR_DISTANCE or perp.predictor != PREDICTOR_DISTANCE:
-        raise ModelError("observation models must use the distance predictor")
-    mu, phi_obs = sensor_to_platform(obs, pose)
-    sigma_distal = eval_error_model(distal, obs.distance_obs)
-    sigma_perp = eval_error_model(perp, obs.distance_obs)
-    cov = rotated_covariance(sigma_distal, sigma_perp, phi_obs)
-    return GaussianEstimate(mu, cov, source=source, object_class=obs.object_class)
+def observation_estimates(
+    detections: Sequence[tuple[PolarObservation, SensorPose, ErrorModel, ErrorModel]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Platform-frame means, as an (m, 2) array, and distance-driven
+    covariances, as (m, 2, 2), of many detections at once.
+
+    Each detection is (observation, sensor pose, distal model, perpendicular
+    model): its covariance has the distal std-dev along the sensing ray and
+    the perpendicular one across it, both evaluated at the measured
+    distance.  Every detection gets the bits it would get alone.
+    """
+    means, rows = [], []
+    for obs, pose, distal, perp in detections:
+        if distal.predictor != PREDICTOR_DISTANCE or perp.predictor != PREDICTOR_DISTANCE:
+            raise ModelError("observation models must use the distance predictor")
+        position, phi_obs = sensor_to_platform(obs, pose)
+        means.append(position)
+        rows.append(
+            (
+                eval_error_model(distal, obs.distance_obs),
+                eval_error_model(perp, obs.distance_obs),
+                phi_obs,
+            )
+        )
+    return np.array(means).reshape(-1, 2), _rotated_covariances(rows)
 
 
 def localization_covariance(

@@ -219,7 +219,7 @@ def _tick_groups_from_sim(sim: Simulation, n_ticks: int) -> Iterator[_TickGroup]
 
 
 class _ScenarioFusion:
-    """All fusion instances for one run: one local per platform plus the RSU."""
+    """Both fusion tiers of one run: the local tier of every platform plus the RSU."""
 
     def __init__(self, config: ScenarioConfig, models: ModelSet, cis_poses: list[PlatformPose]):
         self.config = config
@@ -229,28 +229,30 @@ class _ScenarioFusion:
         self.cis_ids = [cis_id(i) for i in range(config.cis_count)]
         # Both tiers predict over one scenario tick.
         dt = 1.0 / config.tick_rate
-        self.local = {
-            pid: LocalFusion(sensor_pipelines(config, kind, models), dt)
-            for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
-            for pid in ids
-        }
+        self.local = LocalFusion(
+            {
+                pid: sensor_pipelines(config, kind, models)
+                for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
+                for pid in ids
+            },
+            dt,
+        )
         self.rsu = GlobalFusion(dt)
         self.cis_pose_cov = config.cis_pose_var * np.eye(2)
 
     def process(
         self, t: float, loc_poses: dict[str, PlatformPose], frames: dict[str, LocalFrame]
     ) -> tuple[list[PlatformPacket], list[Track]]:
+        local_tracks = self.local.step(frames)
         packets = []
         for pid in self.cav_ids:
-            local_tracks = self.local[pid].step(frames[pid])
             pose = loc_poses[pid]
             pose_cov = localization_covariance(
                 pose, self.models.localizer_longitudinal, self.models.localizer_lateral
             )
-            packets.append(packetize(pid, t, pose, local_tracks, pose_cov))
+            packets.append(packetize(pid, t, pose, local_tracks[pid], pose_cov))
         for pid, pose in zip(self.cis_ids, self.cis_poses):
-            local_tracks = self.local[pid].step(frames[pid])
-            packets.append(packetize(pid, t, pose, local_tracks, self.cis_pose_cov))
+            packets.append(packetize(pid, t, pose, local_tracks[pid], self.cis_pose_cov))
         for packet in packets:
             self.rsu.ingest(packet)
         return packets, self.rsu.step(t)
@@ -538,6 +540,10 @@ def replay(log_path: str | Path, mode: str, out_path: str | Path | None = None) 
         ]
     except (KeyError, TypeError, ValueError) as exc:
         raise LogError(f"malformed meta record: {exc}") from exc
+    if len(cis_poses) != config.cis_count:
+        raise LogError(
+            f"meta record lists {len(cis_poses)} CIS poses for cis_count {config.cis_count}"
+        )
     if mode not in model_sets:
         raise ConfigError(f"unknown mode {mode!r}; log carries {sorted(model_sets)}")
     report = _fusion_pass(config, mode, model_sets[mode], cis_poses, groups)

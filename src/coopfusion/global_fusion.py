@@ -9,15 +9,20 @@ moving platforms are themselves tracked.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .association import AssociationConfig, Track, associate_frame
-from .error_models import GaussianEstimate, PlatformPose
+from .association import (
+    AssociationConfig,
+    ObservationBatch,
+    StaleFrameError,
+    Track,
+    associate_frame,
+)
+from .error_models import PlatformPose
 from .geometry import min_eig_2x2, rotation, symmetrized
 from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
 
@@ -199,14 +204,6 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
     return packet
 
 
-def packet_to_line(packet: PlatformPacket) -> str:
-    return json.dumps(packet_to_wire(packet))
-
-
-def packet_from_line(line: str) -> PlatformPacket:
-    return packet_from_wire(json.loads(line))
-
-
 class GlobalFusion:
     """RSU fusion state: a packet inbox plus the world-frame track list.
 
@@ -219,7 +216,7 @@ class GlobalFusion:
         self.association = AssociationConfig()
         self.noise = replace(PROCESS_NOISE, dt=dt)
         self.tracks: list[Track] = []
-        self._ids = itertools.count()
+        self._next_id = itertools.count().__next__
         self._inbox: dict[str, PlatformPacket] = {}
         self._lock = threading.Lock()
         self._current_time = -math.inf
@@ -252,34 +249,39 @@ class GlobalFusion:
             self._inbox[packet.platform_id] = packet
 
     def step(self, timestamp: float) -> list[Track]:
-        """Fuse everything queued for this tick; returns confirmed snapshots."""
-        if not math.isfinite(timestamp):
-            raise ValueError(f"fusion time must be finite, got {timestamp}")
+        """Fuse everything queued for this tick; returns confirmed snapshots.
+
+        ``timestamp`` must be finite and after the last fused tick, else
+        ``StaleFrameError`` is raised and nothing changes.
+        """
         with self._lock:
+            if not self._current_time < timestamp < math.inf:
+                raise StaleFrameError(
+                    f"fusion time {timestamp} is not a finite time after t={self._current_time}"
+                )
             self._current_time = timestamp
             packets = [self._inbox[pid] for pid in sorted(self._inbox)]
             self._inbox.clear()
 
-        by_platform: dict[str, list[GaussianEstimate]] = {}
+        # Each platform reports its tracks, then its own pose as one more
+        # observation.
+        means, covariances, sources, classes = [], [], [], []
         for packet in packets:
-            observations = [
-                GaussianEstimate(
-                    np.array(tr.mean),
-                    symmetrized(np.array(tr.covariance)),
-                    source=packet.platform_id,
-                    object_class=tr.object_class,
-                )
-                for tr in packet.tracks
-            ]
-            observations.append(
-                GaussianEstimate(
-                    packet.pose.position,
-                    symmetrized(np.array(packet.pose_covariance)),
-                    source=packet.platform_id,
-                    object_class="platform",
-                )
-            )
-            by_platform[packet.platform_id] = observations
+            for tr in packet.tracks:
+                means.append(tr.mean)
+                covariances.append(tr.covariance)
+                classes.append(tr.object_class)
+            means.append((packet.pose.x, packet.pose.y))
+            covariances.append(packet.pose_covariance)
+            classes.append("platform")
+            sources.extend([packet.platform_id] * (len(packet.tracks) + 1))
+        observations = ObservationBatch(
+            np.array(means, dtype=float).reshape(-1, 2),
+            symmetrized(np.array(covariances, dtype=float).reshape(-1, 2, 2)),
+            [0] * len(sources),
+            sources,
+            classes,
+        )
 
         for track, estimate in zip(
             self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
@@ -287,8 +289,8 @@ class GlobalFusion:
             track.estimate = estimate
 
         self.tracks = associate_frame(
-            self.tracks, by_platform, self.association, lambda: next(self._ids)
-        )
+            [self.tracks], observations, self.association, [self._next_id]
+        )[0]
         return self.confirmed_tracks()
 
     def confirmed_tracks(self) -> list[Track]:

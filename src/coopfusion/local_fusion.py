@@ -1,8 +1,11 @@
-"""Per-platform fusion: sensor frames in, confirmed platform-frame tracks out.
+"""Local fusion: every platform's sensor frames in, confirmed platform-frame tracks out.
 
-Every observation is first expanded into a Gaussian whose covariance comes
-from the pipeline's error models evaluated at the measured distance, then a
-predict / JPDA / multi-update cycle runs over the platform's track list.
+Each platform fuses only its own pipelines into its own track list, but one
+step runs every platform of a run as a batch.  All detections are expanded
+into Gaussians whose covariance comes from the pipeline's error models
+evaluated at the measured distance, then one predict / gate / update cycle
+runs over all platforms' tracks, with JPDA enumeration and the track
+lifecycle per platform.
 """
 
 from __future__ import annotations
@@ -10,9 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
-from .association import AssociationConfig, Track, associate_frame
-from .error_models import ErrorModel, PolarObservation, SensorPose, observation_estimate
+from .association import AssociationConfig, ObservationBatch, StaleFrameError, Track, associate_frame
+from .error_models import ErrorModel, PolarObservation, SensorPose, observation_estimates
 from .tracking import ProcessNoiseConfig, ctrv_predict
 
 # Process noise of this tier, tuned so track NEES stays near its dimension on
@@ -20,10 +24,6 @@ from .tracking import ProcessNoiseConfig, ctrv_predict
 # apparent maneuvers (the observer itself turns and brakes), so this tier
 # needs far more slack than a world-frame tier.
 PROCESS_NOISE = ProcessNoiseConfig(sigma_a=3.0, sigma_psi=0.1, sigma_psi_dot=3.0)
-
-
-class StaleFrameError(ValueError):
-    """Raised when a frame's time is not finite or not after the last processed one."""
 
 
 @dataclass(frozen=True)
@@ -46,52 +46,71 @@ class SensorPipelineConfig:
 
 @dataclass
 class LocalFrame:
-    """One synchronized tick of detections, keyed by pipeline name."""
+    """One synchronized tick of a platform's detections, keyed by pipeline name."""
 
     timestamp: float
     observations: dict[str, list[PolarObservation]] = field(default_factory=dict)
 
 
 class LocalFusion:
-    """Fusion instance owned by a single platform; each predict covers ``dt``."""
+    """The local tier of every platform of a run; each predict covers ``dt``.
 
-    def __init__(self, pipelines: list[SensorPipelineConfig], dt: float):
-        names = [p.name for p in pipelines]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate pipeline names: {names}")
-        self.pipelines = {p.name: p for p in pipelines}
+    ``platforms`` maps each platform id to its pipelines.  A platform keeps
+    its own track list (``platform_tracks``) and its own track ids.
+    """
+
+    def __init__(self, platforms: Mapping[str, Sequence[SensorPipelineConfig]], dt: float):
+        self.pipelines: dict[str, list[SensorPipelineConfig]] = {}
+        for pid, pipelines in platforms.items():
+            names = [p.name for p in pipelines]
+            if len(set(names)) != len(names):
+                raise ValueError(f"duplicate pipeline names on {pid}: {names}")
+            # Association runs source by source in name order.
+            self.pipelines[pid] = sorted(pipelines, key=lambda p: p.name)
         self.association = AssociationConfig()
         self.noise = replace(PROCESS_NOISE, dt=dt)
-        self.tracks: list[Track] = []
-        self._ids = itertools.count()
+        self.platform_tracks: dict[str, list[Track]] = {pid: [] for pid in self.pipelines}
+        self._next_ids = [itertools.count().__next__ for _ in self.pipelines]
         self._last_timestamp = -math.inf
 
-    def step(self, frame: LocalFrame) -> list[Track]:
-        """Process one frame; returns snapshots of the confirmed tracks."""
-        if not self._last_timestamp < frame.timestamp < math.inf:
+    @property
+    def tracks(self) -> list[Track]:
+        """Every platform's tracks, platform by platform."""
+        return [t for tracks in self.platform_tracks.values() for t in tracks]
+
+    def step(self, frames: Mapping[str, LocalFrame]) -> dict[str, list[Track]]:
+        """Fuse one frame per platform, all for one time; returns each
+        platform's confirmed track snapshots."""
+        times = {frames[pid].timestamp for pid in self.pipelines}
+        if len(times) > 1 or not all(self._last_timestamp < t < math.inf for t in times):
             raise StaleFrameError(
-                f"frame at t={frame.timestamp} is not a finite time after t={self._last_timestamp}"
+                f"frames at t={sorted(times)} are not one finite time after t={self._last_timestamp}"
             )
-        self._last_timestamp = frame.timestamp
+        self._last_timestamp = max(times, default=self._last_timestamp)
 
-        by_pipeline: dict[str, list] = {}
-        for name, pipeline in self.pipelines.items():
-            by_pipeline[name] = [
-                observation_estimate(
-                    obs, pipeline.pose, pipeline.distal_model, pipeline.perp_model, source=name
-                )
-                for obs in frame.observations.get(name, [])
-            ]
+        detections, groups, sources, classes = [], [], [], []
+        for g, (pid, pipelines) in enumerate(self.pipelines.items()):
+            observations = frames[pid].observations
+            for p in pipelines:
+                for obs in observations.get(p.name, ()):
+                    detections.append((obs, p.pose, p.distal_model, p.perp_model))
+                    groups.append(g)
+                    sources.append(p.name)
+                    classes.append(obs.object_class)
+        means, covariances = observation_estimates(detections)
 
-        for track, estimate in zip(
-            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
-        ):
+        tracks = self.tracks
+        for track, estimate in zip(tracks, ctrv_predict([t.estimate for t in tracks], self.noise)):
             track.estimate = estimate
 
-        self.tracks = associate_frame(
-            self.tracks, by_pipeline, self.association, lambda: next(self._ids)
+        updated = associate_frame(
+            list(self.platform_tracks.values()),
+            ObservationBatch(means, covariances, groups, sources, classes),
+            self.association,
+            self._next_ids,
         )
-        return self.confirmed_tracks()
-
-    def confirmed_tracks(self) -> list[Track]:
-        return [t.snapshot() for t in self.tracks if t.confirmed]
+        self.platform_tracks = dict(zip(self.pipelines, updated))
+        return {
+            pid: [t.snapshot() for t in tracks if t.confirmed]
+            for pid, tracks in self.platform_tracks.items()
+        }

@@ -2,16 +2,43 @@
 
 Everything here is deliberately brute force and shares no code with the
 package internals, except that the per-track filter references take the
-package's process noise matrix and its angle wrap and symmetrize helpers.
+package's process noise matrix and its angle wrap and symmetrize helpers,
+and the per-platform local tier reuses the package's filter, enumeration
+and merge steps (each checked against its own reference elsewhere) around
+scalar gating.
 """
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from coopfusion.association import (
+    SPAWN_GATE_FACTOR,
+    AssociationConfig,
+    Track,
+    _clusters,
+    _enumerate_cluster,
+    _merge_coincident,
+    new_track_estimate,
+)
+from coopfusion.error_models import (
+    PREDICTOR_DISTANCE,
+    GaussianEstimate,
+    ModelError,
+    eval_error_model,
+    sensor_to_platform,
+)
 from coopfusion.geometry import symmetrized, wrap_angle
-from coopfusion.tracking import YAW_RATE_EPS, TrackEstimate, process_noise_matrix
+from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
+from coopfusion.tracking import (
+    YAW_RATE_EPS,
+    TrackEstimate,
+    ctrv_predict,
+    multi_update,
+    process_noise_matrix,
+)
 
 
 def jpda_oracle(tracks, observations, cfg):
@@ -213,3 +240,136 @@ def assignment_oracle(observations, truth, max_dist):
         if best[0] == k and k > 0:
             break
     return sorted(best[2])
+
+
+def observation_estimate(obs, pose, distal, perp, source=""):
+    """Platform-frame Gaussian for one detection, one 2x2 product at a time.
+
+    The per-detection expansion the batched ``observation_estimates`` must
+    reproduce bit for bit.
+    """
+    if distal.predictor != PREDICTOR_DISTANCE or perp.predictor != PREDICTOR_DISTANCE:
+        raise ModelError("observation models must use the distance predictor")
+    position, phi_obs = sensor_to_platform(obs, pose)
+    sigma_distal = eval_error_model(distal, obs.distance_obs)
+    sigma_perp = eval_error_model(perp, obs.distance_obs)
+    c = math.cos(phi_obs)
+    s = math.sin(phi_obs)
+    rot = np.array([[c, -s], [s, c]])
+    cov = symmetrized(rot @ np.diag([sigma_distal * sigma_distal, sigma_perp * sigma_perp]) @ rot.T)
+    return GaussianEstimate(np.array(position), cov, source=source, object_class=obs.object_class)
+
+
+def associate_frame_reference(tracks, observations_by_source, cfg, next_id, events=None):
+    """One platform's association frame, source by source, gated one pair at a
+    time by ``pair_stats_reference``.
+
+    The per-platform loop the batched ``associate_frame`` must reproduce for
+    every group.  ``events``, when given, is a dict whose "spawned",
+    "merged" and "deleted" counts this frame adds to.
+    """
+    accepted = [[] for _ in tracks]
+    unassociated = []
+    for source in sorted(observations_by_source):
+        observations = list(observations_by_source[source])
+        dist2, density = pair_stats_reference(tracks, observations)
+        feasible = dist2 <= cfg.gate_threshold
+        gated = {}
+        for i in range(len(tracks)):
+            for j in range(len(observations)):
+                if feasible[i, j]:
+                    gated.setdefault(i, []).append((j, float(density[i, j])))
+        weights = np.zeros((len(tracks), len(observations)))
+        for track_ids, obs_ids in _clusters(gated):
+            for i, marginals in _enumerate_cluster(track_ids, obs_ids, gated, cfg).items():
+                for j, probability in marginals.items():
+                    if j >= 0:
+                        weights[i, j] = probability
+        for i, j in zip(*np.nonzero(weights > cfg.weight_floor)):
+            obs = observations[j]
+            accepted[i].append(
+                GaussianEstimate(obs.mean, obs.covariance / weights[i, j], source=obs.source)
+            )
+        unassociated.extend(
+            obs for j, obs in enumerate(observations) if not feasible[:, j].any()
+        )
+
+    updated = multi_update([t.estimate for t in tracks], accepted)
+    for track, estimate, zs in zip(tracks, updated, accepted):
+        track.estimate = estimate
+        if zs:
+            track.frames_seen += 1
+            track.frames_missed = 0
+            track.sources.update(z.source for z in zs)
+        else:
+            track.frames_missed += 1
+        if track.frames_seen >= cfg.confirm_threshold:
+            track.confirmed = True
+    survivors = [
+        t
+        for t in tracks
+        if t.frames_missed < cfg.delete_threshold
+        and np.trace(t.estimate.covariance[:2, :2]) <= cfg.max_position_variance
+    ]
+    merged = _merge_coincident(survivors, cfg.gate_threshold)
+
+    spawned = []
+    for obs in unassociated:
+        candidates = merged + spawned
+        dist2, _ = pair_stats_reference(candidates, [obs])
+        if (dist2[:, 0] <= SPAWN_GATE_FACTOR * cfg.gate_threshold).any():
+            continue
+        spawned.append(
+            Track(
+                id=next_id(),
+                estimate=new_track_estimate(obs),
+                confirmed=cfg.confirm_threshold <= 1,
+                object_class=obs.object_class,
+                sources={obs.source} if obs.source else set(),
+            )
+        )
+    if events is not None:
+        events["deleted"] += len(tracks) - len(survivors)
+        events["merged"] += len(survivors) - len(merged)
+        events["spawned"] += len(spawned)
+    return merged + spawned
+
+
+class PlatformFusionReference:
+    """One platform's local tier, stepped on its own as before the batch.
+
+    Detections expand one at a time (``observation_estimate``), the
+    platform's tracks predict alone and associate by
+    ``associate_frame_reference``.
+    """
+
+    def __init__(self, pipelines, dt):
+        self.pipelines = {p.name: p for p in pipelines}
+        self.association = AssociationConfig()
+        self.noise = replace(PROCESS_NOISE, dt=dt)
+        self.tracks = []
+        self._ids = itertools.count()
+        self._last_timestamp = -math.inf
+        self.events = {"spawned": 0, "merged": 0, "deleted": 0}
+
+    def step(self, frame):
+        if not self._last_timestamp < frame.timestamp < math.inf:
+            raise StaleFrameError(f"frame at t={frame.timestamp} is stale")
+        self._last_timestamp = frame.timestamp
+        by_pipeline = {
+            name: [
+                observation_estimate(
+                    obs, pipeline.pose, pipeline.distal_model, pipeline.perp_model, source=name
+                )
+                for obs in frame.observations.get(name, [])
+            ]
+            for name, pipeline in self.pipelines.items()
+        }
+        for track, estimate in zip(
+            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
+        ):
+            track.estimate = estimate
+        self.tracks = associate_frame_reference(
+            self.tracks, by_pipeline, self.association, lambda: next(self._ids), self.events
+        )
+        return [t.snapshot() for t in self.tracks if t.confirmed]

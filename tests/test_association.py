@@ -7,6 +7,7 @@ from oracles import jpda_enumeration, jpda_oracle, pair_stats_reference
 from coopfusion.association import (
     AssociationConfig,
     CombinatorialOverflowError,
+    ObservationBatch,
     Track,
     associate_frame,
     gate,
@@ -24,6 +25,19 @@ def make_track(tid, x, y, pos_var=1.0):
 
 def make_obs(x, y, var=1.0, source=""):
     return GaussianEstimate(np.array([x, y]), var * np.eye(2), source=source)
+
+
+def associate(tracks, observations_by_source, cfg, next_id):
+    """``associate_frame`` over one group whose observations come by source."""
+    keyed = [(key, obs) for key in sorted(observations_by_source) for obs in observations_by_source[key]]
+    batch = ObservationBatch(
+        np.array([obs.mean for _, obs in keyed]).reshape(-1, 2),
+        np.array([obs.covariance for _, obs in keyed]).reshape(-1, 2, 2),
+        [0] * len(keyed),
+        [key for key, _ in keyed],
+        [obs.object_class for _, obs in keyed],
+    )
+    return associate_frame([tracks], batch, cfg, [next_id])[0]
 
 
 class TestGate:
@@ -242,7 +256,7 @@ class TestApplyAssociation:
         tracks = [make_track(0, 0, 0)]
         counter = iter(range(100, 200))
         for _ in range(3):
-            tracks = associate_frame(tracks, {"s": []}, cfg, lambda: next(counter))
+            tracks = associate(tracks, {"s": []}, cfg, lambda: next(counter))
         assert tracks == []
 
     def test_far_observation_spawns_single_track(self):
@@ -250,7 +264,7 @@ class TestApplyAssociation:
         tracks = [make_track(0, 0, 0)]
         obs = [make_obs(50, 50, var=0.1)]
         counter = iter([7])
-        updated = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
+        updated = associate(tracks, {"s": obs}, cfg, lambda: next(counter))
         new = [t for t in updated if t.id == 7]
         assert len(new) == 1
         assert new[0].frames_seen == 1 and not new[0].confirmed
@@ -262,7 +276,7 @@ class TestApplyAssociation:
         counter = iter(range(10, 20))
         for _ in range(2):
             obs = [make_obs(0.05, 0.0, var=0.2)]
-            tracks = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
+            tracks = associate(tracks, {"s": obs}, cfg, lambda: next(counter))
         assert tracks[0].frames_seen >= 3 and tracks[0].confirmed
 
     def test_coincident_duplicates_merge(self):
@@ -272,7 +286,7 @@ class TestApplyAssociation:
         b = make_track(1, 0.01, 0.0, pos_var=0.01)
         tracks = [a, b]
         obs = [make_obs(0.0, 0.0, var=0.05, source="s")]
-        updated = associate_frame(tracks, {"s": obs}, cfg, lambda: 99)
+        updated = associate(tracks, {"s": obs}, cfg, lambda: 99)
         assert [t.id for t in updated] == [0]
 
     def test_merge_is_not_transitive(self):
@@ -282,7 +296,7 @@ class TestApplyAssociation:
         tracks = [make_track(0, 0, 0, 0.01), make_track(1, 0.3, 0, 0.01), make_track(2, 0.6, 0, 0.01)]
         for track, seen in zip(tracks, (5, 3, 1)):
             track.frames_seen = seen
-        updated = associate_frame(tracks, {"s": []}, cfg, lambda: 99)
+        updated = associate(tracks, {"s": []}, cfg, lambda: 99)
         assert [t.id for t in updated] == [0, 2]
         assert updated[0].frames_seen == 5
 
@@ -292,7 +306,7 @@ class TestApplyAssociation:
         def survivors(cfg):
             tracks = [make_track(0, 0, 0, 0.01), make_track(1, 0.5, 0, 0.01)]
             tracks[0].frames_seen = 5
-            return [t.id for t in associate_frame(tracks, {"s": []}, cfg, lambda: 99)]
+            return [t.id for t in associate(tracks, {"s": []}, cfg, lambda: 99)]
 
         assert survivors(AssociationConfig()) == [0, 1]
         assert survivors(AssociationConfig(gate_threshold=16.0)) == [0]
@@ -300,7 +314,7 @@ class TestApplyAssociation:
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)
         track = make_track(0, 0, 0, pos_var=1.0)
-        updated = associate_frame([track], {"s": []}, cfg, lambda: 1)
+        updated = associate([track], {"s": []}, cfg, lambda: 1)
         assert updated == []
 
     def test_deterministic_given_identical_input(self):
@@ -311,7 +325,7 @@ class TestApplyAssociation:
             obs = [make_obs(0.1, 0.1, 0.3, "a"), make_obs(1.9, -0.1, 0.3, "b"), make_obs(9, 9)]
             counter = iter(range(5, 50))
             for _ in range(3):
-                tracks = associate_frame(tracks, {"s": obs}, cfg, lambda: next(counter))
+                tracks = associate(tracks, {"s": obs}, cfg, lambda: next(counter))
             return [(t.id, t.frames_seen, tuple(t.estimate.mean)) for t in tracks]
 
         assert run() == run()
@@ -325,7 +339,7 @@ class TestAssociateFrame:
             "camera": [make_obs(0.1, 0.0, 0.2, "camera")],
             "lidar": [make_obs(-0.1, 0.0, 0.2, "lidar")],
         }
-        updated = associate_frame([track], per_source, cfg, lambda: 50)
+        updated = associate([track], per_source, cfg, lambda: 50)
         assert updated[0].sources == {"camera", "lidar"}
 
     def test_second_source_adds_information(self):
@@ -333,7 +347,7 @@ class TestAssociateFrame:
 
         def run(sources):
             track = make_track(0, 0, 0, pos_var=0.5)
-            return associate_frame([track], sources, cfg, lambda: 50)[0]
+            return associate([track], sources, cfg, lambda: 50)[0]
 
         one = run({"camera": [make_obs(0.05, 0.0, 0.2, "camera")]})
         both = run(
@@ -349,7 +363,7 @@ class TestAssociateFrame:
     def test_empty_track_list_spawns(self):
         counter = iter(range(3, 10))
         observations = [make_obs(0, 0, 0.05, "s"), make_obs(10, 0, 0.05, "s")]
-        updated = associate_frame([], {"s": observations}, AssociationConfig(), lambda: next(counter))
+        updated = associate([], {"s": observations}, AssociationConfig(), lambda: next(counter))
         assert [t.id for t in updated] == [3, 4]
         assert [tuple(t.estimate.mean[:2]) for t in updated] == [(0.0, 0.0), (10.0, 0.0)]
 
@@ -360,7 +374,7 @@ class TestAssociateFrame:
             "lidar": [make_obs(5.05, 5.0, 0.05, "lidar")],
         }
         counter = iter(range(100))
-        updated = associate_frame([], per_source, cfg, lambda: next(counter))
+        updated = associate([], per_source, cfg, lambda: next(counter))
         assert len(updated) == 1
 
 

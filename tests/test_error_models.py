@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from coopfusion.error_models import (
@@ -17,7 +18,7 @@ from coopfusion.error_models import (
     eval_error_model,
     load_model_set,
     localization_covariance,
-    observation_estimate,
+    observation_estimates,
     rotated_covariance,
     save_model_set,
     sensor_to_platform,
@@ -130,6 +131,19 @@ class TestRotatedCovariance:
                 oracle_rotated(sa, sb, angle), abs=1e-12
             )
 
+    def test_equals_single_2x2_product_bit_for_bit(self):
+        # The stacked product gives each matrix the bits of R diag R^T alone.
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            sa, sb = rng.uniform(1e-6, 2.0, size=2)
+            angle = rng.uniform(-7, 7)
+            c, s = math.cos(angle), math.sin(angle)
+            rot = np.array([[c, -s], [s, c]])
+            single = rot @ np.diag([sa * sa, sb * sb]) @ rot.T
+            np.testing.assert_array_equal(
+                rotated_covariance(sa, sb, angle), 0.5 * (single + single.T)
+            )
+
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -157,36 +171,64 @@ class TestRotatedCovariance:
             rotated_covariance(1.0, -0.5, 0.0)
 
 
+def observation_estimate(obs, pose, distal, perp):
+    """One detection through the batch expansion: (mean, covariance)."""
+    means, covariances = observation_estimates([(obs, pose, distal, perp)])
+    return means[0], covariances[0]
+
+
 class TestObservationEstimate:
     def test_camera_models_straight_ahead(self):
-        est = observation_estimate(
+        mean, cov = observation_estimate(
             PolarObservation(1.0, 0.0), SensorPose(), CAMERA_DISTAL, CAMERA_PERP
         )
-        assert est.mean == pytest.approx([1.0, 0.0])
-        assert est.covariance == pytest.approx(np.diag([0.0643**2, 0.0347**2]), abs=1e-12)
+        assert mean == pytest.approx([1.0, 0.0])
+        assert cov == pytest.approx(np.diag([0.0643**2, 0.0347**2]), abs=1e-12)
 
     def test_fixed_models_ignore_distance(self):
         fixed_perp = ErrorModel((0.0401,))
-        est_near = observation_estimate(
+        _, cov_near = observation_estimate(
             PolarObservation(0.5, 0.2), SensorPose(), FIXED_DISTAL, fixed_perp
         )
-        est_far = observation_estimate(
+        _, cov_far = observation_estimate(
             PolarObservation(2.5, 0.2), SensorPose(), FIXED_DISTAL, fixed_perp
         )
-        assert est_near.covariance == pytest.approx(est_far.covariance, abs=1e-12)
+        assert cov_near == pytest.approx(cov_far, abs=1e-12)
 
     def test_parameterized_trace_grows_with_distance(self):
-        est_near = observation_estimate(
+        _, cov_near = observation_estimate(
             PolarObservation(0.5, 0.1), SensorPose(), CAMERA_DISTAL, CAMERA_PERP
         )
-        est_far = observation_estimate(
+        _, cov_far = observation_estimate(
             PolarObservation(2.5, 0.1), SensorPose(), CAMERA_DISTAL, CAMERA_PERP
         )
-        assert np.trace(est_far.covariance) > np.trace(est_near.covariance)
+        assert np.trace(cov_far) > np.trace(cov_near)
 
     def test_requires_distance_predictor(self):
         with pytest.raises(ModelError):
             observation_estimate(PolarObservation(1.0, 0.0), SensorPose(), LOC_LON, CAMERA_PERP)
+
+    def test_batch_matches_per_detection_reference_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        models = [CAMERA_DISTAL, CAMERA_PERP, FIXED_DISTAL, ErrorModel((-0.5, 0.01))]
+        for size in (0, 1, 2, 7, 40):
+            detections = [
+                (
+                    PolarObservation(
+                        float(rng.choice([0.0, rng.uniform(0.0, 9.0)])), rng.uniform(-7, 7)
+                    ),
+                    SensorPose(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-4, 4)),
+                    models[rng.integers(len(models))],
+                    models[rng.integers(len(models))],
+                )
+                for _ in range(size)
+            ]
+            means, covariances = observation_estimates(detections)
+            assert means.shape == (size, 2) and covariances.shape == (size, 2, 2)
+            for k, detection in enumerate(detections):
+                reference = oracles.observation_estimate(*detection)
+                np.testing.assert_array_equal(means[k], reference.mean)
+                np.testing.assert_array_equal(covariances[k], reference.covariance)
 
 
 class TestLocalizationCovariance:

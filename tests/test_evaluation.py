@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coopfusion import cli, global_fusion, local_fusion
+from coopfusion import cli, error_models, global_fusion, local_fusion
+from coopfusion.association import Track
 from coopfusion.calibration import LabeledSample, write_samples_csv
 from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS
 from coopfusion.evaluation import (
@@ -114,12 +115,52 @@ class TestTimeStep:
     def test_both_tiers_predict_over_the_scenario_tick(self):
         config = tiny("lg/de/CIS", tick_rate=4.0)
         fusion = _ScenarioFusion(config, DEFAULT_PARAMETERIZED_MODELS, cis_poses(config))
-        assert len(fusion.local) == 6
-        assert all(local.noise.dt == 0.25 for local in fusion.local.values())
+        assert len(fusion.local.pipelines) == 6
+        assert fusion.local.noise.dt == 0.25
         assert fusion.rsu.noise.dt == 0.25
-        local_noise = replace(local_fusion.PROCESS_NOISE, dt=0.25)
-        assert all(local.noise == local_noise for local in fusion.local.values())
+        assert fusion.local.noise == replace(local_fusion.PROCESS_NOISE, dt=0.25)
         assert fusion.rsu.noise == replace(global_fusion.PROCESS_NOISE, dt=0.25)
+
+
+class TestTickAnchors:
+    """What timing a tick from outside relies on: it starts at the local
+    tier's step and ends when the RSU's step returns."""
+
+    def test_one_local_then_one_global_step_per_tick(self, monkeypatch):
+        calls = []
+        inside_local = []
+        local_step = local_fusion.LocalFusion.step
+        global_step = global_fusion.GlobalFusion.step
+        expand = error_models.observation_estimates
+
+        def traced_local_step(fusion, frames):
+            assert all(isinstance(track, Track) for track in fusion.tracks)
+            inside_local.append(True)
+            try:
+                result = local_step(fusion, frames)
+            finally:
+                inside_local.pop()
+            assert all(isinstance(track, Track) for track in fusion.tracks)
+            calls.append("local")
+            return result
+
+        def traced_global_step(fusion, timestamp):
+            calls.append("global")
+            return global_step(fusion, timestamp)
+
+        def traced_expand(detections):
+            # Tier work outside the local step would leave the timed window.
+            assert inside_local, "detections expanded outside LocalFusion.step"
+            calls.append("expand")
+            return expand(detections)
+
+        monkeypatch.setattr(local_fusion.LocalFusion, "step", traced_local_step)
+        monkeypatch.setattr(global_fusion.GlobalFusion, "step", traced_global_step)
+        monkeypatch.setattr(error_models, "observation_estimates", traced_expand)
+        monkeypatch.setattr(local_fusion, "observation_estimates", traced_expand)
+        report = run_scenario(tiny("lg/de/CIS", duration=2.0), "parameterized")
+        assert len(report.per_tick) == 16
+        assert calls == ["expand", "local", "global"] * 16
 
 
 class TestDeterminismAndReplay:
@@ -184,6 +225,18 @@ class TestDeterminismAndReplay:
         bad = tmp_path / "bad.ndjson"
         bad.write_text("\n".join([json.dumps(meta)] + lines[1:]))
         with pytest.raises(LogError, match=key):
+            replay(bad, "parameterized")
+
+    @pytest.mark.parametrize("cis", [[], [{"id": "cis0", "x": 0, "y": 4, "theta": 0}] * 2])
+    def test_cis_list_must_match_cis_count(self, tmp_path, cis):
+        run_scenario(tiny("lg/sp/CIS", duration=3.0), "parameterized", out_dir=tmp_path)
+        lines = (tmp_path / "log.ndjson").read_text().splitlines()
+        meta = json.loads(lines[0])
+        assert len(meta["cis"]) == meta["config"]["cis_count"] == 1
+        meta["cis"] = cis
+        bad = tmp_path / "bad.ndjson"
+        bad.write_text("\n".join([json.dumps(meta)] + lines[1:]))
+        with pytest.raises(LogError, match="CIS"):
             replay(bad, "parameterized")
 
     def test_report_json_round_trip(self, tmp_path):
@@ -413,6 +466,19 @@ class TestCli:
         argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
         assert cli.main(argv) == 2
         assert f"tick 0: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_with_short_cis_list_exits_2_without_report(self, tmp_path, capsys):
+        run_scenario(tiny("lg/sp/CIS", duration=3.0), "parameterized", out_dir=tmp_path / "run")
+        lines = (tmp_path / "run" / "log.ndjson").read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["cis"] = []
+        log = tmp_path / "bad.ndjson"
+        log.write_text("\n".join([json.dumps(meta)] + lines[1:]))
+        out = tmp_path / "replay.json"
+        argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "0 CIS poses for cis_count 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_object_log_line_exits_2(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coopfusion.association import Track
+from coopfusion.association import StaleFrameError, Track
 from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     PlatformPose,
@@ -17,8 +17,7 @@ from coopfusion.global_fusion import (
     PacketTrack,
     covariance_to_world,
     covariance_union,
-    packet_from_line,
-    packet_to_line,
+    packet_from_wire,
     packet_to_wire,
     packetize,
     track_to_world,
@@ -181,7 +180,7 @@ class TestWireFormat:
         packet = cav_packet(
             "cav1", 0.375, PlatformPose(-1, 0.5, 2.0, 0.25), [local_track(9, 1.5, -0.25)]
         )
-        again = packet_from_line(packet_to_line(packet))
+        again = packet_from_wire(json.loads(json.dumps(packet_to_wire(packet))))
         assert again == packet
 
     def test_nonfinite_rejected(self):
@@ -192,7 +191,7 @@ class TestWireFormat:
         bad_t["t"] = float("nan")
         for wire in (bad_x, bad_t):
             with pytest.raises(PacketError):
-                packet_from_line(json.dumps(wire))
+                packet_from_wire(json.loads(json.dumps(wire)))
 
     @pytest.mark.parametrize("field", ["cov", "pose_cov"])
     @pytest.mark.parametrize(
@@ -218,11 +217,11 @@ class TestWireFormat:
         else:
             wire["pose_cov"] = matrix
         with pytest.raises(PacketError):
-            packet_from_line(json.dumps(wire))
+            packet_from_wire(json.loads(json.dumps(wire)))
 
     def test_malformed_rejected(self):
         with pytest.raises(PacketError):
-            packet_from_line('{"platform_id": "x", "t": 0}')
+            packet_from_wire(json.loads('{"platform_id": "x", "t": 0}'))
 
 
 class TestGlobalFusion:
@@ -337,6 +336,24 @@ class TestGlobalFusion:
         assert fusion.late_packets == 1
         fusion.step(10.25)
         assert [track.sources for track in fusion.tracks] == [{"cav0"}]
+
+    @pytest.mark.parametrize("timestamp", [5.0, 10.0])
+    def test_backwards_or_repeated_step_rejected(self, timestamp):
+        fusion = GlobalFusion(DT)
+        fusion.ingest(pose_packet("cav0", 10.0, PlatformPose(0, 0, 0, 0)))
+        fusion.step(10.0)
+        held = [track.estimate.copy() for track in fusion.tracks]
+        fusion.ingest(pose_packet("cav0", 10.125, PlatformPose(0.01, 0, 0, 0)))
+        with pytest.raises(StaleFrameError):
+            fusion.step(timestamp)
+        # nothing moved: the late-packet window, the inbox and the tracks
+        fusion.ingest(pose_packet("cav1", 4.9, PlatformPose(3, 3, 0, 0)))
+        assert fusion.late_packets == 1
+        for track, estimate in zip(fusion.tracks, held):
+            np.testing.assert_array_equal(track.estimate.mean, estimate.mean)
+        fusion.step(10.125)
+        assert [track.sources for track in fusion.tracks] == [{"cav0"}]
+        assert fusion.tracks[0].frames_seen == 2
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_non_finite_step_rejected(self, timestamp):

@@ -1,16 +1,28 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from oracles import PlatformFusionReference, pair_stats_reference
 
+from coopfusion.association import (
+    AssociationConfig,
+    Track,
+    _block_pairs,
+    _gate_blocks,
+    _pair_stats,
+    _track_blocks,
+)
 from coopfusion.error_models import (
     DEFAULT_FIXED_MODELS,
     DEFAULT_PARAMETERIZED_MODELS,
     ErrorModel,
+    GaussianEstimate,
     PolarObservation,
     SensorPose,
 )
 from coopfusion.local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
+from coopfusion.tracking import TrackEstimate
 
 DT = 0.125
 
@@ -44,16 +56,30 @@ def frames_of(detections_by_tick):
     ]
 
 
+class OnePlatform:
+    """A local tier holding one platform, stepped one frame at a time."""
+
+    def __init__(self, pipelines):
+        self.fusion = LocalFusion({"p": pipelines}, DT)
+
+    @property
+    def tracks(self):
+        return self.fusion.platform_tracks["p"]
+
+    def step(self, frame):
+        return self.fusion.step({"p": frame})["p"]
+
+
 class TestStep:
     def test_empty_frame_increments_misses(self):
-        fusion = LocalFusion([CAMERA, LIDAR], DT)
+        fusion = OnePlatform([CAMERA, LIDAR])
         fusion.step(LocalFrame(0.0, {"camera": [polar(1.0)], "lidar": [polar(1.0)]}))
         assert fusion.tracks[0].frames_missed == 0
         fusion.step(LocalFrame(0.125, {}))
         assert fusion.tracks[0].frames_missed == 1
 
     def test_stale_frame_rejected(self):
-        fusion = LocalFusion([CAMERA], DT)
+        fusion = OnePlatform([CAMERA])
         fusion.step(LocalFrame(1.0, {}))
         with pytest.raises(StaleFrameError):
             fusion.step(LocalFrame(1.0, {}))
@@ -62,7 +88,7 @@ class TestStep:
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf])
     def test_non_finite_frame_rejected(self, timestamp):
-        fusion = LocalFusion([CAMERA], DT)
+        fusion = OnePlatform([CAMERA])
         fusion.step(LocalFrame(1.0, {}))
         with pytest.raises(StaleFrameError):
             fusion.step(LocalFrame(timestamp, {}))
@@ -71,7 +97,7 @@ class TestStep:
             fusion.step(LocalFrame(0.0, {}))
 
     def test_stationary_object_confirmed_once(self):
-        fusion = LocalFusion([CAMERA, LIDAR], DT)
+        fusion = OnePlatform([CAMERA, LIDAR])
         confirmed = []
         for frame in frames_of(
             [{"camera": [polar(1.0)], "lidar": [polar(1.0, 0.01)]} for _ in range(20)]
@@ -83,7 +109,7 @@ class TestStep:
 
     def test_two_pipelines_tighter_than_either_alone(self):
         def run(mask):
-            fusion = LocalFusion([CAMERA, LIDAR], DT)
+            fusion = OnePlatform([CAMERA, LIDAR])
             confirmed = []
             for frame in frames_of(
                 [
@@ -102,7 +128,7 @@ class TestStep:
     def test_lidar_only_object_still_tracked(self):
         # bearing outside the camera field of view: the frame simply has no
         # camera detection, and the track forms from the lidar stream alone
-        fusion = LocalFusion([CAMERA, LIDAR], DT)
+        fusion = OnePlatform([CAMERA, LIDAR])
         confirmed = []
         for frame in frames_of(
             [{"camera": [], "lidar": [polar(1.5, math.radians(100))]} for _ in range(10)]
@@ -111,8 +137,13 @@ class TestStep:
         assert len(confirmed) == 1
         assert confirmed[0].sources == {"lidar"}
 
+    def test_no_platforms_steps_nothing(self):
+        fusion = LocalFusion({}, DT)
+        assert fusion.step({}) == {} and fusion.step({}) == {}
+        assert fusion.tracks == []
+
     def test_unknown_pipeline_names_ignored(self):
-        fusion = LocalFusion([CAMERA], DT)
+        fusion = OnePlatform([CAMERA])
         fusion.step(LocalFrame(0.0, {"radar": [polar(1.0)]}))
         assert fusion.tracks == []
 
@@ -120,9 +151,6 @@ class TestStep:
 class TestModelModes:
     def run_reduction(self, distal, perp, distance):
         """Covariance-trace reduction from one update on an identical prior."""
-        from coopfusion.association import Track
-        from coopfusion.tracking import TrackEstimate
-
         camera = SensorPipelineConfig(
             name="camera",
             pose=SensorPose(),
@@ -131,10 +159,10 @@ class TestModelModes:
             distal_model=distal,
             perp_model=perp,
         )
-        fusion = LocalFusion([camera], DT)
+        fusion = OnePlatform([camera])
         prior = np.diag([0.04, 0.04, 1.0, math.pi**2, 1.0])
         state = np.array([distance, 0, 0, 0, 0], dtype=float)
-        fusion.tracks = [Track(id=0, estimate=TrackEstimate(state, prior))]
+        fusion.tracks.append(Track(id=0, estimate=TrackEstimate(state, prior)))
         before = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))
         fusion.step(LocalFrame(0.125, {"camera": [polar(distance)]}))
         after = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))
@@ -156,7 +184,7 @@ class TestModelModes:
 class TestConfigValidation:
     def test_duplicate_pipeline_names_rejected(self):
         with pytest.raises(ValueError):
-            LocalFusion([CAMERA, CAMERA], DT)
+            LocalFusion({"p": [CAMERA, CAMERA]}, DT)
 
     def test_bad_fov_rejected(self):
         with pytest.raises(ValueError):
@@ -170,8 +198,219 @@ class TestConfigValidation:
             )
 
     def test_confirmed_snapshot_is_detached(self):
-        fusion = LocalFusion([CAMERA], DT)
+        fusion = OnePlatform([CAMERA])
         for frame in frames_of([{"camera": [polar(1.0)]}] * 3):
             confirmed = fusion.step(frame)
         confirmed[0].estimate.covariance[0, 0] = 123.0
         assert fusion.tracks[0].estimate.covariance[0, 0] != 123.0
+
+
+# --- the batch against the per-platform reference --------------------------
+
+SHIFTED_CAMERA = SensorPipelineConfig(
+    name="camera",
+    pose=SensorPose(0.2, -0.1, 0.7),
+    fov=math.radians(120),
+    max_range=6.0,
+    distal_model=DEFAULT_FIXED_MODELS.camera_distal,
+    perp_model=DEFAULT_FIXED_MODELS.camera_perpendicular,
+)
+
+PLATFORMS = {
+    "cav0": [LIDAR, CAMERA],
+    "cav1": [CAMERA, LIDAR],
+    "idle": [CAMERA, LIDAR],  # never sees anything: no tracks, no detections
+    "late": [LIDAR],  # sees nothing before tick 6, then spawns from no tracks
+    "cis0": [SHIFTED_CAMERA],  # a CIS with a camera only
+}
+
+
+def random_frames(seed, n_ticks):
+    """Per tick, each platform's frame: a few moving objects seen through each
+    pipeline's field of view with misses and noise, plus clutter; ``cav1``
+    goes blind for ticks 8-14, so its tracks miss until deleted.  Each
+    platform also sees a close pair of objects, whose observations fall in
+    both tracks' gates and split their weights."""
+    rng = np.random.default_rng(seed)
+    objects = {}
+    for pid in PLATFORMS:
+        objects[pid] = [
+            (rng.uniform(-4, 4, 2), rng.uniform(-0.4, 0.4, 2)) for _ in range(rng.integers(1, 4))
+        ]
+        start, velocity = rng.uniform(0.5, 3, 2), rng.uniform(-0.2, 0.2, 2)
+        objects[pid] += [(start, velocity), (start + rng.uniform(0.1, 0.25, 2), velocity)]
+    ticks = []
+    for k in range(n_ticks):
+        frames = {}
+        for pid, pipelines in PLATFORMS.items():
+            observations = {}
+            blind = pid == "idle" or (pid == "late" and k < 6) or (pid == "cav1" and 8 <= k <= 14)
+            for pipeline in pipelines:
+                detections = []
+                if not blind:
+                    for start, velocity in objects[pid]:
+                        rel = start + k * DT * velocity - [pipeline.pose.x_sensor, pipeline.pose.y_sensor]
+                        d = float(np.hypot(*rel))
+                        theta = math.atan2(rel[1], rel[0]) - pipeline.pose.theta_sensor
+                        theta = math.remainder(theta, 2 * math.pi)
+                        if d > pipeline.max_range or abs(theta) > pipeline.fov / 2 or rng.random() < 0.15:
+                            continue
+                        detections.append(
+                            PolarObservation(max(d + rng.normal(0, 0.03), 0.0), theta + rng.normal(0, 0.01))
+                        )
+                    for _ in range(rng.poisson(0.4)):
+                        detections.append(PolarObservation(rng.uniform(0, 5), rng.uniform(-1, 1)))
+                    rng.shuffle(detections)
+                observations[pipeline.name] = detections
+            frames[pid] = LocalFrame(k * DT, observations)
+        ticks.append(frames)
+    return ticks
+
+
+def assert_same_tracks(batch, reference):
+    assert [t.id for t in batch] == [t.id for t in reference]
+    for a, b in zip(batch, reference):
+        np.testing.assert_array_equal(a.estimate.mean, b.estimate.mean)
+        np.testing.assert_array_equal(a.estimate.covariance, b.estimate.covariance)
+        assert (a.frames_seen, a.frames_missed, a.confirmed, a.sources, a.object_class) == (
+            b.frames_seen,
+            b.frames_missed,
+            b.confirmed,
+            b.sources,
+            b.object_class,
+        )
+
+
+def injected(tid, x, y, position_block, frames_seen=1):
+    cov = np.diag([0.0, 0.0, 0.1, 0.1, 0.1])
+    cov[:2, :2] = position_block
+    return Track(
+        id=tid,
+        estimate=TrackEstimate(np.array([x, y, 0.0, 0.0, 0.0]), cov),
+        frames_seen=frames_seen,
+        sources={"lidar"},
+    )
+
+
+class TestBatchMatchesPerPlatformReference:
+    """Every platform of the batch carries the bits, ids, counters and flags
+    it would carry stepped alone (``oracles.PlatformFusionReference``)."""
+
+    def run(self, ticks, inject=None):
+        fusion = LocalFusion(PLATFORMS, DT)
+        references = {pid: PlatformFusionReference(p, DT) for pid, p in PLATFORMS.items()}
+        events = []
+        for k, frames in enumerate(ticks):
+            if inject is not None:
+                for pid, tracks in inject(k).items():
+                    fusion.platform_tracks[pid].extend(tracks)
+                    references[pid].tracks.extend(copy.deepcopy(tracks))
+            before = {pid: dict(ref.events) for pid, ref in references.items()}
+            confirmed = fusion.step(frames)
+            assert list(confirmed) == list(PLATFORMS)
+            for pid, reference in references.items():
+                assert_same_tracks(confirmed[pid], reference.step(frames[pid]))
+                assert_same_tracks(fusion.platform_tracks[pid], reference.tracks)
+                events.append(
+                    (k, pid, {e: n - before[pid][e] for e, n in reference.events.items()})
+                )
+        return fusion, events
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_scenes(self, seed):
+        fusion, events = self.run(random_frames(seed, 30))
+        assert fusion.platform_tracks["idle"] == []
+        totals = {e: sum(counts[e] for _, _, counts in events) for e in ("spawned", "merged", "deleted")}
+        assert all(totals.values()), totals
+
+    def test_spawn_merge_delete_and_singular_innovation_in_one_tick(self):
+        ticks = random_frames(4, 12)
+        # Tick 9: cav0 sees a new object far from every track (spawn), holds
+        # two coincident tracks (merge) and one whose position block is so
+        # large and correlated that every innovation covariance is singular
+        # (never gated, then deleted for its variance).
+        ticks[9]["cav0"].observations["lidar"].append(PolarObservation(7.5, 3.0))
+        singular = np.full((2, 2), 1e20)
+
+        def inject(k):
+            if k != 9:
+                return {}
+            return {
+                "cav0": [
+                    injected(1000, -6.0, 6.0, singular),
+                    injected(1001, 6.0, -6.0, 0.01 * np.eye(2), frames_seen=4),
+                    injected(1002, 6.01, -6.0, 0.01 * np.eye(2)),
+                ]
+            }
+
+        fusion, events = self.run(ticks, inject)
+        (tick_nine,) = [counts for k, pid, counts in events if (k, pid) == (9, "cav0")]
+        assert tick_nine["spawned"] >= 1 and tick_nine["merged"] >= 1 and tick_nine["deleted"] >= 1
+        assert 1000 not in {t.id for t in fusion.platform_tracks["cav0"]}
+
+    def test_singular_innovation_is_never_gated(self):
+        track = injected(0, 1.0, 0.0, np.full((2, 2), 1e20))
+        ((gated, unassociated),) = _gate_blocks(
+            *_track_blocks([track]),
+            np.array([[1.0, 0.0]]),
+            np.array([0.01 * np.eye(2)]),
+            [(0, 1, 0, 1)],
+            AssociationConfig(),
+        )
+        assert gated == {} and unassociated == [0]
+
+    def test_stale_or_mixed_times_rejected_without_change(self):
+        fusion = LocalFusion(PLATFORMS, DT)
+        ticks = random_frames(5, 2)
+        fusion.step(ticks[1])
+        held = copy.deepcopy(fusion.platform_tracks)
+        for frames in (ticks[0], ticks[1], {**ticks[1], "cav0": LocalFrame(0.5, {})}):
+            with pytest.raises(StaleFrameError):
+                fusion.step(frames)
+        assert [t.id for t in fusion.tracks] == [t.id for ts in held.values() for t in ts]
+
+
+class TestGatheredPairStats:
+    def test_within_block_pairs_only(self):
+        rows, cols, block = _block_pairs([(0, 2, 0, 3), (2, 2, 3, 5), (2, 3, 5, 5), (3, 5, 5, 6)])
+        assert list(zip(rows.tolist(), cols.tolist(), block.tolist())) == [
+            (0, 0, 0), (0, 1, 0), (0, 2, 0), (1, 0, 0), (1, 1, 0), (1, 2, 0),
+            (3, 5, 3), (4, 5, 3),
+        ]
+        assert [a.size for a in _block_pairs([])] == [0, 0, 0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_pair_stats_reference_per_block(self, seed):
+        rng = np.random.default_rng(seed)
+
+        def covariance():
+            kind = rng.integers(4)
+            if kind == 0:
+                return np.zeros((2, 2))
+            v = rng.normal(size=2)
+            if kind == 1:
+                return np.outer(v, v)
+            a = rng.normal(size=(2, 2)) * rng.uniform(0.01, 1.0)
+            return a @ a.T + 1e-4 * np.eye(2)
+
+        tracks = [injected(i, *rng.uniform(-2, 2, 2), covariance()) for i in range(rng.integers(0, 9))]
+        observations = [
+            GaussianEstimate(rng.uniform(-2, 2, 2), covariance())
+            for _ in range(rng.integers(0, 12))
+        ]
+        blocks = []
+        t = o = 0
+        while t < len(tracks) or o < len(observations):
+            t_stop = min(len(tracks), t + int(rng.integers(0, 4)))
+            o_stop = min(len(observations), o + int(rng.integers(0, 5)))
+            blocks.append((t, t_stop, o, o_stop))
+            t, o = t_stop, o_stop
+        rows, cols, block = _block_pairs(blocks)
+        track_pos = np.array([tr.estimate.mean[:2] for tr in tracks]).reshape(-1, 2)
+        track_cov = np.array([tr.estimate.covariance[:2, :2] for tr in tracks]).reshape(-1, 2, 2)
+        obs_pos = np.array([ob.mean for ob in observations]).reshape(-1, 2)
+        obs_cov = np.array([ob.covariance for ob in observations]).reshape(-1, 2, 2)
+        dist2, _ = _pair_stats(track_pos[rows], track_cov[rows], obs_pos[cols], obs_cov[cols])
+        for b, (t0, t1, o0, o1) in enumerate(blocks):
+            expected, _ = pair_stats_reference(tracks[t0:t1], observations[o0:o1])
+            np.testing.assert_array_equal(dist2[block == b], expected.ravel())
