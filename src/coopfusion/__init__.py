@@ -10,19 +10,13 @@ evaluation harness compare the parameterized error model against a fixed
 
 from .association import (
     AssociationConfig,
-    AssociationResult,
     CombinatorialOverflowError,
     Track,
     associate_frame,
-    gate,
     jpda_weights,
 )
 from .calibration import (
-    ErrorSample,
-    MatchResult,
     fit_error_model,
-    fit_fixed_model,
-    fit_quality,
     fit_sigma_model,
     match_observations_to_truth,
 )
@@ -31,18 +25,14 @@ from .error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     ErrorModel,
     GaussianEstimate,
-    ModelError,
     ModelSet,
     PlatformPose,
     PolarObservation,
     SensorPose,
     eval_error_model,
     load_model_set,
-    localization_covariance,
+    localization_covariances,
     observation_estimates,
-    rotated_covariance,
-    save_model_set,
-    sensor_to_platform,
 )
 from .evaluation import (
     MODES,
@@ -53,29 +43,12 @@ from .evaluation import (
     scenario_names,
     scenario_preset,
 )
-from .global_fusion import (
-    GlobalFusion,
-    PlatformPacket,
-    covariance_to_world,
-    covariance_union,
-    packetize,
-    track_to_world,
-)
+from .global_fusion import GlobalFusion, PlatformPacket, packetize
 from .local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
-from .simulator import (
-    FigureEightPath,
-    LocalizerDrift,
-    ScenarioConfig,
-    Simulation,
-    step_vehicle,
-    stream_rng,
-    synth_sensor_frame,
-)
+from .simulator import ScenarioConfig, Simulation
 from .tracking import (
     ProcessNoiseConfig,
     TrackEstimate,
-    ctrv_jacobian,
-    ctrv_motion,
     ctrv_predict,
     ekf_update,
     multi_update,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,7 +54,15 @@ class Track:
 
     def snapshot(self) -> "Track":
         """Detached copy safe to hand to callers."""
-        return replace(self, estimate=self.estimate.copy(), sources=set(self.sources))
+        return Track(
+            self.id,
+            self.estimate.copy(),
+            self.frames_seen,
+            self.frames_missed,
+            self.confirmed,
+            self.object_class,
+            set(self.sources),
+        )
 
 
 @dataclass(frozen=True)

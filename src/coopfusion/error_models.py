@@ -219,15 +219,28 @@ def observation_estimates(
     return np.array(means).reshape(-1, 2), _rotated_covariances(rows)
 
 
+def localization_covariances(
+    poses: Sequence[PlatformPose], longitudinal: ErrorModel, lateral: ErrorModel
+) -> np.ndarray:
+    """(n, 2, 2) localization covariances, one per pose, each at the
+    platform's measured speed and heading; a pose gets the bits it would
+    get alone."""
+    if longitudinal.predictor != PREDICTOR_SPEED or lateral.predictor != PREDICTOR_SPEED:
+        raise ModelError("localization models must use the speed predictor")
+    # eval_error_model floors every sigma at SIGMA_FLOOR, so each is positive.
+    return _rotated_covariances(
+        [
+            (eval_error_model(longitudinal, pose.v), eval_error_model(lateral, pose.v), pose.theta)
+            for pose in poses
+        ]
+    )
+
+
 def localization_covariance(
     pose: PlatformPose, longitudinal: ErrorModel, lateral: ErrorModel
 ) -> np.ndarray:
     """2x2 localization covariance at the platform's measured speed and heading."""
-    if longitudinal.predictor != PREDICTOR_SPEED or lateral.predictor != PREDICTOR_SPEED:
-        raise ModelError("localization models must use the speed predictor")
-    sigma_lon = eval_error_model(longitudinal, pose.v)
-    sigma_lat = eval_error_model(lateral, pose.v)
-    return rotated_covariance(sigma_lon, sigma_lat, pose.theta)
+    return localization_covariances([pose], longitudinal, lateral)[0]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .error_models import (
     ModelSet,
     PlatformPose,
     PolarObservation,
-    localization_covariance,
+    localization_covariances,
 )
 from .global_fusion import GlobalFusion, PlatformPacket, packet_to_wire, packetize
 from .local_fusion import LocalFrame, LocalFusion
@@ -244,15 +244,22 @@ class _ScenarioFusion:
         self, t: float, loc_poses: dict[str, PlatformPose], frames: dict[str, LocalFrame]
     ) -> tuple[list[PlatformPacket], list[Track]]:
         local_tracks = self.local.step(frames)
-        packets = []
-        for pid in self.cav_ids:
-            pose = loc_poses[pid]
-            pose_cov = localization_covariance(
-                pose, self.models.localizer_longitudinal, self.models.localizer_lateral
-            )
-            packets.append(packetize(pid, t, pose, local_tracks[pid], pose_cov))
-        for pid, pose in zip(self.cis_ids, self.cis_poses):
-            packets.append(packetize(pid, t, pose, local_tracks[pid], self.cis_pose_cov))
+        cav_poses = [loc_poses[pid] for pid in self.cav_ids]
+        pose_covs = [
+            *localization_covariances(
+                cav_poses, self.models.localizer_longitudinal, self.models.localizer_lateral
+            ),
+            *[self.cis_pose_cov] * len(self.cis_ids),
+        ]
+        packets = packetize(
+            t,
+            [
+                (pid, pose, cov, local_tracks[pid])
+                for pid, pose, cov in zip(
+                    self.cav_ids + self.cis_ids, cav_poses + self.cis_poses, pose_covs
+                )
+            ],
+        )
         for packet in packets:
             self.rsu.ingest(packet)
         return packets, self.rsu.step(t)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .association import (
     associate_frame,
 )
 from .error_models import PlatformPose
-from .geometry import min_eig_2x2, rotation, symmetrized
-from .tracking import ProcessNoiseConfig, TrackEstimate, ctrv_predict
+from .geometry import symmetrized
+from .tracking import ProcessNoiseConfig, ctrv_predict
 
 # Process noise of this tier, tuned like local_fusion.PROCESS_NOISE.
 PROCESS_NOISE = ProcessNoiseConfig(sigma_a=4.0, sigma_psi=0.1, sigma_psi_dot=4.0)
@@ -77,73 +77,76 @@ def check_packet(packet: PlatformPacket) -> None:
     for cov in covariances:
         if abs(cov[0][1] - cov[1][0]) > 1e-9:
             raise PacketError("packet covariance is not symmetric")
-        if min_eig_2x2(symmetrized(np.array(cov, dtype=float))) < -1e-12:
+        # The smallest eigenvalue of 0.5 * (M + M^T) in closed form, on
+        # Python floats in the order a 2x2 numpy evaluation takes, so an
+        # overflowing sum decides the same way (a NaN eigenvalue passes).
+        a, b = float(cov[0][0]), float(cov[0][1])
+        c, d = float(cov[1][0]), float(cov[1][1])
+        s00, s01, s10, s11 = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (c + b), 0.5 * (d + d)
+        tr = s00 + s11
+        disc = max(tr * tr - 4.0 * (s00 * s11 - s01 * s10), 0.0)
+        if 0.5 * (tr - math.sqrt(disc)) < -1e-12:
             raise PacketError("packet covariance is not positive semi-definite")
 
 
-def track_to_world(estimate: TrackEstimate, pose: PlatformPose) -> np.ndarray:
-    """Rigid transform of a platform-frame track position into the world frame."""
-    local = estimate.mean[:2]
-    return pose.position + rotation(pose.theta) @ local
-
-
-def covariance_to_world(covariance: np.ndarray, theta_sp: float) -> np.ndarray:
-    """Rotate the 2x2 position block of a 5x5 track covariance by the platform heading.
-
-    Uses the same rigid-body rotation as the mean transform so both moments
-    land in the same world frame.
-    """
-    block = np.asarray(covariance)[:2, :2]
-    rot = rotation(theta_sp)
-    return symmetrized(rot @ block @ rot.T)
-
-
 def covariance_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Combine two independent 2x2 covariances (additive union)."""
+    """Combine independent 2x2 covariances (additive union); either may be a stack."""
     return symmetrized(np.asarray(a, dtype=float) + np.asarray(b, dtype=float))
 
 
-def _as_cov_tuple(cov: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
-    return (
-        (float(cov[0, 0]), float(cov[0, 1])),
-        (float(cov[1, 0]), float(cov[1, 1])),
+def packetize(
+    timestamp: float,
+    platforms: Sequence[tuple[str, PlatformPose, np.ndarray, Sequence[Track]]],
+) -> list[PlatformPacket]:
+    """Every platform's RSU packet for one time, in the order given.
+
+    A platform is (id, pose, pose covariance, confirmed local tracks).  The
+    pose covariance is the 2x2 world-frame uncertainty of the pose: a mobile
+    platform's speed-driven localization covariance, or a surveyed static
+    platform's tiny fixed one.  It widens every track of its platform.
+
+    Every track of every platform moves to the world frame in one stacked
+    pass: the mean by ``p + R(theta) m``, the position block of the
+    covariance by ``R P R^T``, with the same rotation for both.  A stacked
+    ``@`` runs the same product per matrix as a single 2x2 ``@``, so a track
+    gets the bits it would get in a packet of its own.
+    """
+    ids, poses, pose_covs, local_tracks = zip(*platforms) if platforms else ((),) * 4
+    counts = [len(tracks) for tracks in local_tracks]
+    tracks = [track for platform_tracks in local_tracks for track in platform_tracks]
+    pose_covs = np.array(pose_covs, dtype=float).reshape(-1, 2, 2)
+
+    headings = np.array([pose.theta for pose in poses])
+    c, s = np.cos(headings), np.sin(headings)
+    rot = np.repeat(np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2), counts, axis=0)
+    positions = np.array([(pose.x, pose.y) for pose in poses]).reshape(-1, 2)
+    positions = np.repeat(positions, counts, axis=0)
+    states = np.array([track.estimate.mean for track in tracks]).reshape(-1, 5)
+    blocks = np.array([track.estimate.covariance for track in tracks]).reshape(-1, 5, 5)[:, :2, :2]
+    means = positions + (rot @ states[:, :2, None])[:, :, 0]
+    world_covs = covariance_union(
+        np.repeat(pose_covs, counts, axis=0),
+        symmetrized(rot @ blocks @ rot.swapaxes(1, 2)),
     )
 
-
-def packetize(
-    platform_id: str,
-    timestamp: float,
-    pose: PlatformPose,
-    local_tracks: list[Track],
-    pose_covariance: np.ndarray,
-) -> PlatformPacket:
-    """Assemble one platform's RSU packet.
-
-    ``pose_covariance`` is the 2x2 world-frame uncertainty of ``pose``: a
-    mobile platform's speed-driven localization covariance, or a surveyed
-    static platform's tiny fixed one.  It widens every track.
-    """
-    pose_cov = np.asarray(pose_covariance, dtype=float)
-    packet_tracks = []
-    for track in local_tracks:
-        mean = track_to_world(track.estimate, pose)
-        world_cov = covariance_to_world(track.estimate.covariance, pose.theta)
-        combined = covariance_union(pose_cov, world_cov)
-        packet_tracks.append(
-            PacketTrack(
-                id=str(track.id),
-                mean=(float(mean[0]), float(mean[1])),
-                covariance=_as_cov_tuple(combined),
-                object_class=track.object_class,
+    rows = iter(np.concatenate([means, world_covs.reshape(-1, 4)], axis=1).tolist())
+    packets = []
+    for pid, pose, pose_cov, platform_tracks in zip(ids, poses, pose_covs.tolist(), local_tracks):
+        packet_tracks = []
+        for track, (mx, my, c00, c01, c10, c11) in zip(platform_tracks, rows):
+            packet_tracks.append(
+                PacketTrack(str(track.id), (mx, my), ((c00, c01), (c10, c11)), track.object_class)
+            )
+        packets.append(
+            PlatformPacket(
+                platform_id=pid,
+                timestamp=timestamp,
+                pose=pose,
+                pose_covariance=(tuple(pose_cov[0]), tuple(pose_cov[1])),
+                tracks=tuple(packet_tracks),
             )
         )
-    return PlatformPacket(
-        platform_id=platform_id,
-        timestamp=timestamp,
-        pose=pose,
-        pose_covariance=_as_cov_tuple(pose_cov),
-        tracks=tuple(packet_tracks),
-    )
+    return packets
 
 
 def packet_to_wire(packet: PlatformPacket) -> dict:
@@ -207,9 +210,8 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
 class GlobalFusion:
     """RSU fusion state: a packet inbox plus the world-frame track list.
 
-    ``ingest`` may be called from any thread and never blocks on fusion;
-    ``step`` drains a consistent snapshot of the inbox for one tick; each
-    predict covers ``dt``.
+    ``ingest`` queues each packet, ``step`` drains the inbox for one tick,
+    and each predict covers ``dt``.
     """
 
     def __init__(self, dt: float):
@@ -218,7 +220,6 @@ class GlobalFusion:
         self.tracks: list[Track] = []
         self._next_id = itertools.count().__next__
         self._inbox: dict[str, PlatformPacket] = {}
-        self._lock = threading.Lock()
         self._current_time = -math.inf
         self.duplicate_packets = 0
         self.late_packets = 0
@@ -234,19 +235,17 @@ class GlobalFusion:
         try:
             check_packet(packet)
         except PacketError:
-            with self._lock:
-                self.invalid_packets += 1
+            self.invalid_packets += 1
             return
-        with self._lock:
-            if packet.timestamp < self._current_time - self.noise.dt:
-                self.late_packets += 1
+        if packet.timestamp < self._current_time - self.noise.dt:
+            self.late_packets += 1
+            return
+        held = self._inbox.get(packet.platform_id)
+        if held is not None:
+            self.duplicate_packets += 1
+            if packet.timestamp < held.timestamp:
                 return
-            held = self._inbox.get(packet.platform_id)
-            if held is not None:
-                self.duplicate_packets += 1
-                if packet.timestamp < held.timestamp:
-                    return
-            self._inbox[packet.platform_id] = packet
+        self._inbox[packet.platform_id] = packet
 
     def step(self, timestamp: float) -> list[Track]:
         """Fuse everything queued for this tick; returns confirmed snapshots.
@@ -254,14 +253,13 @@ class GlobalFusion:
         ``timestamp`` must be finite and after the last fused tick, else
         ``StaleFrameError`` is raised and nothing changes.
         """
-        with self._lock:
-            if not self._current_time < timestamp < math.inf:
-                raise StaleFrameError(
-                    f"fusion time {timestamp} is not a finite time after t={self._current_time}"
-                )
-            self._current_time = timestamp
-            packets = [self._inbox[pid] for pid in sorted(self._inbox)]
-            self._inbox.clear()
+        if not self._current_time < timestamp < math.inf:
+            raise StaleFrameError(
+                f"fusion time {timestamp} is not a finite time after t={self._current_time}"
+            )
+        self._current_time = timestamp
+        packets = [self._inbox[pid] for pid in sorted(self._inbox)]
+        self._inbox.clear()
 
         # Each platform reports its tracks, then its own pose as one more
         # observation.

@@ -3,9 +3,10 @@
 Everything here is deliberately brute force and shares no code with the
 package internals, except that the per-track filter references take the
 package's process noise matrix and its angle wrap and symmetrize helpers,
-and the per-platform local tier reuses the package's filter, enumeration
-and merge steps (each checked against its own reference elsewhere) around
-scalar gating.
+the per-platform hand-off builds the package's packet records and takes
+its covariance union, and the per-platform local tier reuses the package's
+filter, enumeration and merge steps (each checked against its own
+reference elsewhere) around scalar gating.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from coopfusion.error_models import (
     sensor_to_platform,
 )
 from coopfusion.geometry import symmetrized, wrap_angle
+from coopfusion.global_fusion import PacketError, PacketTrack, PlatformPacket, covariance_union
 from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
 from coopfusion.tracking import (
     YAW_RATE_EPS,
@@ -258,6 +260,84 @@ def observation_estimate(obs, pose, distal, perp, source=""):
     rot = np.array([[c, -s], [s, c]])
     cov = symmetrized(rot @ np.diag([sigma_distal * sigma_distal, sigma_perp * sigma_perp]) @ rot.T)
     return GaussianEstimate(np.array(position), cov, source=source, object_class=obs.object_class)
+
+
+def rotation(angle):
+    """Counterclockwise rotation matrix of one heading."""
+    c = np.cos(angle)
+    s = np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def track_to_world(estimate, pose):
+    """Rigid transform of one platform-frame track position into the world frame."""
+    return pose.position + rotation(pose.theta) @ estimate.mean[:2]
+
+
+def covariance_to_world(covariance, theta):
+    """The 2x2 position block of one 5x5 track covariance, rotated by a heading."""
+    block = np.asarray(covariance)[:2, :2]
+    rot = rotation(theta)
+    return symmetrized(rot @ block @ rot.T)
+
+
+def _cov_tuple(cov):
+    return ((float(cov[0, 0]), float(cov[0, 1])), (float(cov[1, 0]), float(cov[1, 1])))
+
+
+def packetize_reference(platform_id, timestamp, pose, local_tracks, pose_covariance):
+    """One platform's packet, one track and one 2x2 product at a time.
+
+    The per-platform hand-off the batched ``packetize`` must reproduce bit
+    for bit.
+    """
+    pose_cov = np.asarray(pose_covariance, dtype=float)
+    packet_tracks = []
+    for track in local_tracks:
+        mean = track_to_world(track.estimate, pose)
+        world_cov = covariance_to_world(track.estimate.covariance, pose.theta)
+        packet_tracks.append(
+            PacketTrack(
+                id=str(track.id),
+                mean=(float(mean[0]), float(mean[1])),
+                covariance=_cov_tuple(covariance_union(pose_cov, world_cov)),
+                object_class=track.object_class,
+            )
+        )
+    return PlatformPacket(
+        platform_id=platform_id,
+        timestamp=timestamp,
+        pose=pose,
+        pose_covariance=_cov_tuple(pose_cov),
+        tracks=tuple(packet_tracks),
+    )
+
+
+def min_eig_2x2(m):
+    """Smallest eigenvalue of a symmetric 2x2 matrix, in closed form."""
+    tr = m[0, 0] + m[1, 1]
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    disc = max(tr * tr - 4.0 * det, 0.0)
+    return 0.5 * (tr - np.sqrt(disc))
+
+
+def check_packet_reference(packet):
+    """``check_packet`` on numpy, one covariance array at a time."""
+    pose = packet.pose
+    covariances = [packet.pose_covariance, *(tr.covariance for tr in packet.tracks)]
+    values = [packet.timestamp, pose.x, pose.y, pose.theta, pose.v]
+    for tr in packet.tracks:
+        values.extend(tr.mean)
+    for cov in covariances:
+        for row in cov:
+            values.extend(row)
+    if not all(math.isfinite(v) for v in values):
+        raise PacketError("packet contains non-finite numbers")
+    for cov in covariances:
+        if abs(cov[0][1] - cov[1][0]) > 1e-9:
+            raise PacketError("packet covariance is not symmetric")
+        if min_eig_2x2(symmetrized(np.array(cov, dtype=float))) < -1e-12:
+            raise PacketError("packet covariance is not positive semi-definite")
 
 
 def associate_frame_reference(tracks, observations_by_source, cfg, next_id, events=None):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,47 @@ from coopfusion.tracking import TrackEstimate
 def make_track(tid, x, y, pos_var=1.0):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
     return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
+
+
+class TestTrackSnapshot:
+    def test_every_field_copied(self):
+        rng = np.random.default_rng(5)
+        base = rng.normal(size=(5, 5))
+        track = Track(
+            id=7,
+            estimate=TrackEstimate(rng.normal(size=5), base @ base.T),
+            frames_seen=4,
+            frames_missed=2,
+            confirmed=True,
+            object_class="platform",
+            sources={"cav0", "cis1"},
+        )
+        snap = track.snapshot()
+        for f in dataclasses.fields(Track):
+            got, want = getattr(snap, f.name), getattr(track, f.name)
+            if f.name == "estimate":
+                assert got.mean.tobytes() == want.mean.tobytes()
+                assert got.covariance.tobytes() == want.covariance.tobytes()
+            else:
+                assert got == want, f.name
+        # Detached: the arrays and the source set are new objects.
+        assert not np.shares_memory(snap.estimate.mean, track.estimate.mean)
+        assert not np.shares_memory(snap.estimate.covariance, track.estimate.covariance)
+        assert snap.sources is not track.sources
+
+    def test_no_field_falls_back_to_its_default(self):
+        # A marker in every plain field must come through, so a field added
+        # to Track but not to snapshot's constructor call fails here.
+        track = make_track(0, 1.0, 2.0)
+        track.sources = {"cav0"}
+        markers = {
+            f.name: object() for f in dataclasses.fields(Track) if f.name not in ("estimate", "sources")
+        }
+        for name, marker in markers.items():
+            setattr(track, name, marker)
+        snap = track.snapshot()
+        for name, marker in markers.items():
+            assert getattr(snap, name) is marker, name
 
 
 def make_obs(x, y, var=1.0, source=""):

@@ -1,26 +1,33 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from oracles import (
+    check_packet_reference,
+    covariance_to_world,
+    packetize_reference,
+    track_to_world,
+)
 
 from coopfusion.association import StaleFrameError, Track
 from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     PlatformPose,
     localization_covariance,
+    localization_covariances,
 )
 from coopfusion.global_fusion import (
     GlobalFusion,
     PacketError,
     PlatformPacket,
     PacketTrack,
-    covariance_to_world,
+    check_packet,
     covariance_union,
     packet_from_wire,
     packet_to_wire,
     packetize,
-    track_to_world,
 )
 from coopfusion.tracking import TrackEstimate
 
@@ -31,7 +38,8 @@ DT = 0.125
 
 def cav_packet(pid, t, pose, tracks):
     """A mobile platform's packet, widened by its localization covariance."""
-    return packetize(pid, t, pose, tracks, localization_covariance(pose, LON, LAT))
+    (packet,) = packetize(t, [(pid, pose, localization_covariance(pose, LON, LAT), tracks)])
+    return packet
 
 
 def local_track(tid, x, y, pos_var=0.01):
@@ -146,7 +154,7 @@ class TestCovarianceUnion:
 class TestPacketize:
     def test_surveyed_platform_keeps_local_covariance(self):
         pose = PlatformPose(0, 1, -math.pi / 2, 0.0)
-        packet = packetize("cis0", 1.0, pose, [local_track(0, 1.0, 0.0)], 1e-6 * np.eye(2))
+        (packet,) = packetize(1.0, [("cis0", pose, 1e-6 * np.eye(2), [local_track(0, 1.0, 0.0)])])
         track_cov = np.array(packet.tracks[0].covariance)
         assert np.abs(track_cov - 0.01 * np.eye(2)).max() < 1e-5
 
@@ -168,6 +176,217 @@ class TestPacketize:
         assert packet.tracks[0].mean == pytest.approx((5.0, 6.0), abs=1e-12)
 
 
+def random_tracks(rng, n):
+    """``n`` local tracks whose estimates are views into stacked arrays, as
+    the filter hands them out."""
+    means = rng.normal(0.0, 3.0, size=(n, 5))
+    bases = rng.normal(0.0, 0.3, size=(n, 5, 5))
+    covs = bases @ bases.swapaxes(1, 2) + 1e-4 * np.eye(5)
+    classes = ("vehicle", "pedestrian")
+    return [
+        Track(
+            id=int(rng.integers(0, 1000)),
+            estimate=TrackEstimate(means[i], covs[i]),
+            object_class=classes[i % 2],
+        )
+        for i in range(n)
+    ]
+
+
+def random_heading(rng):
+    """A heading anywhere, or within 1e-3 of +-pi where the wrap sits."""
+    if rng.random() < 0.5:
+        return rng.uniform(-math.pi, math.pi)
+    return rng.choice([math.pi, -math.pi]) - math.copysign(rng.uniform(0.0, 1e-3), rng.normal())
+
+
+def random_tick(rng):
+    """A tick's platforms: CAVs with speed-driven pose covariances from one
+    stacked call, then CIS with 1e-6 I; 0-20 tracks each."""
+    n_cav, n_cis = int(rng.integers(0, 6)), int(rng.integers(0, 3))
+    ids = [f"cav{i}" for i in range(n_cav)] + [f"cis{i}" for i in range(n_cis)]
+    poses = [
+        PlatformPose(*rng.normal(0.0, 5.0, size=2), random_heading(rng), rng.uniform(0.0, 1.0))
+        for _ in ids
+    ]
+    covs = [*localization_covariances(poses[:n_cav], LON, LAT), *[1e-6 * np.eye(2)] * n_cis]
+    return [
+        (pid, pose, cov, random_tracks(rng, int(rng.choice([0, rng.integers(1, 21)]))))
+        for pid, pose, cov in zip(ids, poses, covs)
+    ]
+
+
+def packet_bits(packet):
+    """Every field of a packet, with each float tuple as its bytes."""
+    return (
+        packet.platform_id,
+        packet.timestamp,
+        packet.pose,
+        np.array(packet.pose_covariance).tobytes(),
+        [
+            (tr.id, tr.object_class, np.array(tr.mean).tobytes(), np.array(tr.covariance).tobytes())
+            for tr in packet.tracks
+        ],
+    )
+
+
+class TestPacketizeMatchesReference:
+    def test_no_platforms(self):
+        assert packetize(2.5, []) == []
+
+    def test_platforms_without_tracks(self):
+        platforms = [
+            ("cav0", PlatformPose(1, 2, 3, 0.5), np.eye(2), []),
+            ("cis0", PlatformPose(0, 0, 0, 0), 1e-6 * np.eye(2), []),
+        ]
+        packets = packetize(0.0, platforms)
+        assert [packet.tracks for packet in packets] == [(), ()]
+        assert [packet_bits(p) for p in packets] == [
+            packet_bits(packetize_reference(pid, 0.0, pose, tracks, cov))
+            for pid, pose, cov, tracks in platforms
+        ]
+
+    def test_random_ticks_bit_identical(self):
+        rng = np.random.default_rng(12)
+        counts = set()
+        for k in range(200):
+            platforms = random_tick(rng)
+            counts.update(len(tracks) for *_, tracks in platforms)
+            t = 0.125 * k
+            packets = packetize(t, platforms)
+            # The reference takes each CAV's covariance from its own
+            # one-row call, so the stacked localization covariances are
+            # checked here as well.
+            reference = [
+                packetize_reference(
+                    pid,
+                    t,
+                    pose,
+                    tracks,
+                    localization_covariance(pose, LON, LAT) if pid.startswith("cav") else cov,
+                )
+                for pid, pose, cov, tracks in platforms
+            ]
+            assert [packet_bits(p) for p in packets] == [packet_bits(p) for p in reference]
+        assert {0, 1, 20} <= counts
+
+
+def decision(check, packet):
+    """The message ``check`` rejects the packet with, or None if it passes."""
+    try:
+        with np.errstate(all="ignore"):
+            check(packet)
+    except PacketError as exc:
+        return str(exc)
+    return None
+
+
+def cov_packet(cov):
+    """A valid packet whose one track carries ``cov``."""
+    return pose_packet(
+        "cav0",
+        0.0,
+        PlatformPose(0, 0, 0, 0),
+        tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=cov)],
+    )
+
+
+def as_cov(m):
+    return ((m[0][0], m[0][1]), (m[1][0], m[1][1]))
+
+
+HUGE = [0.0, 1e154, -1e154, 1e200, -1e200, 1e308, -1e308, 1.7976931348623157e308]
+
+
+class TestCheckPacketMatchesReference:
+    @pytest.mark.parametrize(
+        "cov, verdict",
+        [
+            (((1.0, 0.5), (0.5 + 0.999e-9, 1.0)), None),
+            (((1.0, 0.5), (0.5 + 1.001e-9, 1.0)), "packet covariance is not symmetric"),
+            (((1.0, 0.0), (0.0, -0.999e-12)), None),
+            (((1.0, 0.0), (0.0, -1.001e-12)), "packet covariance is not positive semi-definite"),
+            (((1e-6, 0.0), (0.0, -0.999e-12)), None),
+            (((1e-6, 0.0), (0.0, -1.001e-12)), "packet covariance is not positive semi-definite"),
+            (((0.0, 0.0), (0.0, 0.0)), None),
+            (((-0.0, 0.0), (0.0, -0.0)), None),
+            (((0, 0), (0, 0)), None),
+            (((1, 2), (2, 1)), "packet covariance is not positive semi-definite"),
+        ],
+        ids=[
+            "asym_below",
+            "asym_above",
+            "eig_above",
+            "eig_below",
+            "small_eig_above",
+            "small_eig_below",
+            "zero",
+            "negative_zero",
+            "int_zero",
+            "int_indefinite",
+        ],
+    )
+    def test_edge_cases(self, cov, verdict):
+        packet = cov_packet(cov)
+        assert decision(check_packet, packet) == verdict
+        assert decision(check_packet_reference, packet) == verdict
+
+    def test_overflowing_entries(self):
+        # Sums and products of entries near 1e308 overflow to inf and then
+        # NaN; both checks must still agree on every one.
+        verdicts = set()
+        for a in HUGE:
+            for b in HUGE:
+                for d in HUGE:
+                    packet = cov_packet(((a, b), (b, d)))
+                    got = decision(check_packet, packet)
+                    assert got == decision(check_packet_reference, packet), (a, b, d)
+                    verdicts.add(got)
+        assert verdicts == {None, "packet covariance is not positive semi-definite"}
+
+    def test_random_covariances(self):
+        rng = np.random.default_rng(23)
+        verdicts = []
+        for _ in range(5000):
+            kind = rng.integers(4)
+            scale = 10.0 ** rng.uniform(-14, 3)
+            if kind == 0:
+                m = rng.normal(0.0, scale, size=(2, 2))
+            elif kind == 1:
+                # Symmetric up to an asymmetry around the 1e-9 tolerance.
+                m = rng.normal(0.0, scale, size=(2, 2))
+                m[1, 0] = m[0, 1] + rng.choice([-1, 1]) * 1e-9 * (1.0 + rng.normal(0.0, 1e-3))
+            else:
+                # Rotated diagonal with its smaller eigenvalue near -1e-12.
+                theta = rng.uniform(-math.pi, math.pi)
+                c, s = math.cos(theta), math.sin(theta)
+                rot = np.array([[c, -s], [s, c]])
+                small = -1e-12 * (1.0 + rng.normal(0.0, 1e-2)) if kind == 2 else rng.normal(0.0, 1e-12)
+                m = rot @ np.diag([scale, small]) @ rot.T
+            packet = cov_packet(as_cov(m.tolist()))
+            got = decision(check_packet, packet)
+            assert got == decision(check_packet_reference, packet), m.tolist()
+            verdicts.append(got)
+        assert set(verdicts) == {
+            None,
+            "packet covariance is not symmetric",
+            "packet covariance is not positive semi-definite",
+        }
+
+    def test_random_packets(self):
+        # Whole packets, as packetize builds them, and with one number
+        # spoiled: both checks agree on each.
+        rng = np.random.default_rng(29)
+        for k in range(100):
+            for packet in packetize(0.125 * k, random_tick(rng)):
+                assert decision(check_packet, packet) is None
+                assert decision(check_packet_reference, packet) is None
+                bad = float(rng.choice([math.nan, math.inf, -1e-3, 1e308]))
+                (a, b), (c, d) = packet.pose_covariance
+                spoiled = dataclasses.replace(packet, pose_covariance=((a, b), (c, bad)))
+                got = decision(check_packet, spoiled)
+                assert got is not None or bad == 1e308
+                assert got == decision(check_packet_reference, spoiled)
 class TestWireFormat:
     def test_exact_field_names(self):
         packet = cav_packet("cav0", 0.25, PlatformPose(1, 2, 0.1, 0.5), [local_track(3, 0.5, 0.5)])
