@@ -7,10 +7,16 @@ connected components of the gating graph, which keeps enumeration exact
 while bounding its cost by the size of one contended neighborhood.
 
 A tier's frame covers all of its groups at once (every platform of the
-local tier, the one group of the RSU): gating, the filter update and spawn
-coverage each run once over the frame as stacked arrays, computing only
-the pairs within a group, while enumeration and the track lifecycle run per
-group on Python floats.
+local tier, the one group of the RSU): gating, the filter update, the
+coincidence test of the merge and spawn coverage each run once over the
+frame as flat arrays, computing only the pairs within a group.  A track
+alone in its cluster takes a closed form, as arrays across the frame when
+the frame has enough such tracks to repay numpy's per-call cost; the
+other clusters are enumerated, and the lifecycle counters kept, on Python
+floats.  Every array pass takes the scalar loop's IEEE ``+ - * /`` in its
+order, so it gives that loop's bits; ``np.exp``, ``np.power`` and
+reductions need not, so densities and clutter powers come from ``math``
+and Python floats.
 """
 
 from __future__ import annotations
@@ -186,10 +192,10 @@ def _block_pairs(blocks: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarra
     spans = np.array(blocks, dtype=np.intp).reshape(-1, 4)
     widths = spans[:, 3] - spans[:, 2]
     sizes = (spans[:, 1] - spans[:, 0]) * widths
-    block = np.repeat(np.arange(len(spans)), sizes)
-    k = np.arange(len(block)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    width = widths[block]
-    return spans[block, 0] + k // width, spans[block, 2] + k % width, block
+    block = np.arange(len(spans)).repeat(sizes)
+    k = np.arange(len(block)) - (sizes.cumsum() - sizes).repeat(sizes)
+    row, col = np.divmod(k, widths[block])
+    return spans[block, 0] + row, spans[block, 2] + col, block
 
 
 def gate(
@@ -215,35 +221,27 @@ def _gate_blocks(
     obs_cov: np.ndarray,
     blocks: Sequence[tuple[int, int, int, int]],
     cfg: AssociationConfig,
-) -> list[tuple[_Gated, list[int]]]:
+) -> tuple[np.ndarray, ...]:
     """Gate every (track range, observation range) block of a frame in one pass.
 
-    Returns, per block, its gated pairs and the observations inside no gate,
-    with indices into the given arrays.  Only pairs within a block are
-    computed, so the work is that of gating each block alone, paid as one
-    set of array operations.
+    Returns the gated pairs as arrays, ordered by block, then track row,
+    then observation column: each pair's block, track row, observation
+    column and Gaussian density, indices being into the given arrays.  Only
+    pairs within a block are computed, so the work is that of gating each
+    block alone, paid as one set of array operations.
     """
-    gated: list[_Gated] = [{} for _ in blocks]
     rows, cols, block = _block_pairs(blocks)
-    if len(rows):
-        dist2, det = _pair_stats(track_pos[rows], track_cov[rows], obs_pos[cols], obs_cov[cols])
-        hits = np.flatnonzero(dist2 <= cfg.gate_threshold)
-        # Densities of gated pairs only, through libm as in the scalar loop:
-        # np.exp need not match math.exp bit for bit.
-        for b, i, j, d2, det_ij in zip(
-            block[hits].tolist(),
-            rows[hits].tolist(),
-            cols[hits].tolist(),
-            dist2[hits].tolist(),
-            det[hits].tolist(),
-        ):
-            density = math.exp(-0.5 * d2) / (_TWO_PI * math.sqrt(det_ij)) if d2 < 1e3 else 0.0
-            gated[b].setdefault(i, []).append((j, density))
-    result = []
-    for block_gated, (_, _, start, stop) in zip(gated, blocks):
-        inside = {j for options in block_gated.values() for j, _ in options}
-        result.append((block_gated, [j for j in range(start, stop) if j not in inside]))
-    return result
+    # take gathers rows an order of magnitude faster than fancy indexing.
+    dist2, det = _pair_stats(
+        *(a.take(rows, axis=0) for a in (track_pos, track_cov)),
+        *(a.take(cols, axis=0) for a in (obs_pos, obs_cov)),
+    )
+    hits = (dist2 <= cfg.gate_threshold).nonzero()[0]
+    # The exponential goes through libm per gated pair, as in the scalar
+    # loop: np.exp need not match math.exp bit for bit.
+    exps = [math.exp(-0.5 * d2) if d2 < 1e3 else 0.0 for d2 in dist2[hits].tolist()]
+    density = np.array(exps, dtype=float) / (_TWO_PI * np.sqrt(det[hits]))
+    return block[hits], rows[hits], cols[hits], density
 
 
 def _clusters(gated: _Gated) -> list[tuple[list[int], list[int]]]:
@@ -305,8 +303,8 @@ def _enumerate_cluster(
             )
 
     if len(track_ids) == 1:
-        # One track (most clusters): its events are the miss and each gated
-        # observation, with the recursion's products, added in its order.
+        # One track: its events are the miss and each gated observation,
+        # with the recursion's products, added in its order.
         total = p_miss * clutter**n_obs
         events = {-1: total}
         for j, density in options[0]:
@@ -347,12 +345,104 @@ def _enumerate_cluster(
     return {tid: {j: p / total for j, p in marg[tid].items()} for tid in track_ids}
 
 
-def _marginals(gated: _Gated, cfg: AssociationConfig) -> dict[int, dict[int, float]]:
-    """The event marginals of every gated track of one block."""
-    marginals: dict[int, dict[int, float]] = {}
-    for track_ids, obs_ids in _clusters(gated):
-        marginals.update(_enumerate_cluster(track_ids, obs_ids, gated, cfg))
-    return marginals
+def _enumerated(
+    block: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    density: np.ndarray,
+    cfg: AssociationConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_marginals`` of whole (block, track) runs of gated pairs by
+    enumerating each cluster they form, on Python floats."""
+    triples = list(zip(block.tolist(), rows.tolist(), cols.tolist()))
+    gated: dict[int, _Gated] = {}
+    for (b, i, j), d in zip(triples, density.tolist()):
+        gated.setdefault(b, {}).setdefault(i, []).append((j, d))
+    marginals = {}
+    for b, block_gated in gated.items():
+        for track_ids, obs_ids in _clusters(block_gated):
+            for i, m in _enumerate_cluster(track_ids, obs_ids, block_gated, cfg).items():
+                marginals[b, i] = m
+    first = [p for p in range(len(triples)) if p == 0 or triples[p][:2] != triples[p - 1][:2]]
+    return (
+        np.array([marginals[b, i].get(j, 0.0) for b, i, j in triples], dtype=float),
+        np.array(first, dtype=np.intp),
+        np.array([marginals[triples[p][:2]][-1] for p in first], dtype=float),
+    )
+
+
+# Below this many tracks alone in their cluster, enumerating them costs less
+# than the closed form's fixed set of about 40 numpy calls.
+_ARRAY_MARGINALS_MIN = 6
+
+
+def _marginals(
+    block: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    density: np.ndarray,
+    cfg: AssociationConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """JPDA marginals of a frame's gated pairs, ordered as ``_gate_blocks``
+    returns them.
+
+    Returns each pair's association probability, and for each gated
+    (block, track), in pair order, the index of its first pair and its miss
+    probability.  Tracks alone in their cluster (every observation they
+    gate is gated by no other track), when there are at least
+    ``_ARRAY_MARGINALS_MIN`` of them, take the closed form of their events,
+    the miss and each gated observation, all at once; the other clusters
+    are enumerated (``_enumerated``).  Both give the same bits.
+    """
+    if len(rows) < _ARRAY_MARGINALS_MIN:
+        return _enumerated(block, rows, cols, density, cfg)
+    new_key = np.empty(len(rows), dtype=bool)
+    new_key[:1] = True
+    new_key[1:] = (block[1:] != block[:-1]) | (rows[1:] != rows[:-1])
+    key = new_key.cumsum() - 1
+    first = new_key.nonzero()[0]
+    counts = np.bincount(key, minlength=len(first))
+    enumerated = np.zeros(len(first), dtype=bool)
+    enumerated[key[np.bincount(cols)[cols] > 1]] = True
+    lone = (~enumerated).nonzero()[0]
+    if len(lone) < _ARRAY_MARGINALS_MIN:
+        enumerated[:], lone = True, lone[:0]
+    enumerated_pair = enumerated[key]
+    weights = np.zeros(len(rows))
+    miss = np.ones(len(first))
+
+    if len(lone):
+        k = counts[lone]
+        widest = int(k.max())
+        if widest + 1 > cfg.max_events:
+            raise CombinatorialOverflowError(
+                f"joint association events exceed cap {cfg.max_events}; "
+                "split the scene into smaller clusters or raise max_events"
+            )
+        # The products and sums of the one-track enumeration, elementwise in
+        # its order; clutter powers come from Python's pow as there.
+        clutter = cfg.clutter_density
+        powers = np.array([clutter**n for n in range(widest + 1)], dtype=float)
+        likelihood = (1.0 - cfg.detection_probability) * powers[k]
+        pairs = (~enumerated_pair).nonzero()[0]
+        lone_key = new_key[pairs].cumsum() - 1
+        events = cfg.detection_probability * density[pairs] * powers[k - 1][lone_key]
+        padded = np.zeros((len(lone), widest))
+        padded[lone_key, pairs - first[key[pairs]]] = events
+        total = likelihood
+        for column in padded.T:
+            total = total + column
+        with np.errstate(all="ignore"):
+            valid = (total > 0.0) & np.isfinite(total)
+            miss[lone] = np.where(valid, likelihood / total, 1.0)
+            weights[pairs] = np.where(valid[lone_key], events / total[lone_key], 0.0)
+
+    pairs = enumerated_pair.nonzero()[0]
+    if len(pairs):
+        weights[pairs], _, miss[enumerated] = _enumerated(
+            block[pairs], rows[pairs], cols[pairs], density[pairs], cfg
+        )
+    return weights, first, miss
 
 
 def jpda_weights(
@@ -362,18 +452,16 @@ def jpda_weights(
 ) -> AssociationResult:
     """Exact JPDA marginal association probabilities for one source's frame."""
     n, m = len(tracks), len(observations)
-    ((gated, unassociated),) = _gate_blocks(
+    block, rows, cols, density = _gate_blocks(
         *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
     )
+    probabilities, first, miss = _marginals(block, rows, cols, density, cfg)
     weights = np.zeros((n, m))
-    miss = np.ones(n)
-    for i, marginals in _marginals(gated, cfg).items():
-        for j, probability in marginals.items():
-            if j < 0:
-                miss[i] = probability
-            else:
-                weights[i, j] = probability
-    return AssociationResult(weights=weights, miss=miss, unassociated_observations=unassociated)
+    weights[rows, cols] = probabilities
+    track_miss = np.ones(n)
+    track_miss[rows[first]] = miss
+    unassociated = (np.bincount(cols, minlength=m) == 0).nonzero()[0].tolist()
+    return AssociationResult(weights, track_miss, unassociated)
 
 
 def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
@@ -392,53 +480,68 @@ def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
     return TrackEstimate(mean, cov)
 
 
-def _position_trace(track: Track) -> float:
-    covariance = track.estimate.covariance
-    return covariance[0, 0] + covariance[1, 1]
+def _merge_coincident(
+    tracks: Sequence[Track],
+    groups: Sequence[int],
+    positions: np.ndarray,
+    covariances: np.ndarray,
+    threshold: float,
+) -> list[int]:
+    """Absorb tracks sitting on top of a better-established one of their group;
+    returns the indices of the tracks that stay, ascending.
 
-
-def _merge_coincident(tracks: list[Track], threshold: float) -> list[Track]:
-    """Absorb tracks sitting on top of a better-established one.
-
-    Soft association keeps duplicate tracks of the same object alive
-    indefinitely (they share every observation), so coincidence is resolved
-    here: the longer-seen track wins, picking up the other's history.
+    Track k belongs to group ``groups[k]`` and has position ``positions[k]``
+    with covariance ``covariances[k]``.  Soft association keeps duplicate
+    tracks of the same object alive indefinitely (they share every
+    observation), so coincidence is resolved here: within a group, tracks
+    rank by frames seen (most first), then id, and each track not yet
+    absorbed absorbs every later-ranked one not yet absorbed within the
+    squared Mahalanobis ``threshold``, picking up its history.  The
+    distance of every later-ranked pair of every group is computed in one
+    pass, with the operations of a scalar per-pair loop in its order; only
+    the pairs within the threshold are walked.
     """
-    order = sorted(range(len(tracks)), key=lambda i: (-tracks[i].frames_seen, tracks[i].id))
-    # Merging changes no estimate, so each track's position block is read
-    # once, as Python floats: the same IEEE operations as on numpy scalars,
-    # without their per-operation cost.
-    blocks = [
-        (*t.estimate.mean[:2].tolist(), *t.estimate.covariance[:2, :2].ravel().tolist())
-        for t in tracks
-    ]
+    if len(set(groups)) == len(groups):
+        return list(range(len(tracks)))
+    order = sorted(
+        range(len(tracks)), key=lambda k: (groups[k], -tracks[k].frames_seen, tracks[k].id)
+    )
+    # Rank position p pairs with every later position of its group's run.
+    later = []
+    for _, run in itertools.groupby(groups[k] for k in order):
+        size = sum(1 for _ in run)
+        later.extend(range(size - 1, -1, -1))
+    counts = np.array(later, dtype=np.intp)
+    first = np.arange(len(order)).repeat(counts)
+    second = first + 1 + np.arange(len(first)) - (counts.cumsum() - counts).repeat(counts)
+    ranked = np.array(order, dtype=np.intp)
+    keepers, others = ranked[first], ranked[second]
+    dx, dy = (positions.take(others, axis=0) - positions.take(keepers, axis=0)).T
+    c = covariances.take(keepers, axis=0) + covariances.take(others, axis=0)
+    c00, c01, c10, c11 = c.reshape(-1, 4).T
+    with np.errstate(all="ignore"):
+        det = c00 * c11 - c01 * c10
+        d2 = _quadratic(c00, c01, c11, dx, dy) / det
+    d2[det <= 0] = np.inf
+    close = (d2 <= threshold).nonzero()[0]
     absorbed: set[int] = set()
-    for rank, i in enumerate(order):
-        if i in absorbed:
+    for k, o in zip(keepers[close].tolist(), others[close].tolist()):
+        if k in absorbed or o in absorbed:
             continue
-        keeper = tracks[i]
-        kx, ky, k00, k01, k10, k11 = blocks[i]
-        for j in order[rank + 1 :]:
-            if j in absorbed:
-                continue
-            ox, oy, o00, o01, o10, o11 = blocks[j]
-            dx, dy = ox - kx, oy - ky
-            c00, c01, c10, c11 = k00 + o00, k01 + o01, k10 + o10, k11 + o11
-            det = c00 * c11 - c01 * c10
-            d2 = math.inf if det <= 0 else _quadratic(c00, c01, c11, dx, dy) / det
-            if not d2 <= threshold:
-                continue
-            other = tracks[j]
-            absorbed.add(j)
-            keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
-            keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
-            keeper.confirmed = keeper.confirmed or other.confirmed
-            keeper.sources.update(other.sources)
-    return [t for idx, t in enumerate(tracks) if idx not in absorbed]
+        keeper, other = tracks[k], tracks[o]
+        absorbed.add(o)
+        keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
+        keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
+        keeper.confirmed = keeper.confirmed or other.confirmed
+        keeper.sources.update(other.sources)
+    return [k for k in range(len(tracks)) if k not in absorbed]
 
 
 def _spawn(
-    survivors: list[list[Track]],
+    tracks: Sequence[Track],
+    survivors: list[list[int]],
+    positions: np.ndarray,
+    covariances: np.ndarray,
     unassociated: list[list[int]],
     observations: ObservationBatch,
     cfg: AssociationConfig,
@@ -446,16 +549,22 @@ def _spawn(
 ) -> list[list[Track]]:
     """Each group's survivors plus a tentative track for every unassociated
     observation that no survivor, and no track spawned from an earlier
-    observation of the frame, covers within the widened spawn gate."""
+    observation of the frame, covers within the widened spawn gate.
+
+    ``survivors[g]`` indexes group g's surviving tracks in ``tracks``,
+    whose positions and position covariances are ``positions`` and
+    ``covariances``.
+    """
+    result = [[tracks[i] for i in group] for group in survivors]
     spawning = [g for g, columns in enumerate(unassociated) if columns]
     if not spawning:
-        return survivors
+        return result
     # A group's coverage candidates are its survivors, then the track each of
     # its unassociated observations would spawn, which starts at that
     # observation's mean and covariance (see ``new_track_estimate``).
-    candidates = [t for g in spawning for t in survivors[g]]
+    candidates = [i for g in spawning for i in survivors[g]]
     columns = [j for g in spawning for j in unassociated[g]]
-    track_pos, track_cov = _track_blocks(candidates)
+    track_pos, track_cov = positions[candidates], covariances[candidates]
     obs_pos, obs_cov = observations.means[columns], observations.covariances[columns]
     order: list[int] = []
     blocks = []
@@ -470,14 +579,13 @@ def _spawn(
     rows, cols, _ = _block_pairs(blocks)
     rows = np.array(order, dtype=np.intp)[rows]
     dist2, _ = _pair_stats(
-        np.concatenate([track_pos, obs_pos])[rows],
-        np.concatenate([track_cov, obs_cov])[rows],
-        obs_pos[cols],
-        obs_cov[cols],
+        np.concatenate([track_pos, obs_pos]).take(rows, axis=0),
+        np.concatenate([track_cov, obs_cov]).take(rows, axis=0),
+        obs_pos.take(cols, axis=0),
+        obs_cov.take(cols, axis=0),
     )
     # Block entry (candidate r, observation k) sits at offset + r * u + k.
     covers = (dist2 <= SPAWN_GATE_FACTOR * cfg.gate_threshold).tolist()
-    result = list(survivors)
     offset = 0
     for g in spawning:
         n, u = len(survivors[g]), len(unassociated[g])
@@ -502,7 +610,7 @@ def _spawn(
                     sources={source} if source else set(),
                 )
             )
-        result[g] = survivors[g] + spawned
+        result[g].extend(spawned)
         offset += (n + u) * u
     return result
 
@@ -523,69 +631,76 @@ def associate_frame(
     a track takes at most one observation, while across sources a track
     accumulates up to one observation per source.  This is what makes a
     second platform's view of the same object add information instead of
-    splitting the first one's weight.  Every block is gated in one pass;
-    JPDA enumeration then runs per block.
+    splitting the first one's weight.  Every block is gated in one pass and
+    the JPDA marginals of all blocks come out together (``_marginals``).
 
     Each track updates once with every observation whose weight clears the
     floor (see ``multi_update``), the observation covariance inflated by
     1/weight to realize the soft assignment; all groups' tracks update
-    together.  Then, per group, tracks are confirmed, deleted and merged,
-    and unassociated observations spawn tentative tracks unless a live
-    track already covers them within the widened spawn gate.
+    together.  Then tracks are confirmed, deleted and merged within their
+    group, and unassociated observations spawn tentative tracks unless a
+    live track already covers them within the widened spawn gate.
     """
     flat = [t for group in tracks for t in group]
     starts = list(itertools.accumulate((len(group) for group in tracks), initial=0))
-    blocks, block_groups = [], []
+    blocks = []
     first = 0
     for (g, _), run in itertools.groupby(zip(observations.groups, observations.sources)):
         stop = first + sum(1 for _ in run)
         blocks.append((starts[g], starts[g + 1], first, stop))
-        block_groups.append(g)
         first = stop
 
-    rows, cols, weights = [], [], []
-    unassociated: list[list[int]] = [[] for _ in tracks]
-    gating = _gate_blocks(
-        *_track_blocks(flat), observations.means, observations.covariances, blocks, cfg
+    # The tracks' state, stacked once for gating, the update and the lifecycle.
+    means = np.array([t.estimate.mean for t in flat]).reshape(-1, 5)
+    covs = np.array([t.estimate.covariance for t in flat]).reshape(-1, 5, 5)
+    block, rows, cols, density = _gate_blocks(
+        means[:, :2], covs[:, :2, :2], observations.means, observations.covariances, blocks, cfg
     )
-    for g, (gated, missed) in zip(block_groups, gating):
-        marginals = _marginals(gated, cfg)
-        for i, options in gated.items():
-            for j, _ in options:
-                weight = marginals[i].get(j, 0.0)
-                if weight > cfg.weight_floor:
-                    rows.append(i)
-                    cols.append(j)
-                    weights.append(weight)
-        unassociated[g].extend(missed)
-    inflated = observations.covariances[cols] / np.array(weights).reshape(-1, 1, 1)
-    accepted: list[list[GaussianEstimate]] = [[] for _ in flat]
-    for i, j, covariance in zip(rows, cols, inflated):
-        accepted[i].append(
-            GaussianEstimate(observations.means[j], covariance, source=observations.sources[j])
-        )
+    weights, _, _ = _marginals(block, rows, cols, density, cfg)
+    unassociated: list[list[int]] = [[] for _ in tracks]
+    inside = np.bincount(cols, minlength=len(observations.groups))
+    for j in (inside == 0).nonzero()[0].tolist():
+        unassociated[observations.groups[j]].append(j)
 
-    for track, estimate, zs in zip(flat, multi_update([t.estimate for t in flat], accepted), accepted):
-        track.estimate = estimate
-        if zs:
+    # Accepted pairs, grouped by track, each track's in block (source) order.
+    accepted = (weights > cfg.weight_floor).nonzero()[0]
+    accepted = accepted[np.argsort(rows[accepted], kind="stable")]
+    rows, cols = rows[accepted], cols[accepted]
+    inflated = observations.covariances.take(cols, axis=0) / weights[accepted].reshape(-1, 1, 1)
+    updated, means, covs = multi_update(
+        (means, covs), rows, observations.means.take(cols, axis=0), inflated
+    )
+    for i in updated.nonzero()[0].tolist():
+        flat[i].estimate = TrackEstimate(means[i], covs[i])
+
+    track_rows = rows.tolist()
+    for i, j in zip(track_rows, cols.tolist()):
+        flat[i].sources.add(observations.sources[j])
+    seen = set(track_rows)
+    for i, track in enumerate(flat):
+        if i in seen:
             track.frames_seen += 1
             track.frames_missed = 0
-            track.sources.update(z.source for z in zs)
         else:
             track.frames_missed += 1
         if track.frames_seen >= cfg.confirm_threshold:
             track.confirmed = True
 
-    survivors = [
-        _merge_coincident(
-            [
-                t
-                for t in group
-                if t.frames_missed < cfg.delete_threshold
-                and _position_trace(t) <= cfg.max_position_variance
-            ],
-            cfg.gate_threshold,
-        )
-        for group in tracks
+    bounded = (covs[:, 0, 0] + covs[:, 1, 1] <= cfg.max_position_variance).tolist()
+    group_of = [g for g, group in enumerate(tracks) for _ in group]
+    alive = [
+        i for i, t in enumerate(flat) if t.frames_missed < cfg.delete_threshold and bounded[i]
     ]
-    return _spawn(survivors, unassociated, observations, cfg, next_ids)
+    kept = _merge_coincident(
+        [flat[i] for i in alive],
+        [group_of[i] for i in alive],
+        means.take(alive, axis=0)[:, :2],
+        covs.take(alive, axis=0)[:, :2, :2],
+        cfg.gate_threshold,
+    )
+    survivors: list[list[int]] = [[] for _ in tracks]
+    for k in kept:
+        survivors[group_of[alive[k]]].append(alive[k])
+    return _spawn(
+        flat, survivors, means[:, :2], covs[:, :2, :2], unassociated, observations, cfg, next_ids
+    )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,9 +34,13 @@ class PacketError(ValueError):
     """Raised for malformed platform packets."""
 
 
-@dataclass(frozen=True)
-class PacketTrack:
-    """One local-fusion track as shipped to the RSU, already in world frame."""
+class PacketTrack(NamedTuple):
+    """One local-fusion track as shipped to the RSU, already in world frame.
+
+    A named tuple rather than a frozen dataclass: it is as immutable, and
+    ``packetize`` builds one per track without a per-field
+    ``object.__setattr__``.
+    """
 
     id: str
     mean: tuple[float, float]

@@ -6,12 +6,14 @@ folded into a single equivalent measurement.  State is [x, y, v, psi,
 psi_dot]; measurements are 2D positions with their own covariance, so the
 observation matrix just selects the first two state components.
 
-Each step takes a tier's whole track list at once: the per-track scalar
-work (CTRV motion, Jacobian entries, the 2x2 innovation inverse) runs on
-Python floats, and the 5x5 products run as one ``@`` over stacked
-(n, 5, 5) arrays.  A stacked ``@`` runs the same inner loop per matrix as a
-single product, so every track gets the bits it would get alone;
-``np.einsum`` does not, so it is not used here.
+Each step takes a tier's whole track list at once.  CTRV motion and its
+Jacobian entries run per track on Python floats; the 2x2 innovation
+inverses and the observation fold run as elementwise array passes, whose
+IEEE ``+ - * /`` give each track the bits of the one-track scalar form;
+and the 5x5 products run as one ``@`` over stacked (n, 5, 5) arrays.  A
+stacked ``@`` runs the same inner loop per matrix as a single product, so
+every track gets the bits it would get alone; ``np.einsum`` and
+reductions such as ``np.add.reduce`` do not, so they are not used here.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .error_models import GaussianEstimate
 from .geometry import symmetrized, wrap_angle
 
 # Below this yaw rate the closed-form turn equations degenerate; switch to
@@ -31,6 +32,8 @@ from .geometry import symmetrized, wrap_angle
 YAW_RATE_EPS = 1e-4
 
 _IDENTITY = np.eye(5)
+_ADJUGATE_ORDER = np.array([3, 1, 2, 0])
+_ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -166,79 +169,84 @@ def ctrv_predict(
     return [TrackEstimate(m, c) for m, c in zip(np.array(means), covs)]
 
 
-def _inverse_2x2(s00: float, s01: float, s10: float, s11: float) -> tuple[float, ...] | None:
-    """Row-major inverse of a 2x2 innovation covariance, or None where it is
-    singular: a determinant that is not finite or is below 1e-15 of the
-    squared scale."""
-    det = s00 * s11 - s01 * s10
-    scale = max(abs(s00) + abs(s11), 1e-30)
-    if not math.isfinite(det) or abs(det) < 1e-15 * scale * scale:
-        return None
-    return s11 / det, -s01 / det, -s10 / det, s00 / det
+def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which of a stack of 2x2 innovation covariances are invertible, and
+    their inverses: singular means a determinant that is not finite or is
+    below 1e-15 of the squared scale.
+
+    Every entry takes the elementwise operations of the one-matrix scalar
+    form, so an invertible matrix gets its bits whatever else is stacked;
+    singular ones hold whatever the division gave.
+    """
+    s00, s01, s10, s11 = s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1]
+    with np.errstate(all="ignore"):
+        det = s00 * s11 - s01 * s10
+        scale = np.maximum(np.abs(s00) + np.abs(s11), 1e-30)
+        # Where det is finite, ">=" is "not <": 1e-15 * scale^2 is not NaN.
+        invertible = np.isfinite(det) & (np.abs(det) >= 1e-15 * scale * scale)
+        # [[s11, -s01], [-s10, s00]]: a sign flip is exact, as negation is.
+        adjugate = s.reshape(-1, 4).take(_ADJUGATE_ORDER, axis=1) * _ADJUGATE_SIGNS
+        return invertible, (adjugate / det[:, None]).reshape(-1, 2, 2)
 
 
 def ekf_update(
-    estimates: Sequence[TrackEstimate], zs: Sequence[GaussianEstimate]
-) -> list[TrackEstimate]:
+    state: tuple[np.ndarray, np.ndarray], means: np.ndarray, covariances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kalman update of each track's position block from its own observation.
 
-    The 2x2 innovation covariance is tested and inverted per track on
-    Python floats.  A track whose innovation covariance is singular or not
-    finite keeps its estimate; all others take one stacked gain, state
-    update and Joseph-form covariance update.
+    ``state`` is the tracks' stacked means (n, 5) and covariances
+    (n, 5, 5); track i observes ``means[i]`` with covariance
+    ``covariances[i]``.  Returns which tracks updated and every track's
+    mean and covariance afterwards.  A track whose 2x2 innovation
+    covariance is singular or not finite keeps its values; all others take
+    one stacked gain, state update and Joseph-form covariance update.
     """
-    updated = list(estimates)
-    if not updated:
-        return updated
-    means = np.array([e.mean for e in estimates])
-    covs = np.array([e.covariance for e in estimates])
-    rows, inverses, z_covs = [], [], []
-    for i, (((p00, p01), (p10, p11)), z) in enumerate(zip(covs[:, :2, :2].tolist(), zs)):
-        (r00, r01), (r10, r11) = r = z.covariance.tolist()
-        inverse = _inverse_2x2(p00 + r00, p01 + r01, p10 + r10, p11 + r11)
-        if inverse is not None:
-            rows.append(i)
-            inverses.append(inverse)
-            z_covs.append(r)
-    if not rows:
-        return updated
-    if len(rows) < len(updated):
-        means, covs = means[rows], covs[rows]
-    gain = covs[:, :, :2] @ np.array(inverses).reshape(-1, 2, 2)
-    innovation = np.array([zs[i].mean for i in rows]) - means[:, :2]
-    means = means + (gain @ innovation[:, :, None])[:, :, 0]
-    means[:, 3] = wrap_angle(means[:, 3])
+    track_means, track_covs = state
+    updated, inverse = _inverses(track_covs[:, :2, :2] + covariances)
+    rows = updated.nonzero()[0]
+    if not len(rows):
+        return updated, track_means, track_covs
+    # take hands every product C-contiguous operands, the layout that fixes
+    # which matmul kernel runs and so the bits.
+    new_means, covs = track_means.take(rows, axis=0), track_covs.take(rows, axis=0)
+    gain = covs[:, :, :2] @ inverse.take(rows, axis=0)
+    innovation = means.take(rows, axis=0) - new_means[:, :2]
+    new_means = new_means + (gain @ innovation[:, :, None])[:, :, 0]
+    new_means[:, 3] = wrap_angle(new_means[:, 3])
     # Joseph form keeps the covariance symmetric PSD under round-off.
     identity_minus_gain = np.empty_like(covs)
     identity_minus_gain[:] = _IDENTITY
     identity_minus_gain[:, :, :2] -= gain
-    covs = symmetrized(
+    new_covs = symmetrized(
         identity_minus_gain @ covs @ identity_minus_gain.swapaxes(1, 2)
-        + gain @ np.array(z_covs) @ gain.swapaxes(1, 2)
+        + gain @ covariances.take(rows, axis=0) @ gain.swapaxes(1, 2)
     )
-    for i, mean, cov in zip(rows, means, covs):
-        updated[i] = TrackEstimate(mean, cov)
-    return updated
+    if len(rows) == len(updated):
+        return updated, new_means, new_covs
+    out_means, out_covs = track_means.copy(), track_covs.copy()
+    out_means[rows], out_covs[rows] = new_means, new_covs
+    return updated, out_means, out_covs
 
 
-def _folded(zs: list[GaussianEstimate]) -> GaussianEstimate:
-    """The one position measurement equivalent to several, fused in order.
+# From this many tracks up, one fold step costs less as a set of array
+# operations (about 40 numpy calls, each about 1 us) than as a Python-float
+# join per track (about 2 us each); the narrow tail of deep folds, such as
+# an RSU track seen by every platform, takes the Python loop.
+_ARRAY_FOLD_MIN = 32
 
-    Each next observation joins the running one by a 2x2 Kalman step (gain
-    ``R_f (R_f + R_i)^-1``, covariance ``R_f - G R_f``), on Python floats
-    read once per observation.  One whose sum with the running fold is
-    singular (``_inverse_2x2``) is skipped.  The information form is
-    not used: a zero covariance is a legal observation and has no inverse.
-    """
-    mx, my = zs[0].mean.tolist()
-    (r00, r01), (r10, r11) = zs[0].covariance.tolist()
-    for z in zs[1:]:
-        zx, zy = z.mean.tolist()
-        (q00, q01), (q10, q11) = z.covariance.tolist()
-        inverse = _inverse_2x2(r00 + q00, r01 + q01, r10 + q10, r11 + q11)
-        if inverse is None:
+
+def _join(mean: list, cov: list, zs: list, qs: list) -> tuple[tuple, tuple]:
+    """One track's running fold (mean, row-major covariance) joined by the
+    observations ``zs`` (means) with ``qs`` (row-major covariances), in
+    order, on Python floats; returns the mean and the 2x2 covariance."""
+    (mx, my), (r00, r01, r10, r11) = mean, cov
+    for (zx, zy), (q00, q01, q10, q11) in zip(zs, qs):
+        s00, s01, s10, s11 = r00 + q00, r01 + q01, r10 + q10, r11 + q11
+        det = s00 * s11 - s01 * s10
+        scale = max(abs(s00) + abs(s11), 1e-30)
+        if not math.isfinite(det) or abs(det) < 1e-15 * scale * scale:
             continue
-        i00, i01, i10, i11 = inverse
+        i00, i01, i10, i11 = s11 / det, -s01 / det, -s10 / det, s00 / det
         g00, g01 = r00 * i00 + r01 * i10, r00 * i01 + r01 * i11
         g10, g11 = r10 * i00 + r11 * i10, r10 * i01 + r11 * i11
         dx, dy = zx - mx, zy - my
@@ -250,29 +258,94 @@ def _folded(zs: list[GaussianEstimate]) -> GaussianEstimate:
             r11 - (g10 * r01 + g11 * r11),
         )
         r01 = r10 = 0.5 * (r01 + r10)
-    return GaussianEstimate(np.array([mx, my]), np.array([[r00, r01], [r10, r11]]))
+    return (mx, my), ((r00, r01), (r10, r11))
+
+
+def _fold(
+    rows: np.ndarray, means: np.ndarray, covariances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each track's observations folded, in order, into one equivalent
+    position measurement: the tracks (ascending) and their folded means
+    (u, 2) and covariances (u, 2, 2).
+
+    ``rows`` (ascending) names the track of each observation.  Each next
+    observation joins the running fold by a 2x2 Kalman step (gain
+    ``R_f (R_f + R_i)^-1``, covariance ``R_f - G R_f``, symmetrized); a
+    join whose sum is singular (see ``_inverses``) is skipped.  Step k runs
+    across all tracks with more than k observations at once while there
+    are at least ``_ARRAY_FOLD_MIN`` of them, then each remaining track
+    finishes alone (``_join``); both take the same IEEE operations in the
+    same order.  The information form is not used: a zero covariance is a
+    legal observation and has no inverse.
+    """
+    new_track = np.empty(len(rows), dtype=bool)
+    new_track[:1] = True
+    new_track[1:] = rows[1:] != rows[:-1]
+    first = new_track.nonzero()[0]
+    if len(first) == len(rows):
+        return rows, means, covariances
+    counts = np.bincount(new_track.cumsum() - 1, minlength=len(first))
+    folded_means = means.take(first, axis=0)
+    folded = covariances.take(first, axis=0)
+    step = 1
+    live = (counts > step).nonzero()[0]
+    with np.errstate(all="ignore"):
+        while len(live) >= _ARRAY_FOLD_MIN:
+            pair = first[live] + step
+            r = folded[live]
+            ok, inverse = _inverses(r + covariances.take(pair, axis=0))
+            # Each product below is a 2x2 product written out elementwise:
+            # entry (a, b) is x[a, 0] * y[0, b] + x[a, 1] * y[1, b].
+            gain = r[:, :, :1] * inverse[:, :1, :] + r[:, :, 1:] * inverse[:, 1:, :]
+            d = means.take(pair, axis=0) - folded_means[live]
+            mean = folded_means[live] + (gain[:, :, 0] * d[:, :1] + gain[:, :, 1] * d[:, 1:])
+            cov = r - (gain[:, :, :1] * r[:, :1, :] + gain[:, :, 1:] * r[:, 1:, :])
+            cov[:, 0, 1] = cov[:, 1, 0] = 0.5 * (cov[:, 0, 1] + cov[:, 1, 0])
+            if not ok.all():
+                live, mean, cov = live[ok], mean[ok], cov[ok]
+            folded_means[live], folded[live] = mean, cov
+            step += 1
+            live = (counts > step).nonzero()[0]
+    if len(live):
+        zs, qs = means.tolist(), covariances.reshape(-1, 4).tolist()
+        starts, sizes = first.tolist(), counts.tolist()
+        for t in live.tolist():
+            start, stop = starts[t] + step, starts[t] + sizes[t]
+            if step == 1:
+                mean, cov = zs[start - 1], qs[start - 1]
+            else:
+                mean, cov = folded_means[t].tolist(), folded[t].ravel().tolist()
+            folded_means[t], folded[t] = _join(mean, cov, zs[start:stop], qs[start:stop])
+    return rows[first], folded_means, folded
 
 
 def multi_update(
-    estimates: Sequence[TrackEstimate], observations: Sequence[list[GaussianEstimate]]
-) -> list[TrackEstimate]:
+    state: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    means: np.ndarray,
+    covariances: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One update per track from all of its frame's observations.
 
-    ``observations[i]`` holds track i's observations in any order; they are
-    ordered by source tag.  Every observation measures position
-    (H = [I 0]), so k of them fold into one equivalent measurement and all
-    tracks with any pay one stacked ``ekf_update``; a single observation is
-    used as it is.  A track with none, or whose update fails numerically,
-    keeps its estimate.
+    ``state`` is the tracks' stacked means (n, 5) and covariances
+    (n, 5, 5); observation k, of track ``rows[k]``, has mean ``means[k]``
+    and covariance ``covariances[k]``.  ``rows`` is ascending and each
+    track's observations come in the order they fold (by source tag).
+    Every observation measures position (H = [I 0]), so k of them fold into
+    one equivalent measurement (``_fold``) and all tracks with any pay one
+    stacked ``ekf_update``.  Returns which tracks updated and every
+    track's mean and covariance afterwards; a track with no observation, or
+    whose update fails numerically, keeps its values.
     """
-    rows = [i for i, zs in enumerate(observations) if zs]
-    updated = list(estimates)
-    if not rows:
-        return updated
-    folded = [
-        zs[0] if len(zs) == 1 else _folded(sorted(zs, key=lambda z: z.source))
-        for zs in (observations[i] for i in rows)
-    ]
-    for i, estimate in zip(rows, ekf_update([estimates[i] for i in rows], folded)):
-        updated[i] = estimate
-    return updated
+    track_means, track_covs = state
+    updated = np.zeros(len(track_means), dtype=bool)
+    if not len(rows):
+        return updated, track_means, track_covs
+    targets, z_means, z_covs = _fold(rows, means, covariances)
+    ok, new_means, new_covs = ekf_update(
+        (track_means.take(targets, axis=0), track_covs.take(targets, axis=0)), z_means, z_covs
+    )
+    updated[targets] = ok
+    out_means, out_covs = track_means.copy(), track_covs.copy()
+    out_means[targets], out_covs[targets] = new_means, new_covs
+    return updated, out_means, out_covs

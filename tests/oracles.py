@@ -5,8 +5,8 @@ package internals, except that the per-track filter references take the
 package's process noise matrix and its angle wrap and symmetrize helpers,
 the per-platform hand-off builds the package's packet records and takes
 its covariance union, and the per-platform local tier reuses the package's
-filter, enumeration and merge steps (each checked against its own
-reference elsewhere) around scalar gating.
+predict and cluster enumeration (each checked against its own reference
+elsewhere) around scalar gating, marginals, update and merge.
 """
 
 import itertools
@@ -21,7 +21,6 @@ from coopfusion.association import (
     Track,
     _clusters,
     _enumerate_cluster,
-    _merge_coincident,
     new_track_estimate,
 )
 from coopfusion.error_models import (
@@ -38,7 +37,6 @@ from coopfusion.tracking import (
     YAW_RATE_EPS,
     TrackEstimate,
     ctrv_predict,
-    multi_update,
     process_noise_matrix,
 )
 
@@ -210,6 +208,65 @@ def ekf_update_reference(track, z):
     return TrackEstimate(updated, symmetrized(cov_new))
 
 
+def inverse_2x2_reference(s00, s01, s10, s11):
+    """Row-major inverse of one 2x2 innovation covariance on Python floats, or
+    None where it is singular: a determinant that is not finite or is below
+    1e-15 of the squared scale."""
+    det = s00 * s11 - s01 * s10
+    scale = max(abs(s00) + abs(s11), 1e-30)
+    if not math.isfinite(det) or abs(det) < 1e-15 * scale * scale:
+        return None
+    return s11 / det, -s01 / det, -s10 / det, s00 / det
+
+
+def folded_reference(zs):
+    """The one position measurement equivalent to several, fused in order.
+
+    Each next observation joins the running one by a 2x2 Kalman step on
+    Python floats; one whose sum with the running fold is singular is
+    skipped.  The array fold of ``multi_update`` must give these bits.
+    """
+    mx, my = zs[0].mean.tolist()
+    (r00, r01), (r10, r11) = zs[0].covariance.tolist()
+    for z in zs[1:]:
+        zx, zy = z.mean.tolist()
+        (q00, q01), (q10, q11) = z.covariance.tolist()
+        inverse = inverse_2x2_reference(r00 + q00, r01 + q01, r10 + q10, r11 + q11)
+        if inverse is None:
+            continue
+        i00, i01, i10, i11 = inverse
+        g00, g01 = r00 * i00 + r01 * i10, r00 * i01 + r01 * i11
+        g10, g11 = r10 * i00 + r11 * i10, r10 * i01 + r11 * i11
+        dx, dy = zx - mx, zy - my
+        mx, my = mx + (g00 * dx + g01 * dy), my + (g10 * dx + g11 * dy)
+        r00, r01, r10, r11 = (
+            r00 - (g00 * r00 + g01 * r10),
+            r01 - (g00 * r01 + g01 * r11),
+            r10 - (g10 * r00 + g11 * r10),
+            r11 - (g10 * r01 + g11 * r11),
+        )
+        r01 = r10 = 0.5 * (r01 + r10)
+    return GaussianEstimate(np.array([mx, my]), np.array([[r00, r01], [r10, r11]]))
+
+
+def multi_update_reference(estimates, observations):
+    """One update per track from its list of observations, track by track.
+
+    A track's observations are sorted by source tag and folded
+    (``folded_reference``; a single one is used as it is) into one
+    ``ekf_update_reference``.  A track with none keeps its estimate (the
+    same object).  The array ``multi_update`` must give these bits.
+    """
+    return [
+        estimate
+        if not zs
+        else ekf_update_reference(
+            estimate, zs[0] if len(zs) == 1 else folded_reference(sorted(zs, key=lambda z: z.source))
+        )
+        for estimate, zs in zip(estimates, observations)
+    ]
+
+
 def sequential_update_reference(track, zs):
     """One EKF update per observation, in source order.
 
@@ -340,6 +397,73 @@ def check_packet_reference(packet):
             raise PacketError("packet covariance is not positive semi-definite")
 
 
+def jpda_weights_reference(tracks, observations, cfg):
+    """One source's JPDA marginals, pair by pair: gating by
+    ``pair_stats_reference``, then every cluster, one track or more,
+    enumerated by the package's ``_enumerate_cluster``.
+
+    Returns the weights (n, m), the miss probabilities (n,) and the gate
+    matrix; ``jpda_weights`` must give the same bits.
+    """
+    dist2, density = pair_stats_reference(tracks, observations)
+    feasible = dist2 <= cfg.gate_threshold
+    gated = {}
+    for i in range(len(tracks)):
+        for j in range(len(observations)):
+            if feasible[i, j]:
+                gated.setdefault(i, []).append((j, float(density[i, j])))
+    weights = np.zeros((len(tracks), len(observations)))
+    miss = np.ones(len(tracks))
+    for track_ids, obs_ids in _clusters(gated):
+        for i, marginals in _enumerate_cluster(track_ids, obs_ids, gated, cfg).items():
+            for j, probability in marginals.items():
+                if j >= 0:
+                    weights[i, j] = probability
+                else:
+                    miss[i] = probability
+    return weights, miss, feasible
+
+
+def merge_coincident_reference(tracks, threshold):
+    """One group's coincident-track merge, one pair at a time on Python floats.
+
+    Tracks rank by frames seen (most first), then id; each track not yet
+    absorbed absorbs every later-ranked one not yet absorbed whose squared
+    Mahalanobis distance to it is within ``threshold``, taking the larger
+    ``frames_seen``, the smaller ``frames_missed``, either's confirmation
+    and both source sets.  Returns the tracks that stay, in input order.
+    """
+    order = sorted(range(len(tracks)), key=lambda i: (-tracks[i].frames_seen, tracks[i].id))
+    blocks = [
+        (*t.estimate.mean[:2].tolist(), *t.estimate.covariance[:2, :2].ravel().tolist())
+        for t in tracks
+    ]
+    absorbed = set()
+    for rank, i in enumerate(order):
+        if i in absorbed:
+            continue
+        keeper = tracks[i]
+        kx, ky, k00, k01, k10, k11 = blocks[i]
+        for j in order[rank + 1 :]:
+            if j in absorbed:
+                continue
+            ox, oy, o00, o01, o10, o11 = blocks[j]
+            dx, dy = ox - kx, oy - ky
+            c00, c01, c10, c11 = k00 + o00, k01 + o01, k10 + o10, k11 + o11
+            det = c00 * c11 - c01 * c10
+            quadratic = c11 * dx * dx - 2.0 * c01 * dx * dy + c00 * dy * dy
+            d2 = math.inf if det <= 0 else quadratic / det
+            if not d2 <= threshold:
+                continue
+            other = tracks[j]
+            absorbed.add(j)
+            keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
+            keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
+            keeper.confirmed = keeper.confirmed or other.confirmed
+            keeper.sources.update(other.sources)
+    return [t for idx, t in enumerate(tracks) if idx not in absorbed]
+
+
 def associate_frame_reference(tracks, observations_by_source, cfg, next_id, events=None):
     """One platform's association frame, source by source, gated one pair at a
     time by ``pair_stats_reference``.
@@ -352,19 +476,7 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
     unassociated = []
     for source in sorted(observations_by_source):
         observations = list(observations_by_source[source])
-        dist2, density = pair_stats_reference(tracks, observations)
-        feasible = dist2 <= cfg.gate_threshold
-        gated = {}
-        for i in range(len(tracks)):
-            for j in range(len(observations)):
-                if feasible[i, j]:
-                    gated.setdefault(i, []).append((j, float(density[i, j])))
-        weights = np.zeros((len(tracks), len(observations)))
-        for track_ids, obs_ids in _clusters(gated):
-            for i, marginals in _enumerate_cluster(track_ids, obs_ids, gated, cfg).items():
-                for j, probability in marginals.items():
-                    if j >= 0:
-                        weights[i, j] = probability
+        weights, _, feasible = jpda_weights_reference(tracks, observations, cfg)
         for i, j in zip(*np.nonzero(weights > cfg.weight_floor)):
             obs = observations[j]
             accepted[i].append(
@@ -374,7 +486,7 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
             obs for j, obs in enumerate(observations) if not feasible[:, j].any()
         )
 
-    updated = multi_update([t.estimate for t in tracks], accepted)
+    updated = multi_update_reference([t.estimate for t in tracks], accepted)
     for track, estimate, zs in zip(tracks, updated, accepted):
         track.estimate = estimate
         if zs:
@@ -391,7 +503,7 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
         if t.frames_missed < cfg.delete_threshold
         and np.trace(t.estimate.covariance[:2, :2]) <= cfg.max_position_variance
     ]
-    merged = _merge_coincident(survivors, cfg.gate_threshold)
+    merged = merge_coincident_reference(survivors, cfg.gate_threshold)
 
     spawned = []
     for obs in unassociated:

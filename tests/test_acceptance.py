@@ -247,7 +247,10 @@ class TestCriterion6EkfConsistency:
                 z = GaussianEstimate(
                     truth[:2] + math.sqrt(meas_var) * rng.normal(size=2), meas_var * np.eye(2)
                 )
-                (track,) = ekf_update([track], [z])
+                _, means, covs = ekf_update(
+                    (track.mean[None], track.covariance[None]), z.mean[None], z.covariance[None]
+                )
+                track = TrackEstimate(means[0], covs[0])
                 err = truth - track.mean
                 err[3] = math.atan2(math.sin(err[3]), math.cos(err[3]))
                 nees_sum[k] += float(err @ np.linalg.solve(track.covariance, err))

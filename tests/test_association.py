@@ -3,19 +3,27 @@ import math
 
 import numpy as np
 import pytest
-from oracles import jpda_enumeration, jpda_oracle, pair_stats_reference
+from oracles import (
+    jpda_enumeration,
+    jpda_oracle,
+    jpda_weights_reference,
+    merge_coincident_reference,
+    pair_stats_reference,
+)
 
+from coopfusion import association
 from coopfusion.association import (
     AssociationConfig,
     CombinatorialOverflowError,
     ObservationBatch,
     Track,
+    _merge_coincident,
     associate_frame,
     gate,
     jpda_weights,
     new_track_estimate,
 )
-from coopfusion.error_models import GaussianEstimate
+from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import TrackEstimate
 
 
@@ -158,6 +166,16 @@ class TestGate:
         assert excluded > 100
 
 
+@pytest.fixture(params=["closed_form", "default", "enumerated"])
+def lone_marginals(request, monkeypatch):
+    """Route tracks alone in their cluster through the array closed form
+    always, by the frame-size rule, or through enumeration always."""
+    if request.param != "default":
+        minimum = 0 if request.param == "closed_form" else 10**9
+        monkeypatch.setattr(association, "_ARRAY_MARGINALS_MIN", minimum)
+    return request.param
+
+
 class TestJpdaWeights:
     def test_single_pair_no_clutter(self):
         cfg = AssociationConfig(clutter_density=0.0)
@@ -238,6 +256,76 @@ class TestJpdaWeights:
             result = jpda_weights(tracks, observations, cfg)
             np.testing.assert_array_equal(result.weights, weights)
             np.testing.assert_array_equal(result.miss, miss)
+
+    @staticmethod
+    def assert_matches_scalar_path(tracks, observations, cfg):
+        weights, miss, feasible = jpda_weights_reference(tracks, observations, cfg)
+        result = jpda_weights(tracks, observations, cfg)
+        assert result.weights.tobytes() == weights.tobytes()
+        assert result.miss.tobytes() == miss.tobytes()
+        assert result.unassociated_observations == np.flatnonzero(~feasible.any(axis=0)).tolist()
+        return result, feasible
+
+    def test_matches_scalar_path_on_lone_and_shared_clusters(self, lone_marginals):
+        # Frames where most tracks are alone in their cluster and some share
+        # observations; the lone ones take the array closed form, the rest
+        # the enumeration, and both must give the scalar path's bits.
+        rng = np.random.default_rng(31)
+        lone = shared = 0
+        for _ in range(200):
+            cfg = AssociationConfig(
+                detection_probability=rng.choice([rng.uniform(0.5, 1.0), 1.0]),
+                clutter_density=rng.choice([0.0, 0.05, 0.5]),
+                gate_threshold=rng.choice([9.21, 25.0]),
+            )
+            tracks = [
+                make_track(i, *rng.uniform(-8, 8, 2), pos_var=rng.uniform(0.05, 1.0))
+                for i in range(rng.integers(0, 7))
+            ]
+            observations = [
+                GaussianEstimate(
+                    rng.uniform(-8, 8, 2),
+                    rotated_covariance(*rng.uniform(0.05, 1.0, 2), rng.uniform(-math.pi, math.pi)),
+                )
+                for _ in range(rng.integers(0, 9))
+            ]
+            _, feasible = self.assert_matches_scalar_path(tracks, observations, cfg)
+            contended = feasible[:, feasible.sum(axis=0) > 1].any(axis=1)
+            gating = feasible.any(axis=1)
+            lone += int((gating & ~contended).sum())
+            shared += int(contended.sum())
+        assert lone > 100 and shared > 80
+
+    def test_zero_clutter_with_spare_observations_falls_back_to_all_miss(self, lone_marginals):
+        # Every event leaves an observation to clutter, so every likelihood
+        # is 0: the lone track falls back to a certain miss.
+        cfg = AssociationConfig(clutter_density=0.0)
+        tracks = [make_track(0, 0, 0), make_track(1, 20, 0)]
+        observations = [make_obs(0.1, 0), make_obs(-0.1, 0.1), make_obs(20, 0.1)]
+        result, _ = self.assert_matches_scalar_path(tracks, observations, cfg)
+        assert result.miss.tolist() == [1.0, 0.0]
+        assert result.weights.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_gate_beyond_density_cutoff(self, lone_marginals):
+        # Pairs gated at a squared distance of 1e3 or more get density 0.
+        cfg = AssociationConfig(gate_threshold=5e3)
+        tracks = [make_track(0, 0, 0, pos_var=0.5), make_track(1, 200, 0, pos_var=0.5)]
+        observations = [make_obs(40, 0, 0.5), make_obs(0.5, 0, 0.5), make_obs(250, 0, 0.5)]
+        dist2, density = pair_stats_reference(tracks, observations)
+        assert dist2[0, 0] >= 1e3 and dist2[1, 2] >= 1e3 and (density[dist2 >= 1e3] == 0.0).all()
+        result, feasible = self.assert_matches_scalar_path(tracks, observations, cfg)
+        assert feasible[0, 0] and feasible[1, 2]
+        assert result.weights[0, 0] == 0.0 and result.weights[1, 2] == 0.0
+
+    def test_lone_track_event_cap_raises(self, lone_marginals):
+        # A lone track with one gated observation has two events.
+        cfg = AssociationConfig(max_events=1)
+        with pytest.raises(CombinatorialOverflowError):
+            jpda_weights([make_track(0, 0, 0)], [make_obs(0.1, 0.0)], cfg)
+        with pytest.raises(CombinatorialOverflowError):
+            associate([make_track(0, 0, 0)], {"s": [make_obs(0.1, 0.0)]}, cfg, lambda: 1)
+        result = jpda_weights([make_track(0, 0, 0)], [make_obs(50, 0)], cfg)
+        assert result.miss.tolist() == [1.0]
 
     def test_ungated_observation_reported_unassociated(self):
         cfg = AssociationConfig()
@@ -352,6 +440,70 @@ class TestApplyAssociation:
 
         assert survivors(AssociationConfig()) == [0, 1]
         assert survivors(AssociationConfig(gate_threshold=16.0)) == [0]
+
+    def test_merge_matches_scalar_reference(self):
+        # Random groups packed close enough to chain merges, with many ties
+        # in frames_seen; every group of a call is merged in one pass.
+        rng = np.random.default_rng(41)
+        merged = 0
+        for _ in range(40):
+            groups = []
+            for g in range(rng.integers(1, 5)):
+                group = []
+                for k in range(rng.integers(0, 9)):
+                    track = make_track(100 * g + k, *rng.uniform(0, 1.2, 2), rng.uniform(0.005, 0.05))
+                    track.estimate.covariance[:2, :2] = rotated_covariance(
+                        *rng.uniform(0.07, 0.22, 2), rng.uniform(-math.pi, math.pi)
+                    )
+                    track.frames_seen = int(rng.integers(1, 4))
+                    track.frames_missed = int(rng.integers(0, 3))
+                    track.confirmed = bool(rng.integers(2))
+                    track.sources = {f"s{rng.integers(4)}"}
+                    group.append(track)
+                groups.append(group)
+            expected = [merge_coincident_reference([t.snapshot() for t in g], 9.21) for g in groups]
+            flat = [t for g in groups for t in g]
+            kept = _merge_coincident(
+                flat,
+                [g for g, group in enumerate(groups) for _ in group],
+                np.array([t.estimate.mean[:2] for t in flat]).reshape(-1, 2),
+                np.array([t.estimate.covariance[:2, :2] for t in flat]).reshape(-1, 2, 2),
+                9.21,
+            )
+            got = [flat[k] for k in kept]
+            want = [t for g in expected for t in g]
+            fields = ("id", "frames_seen", "frames_missed", "confirmed", "sources")
+            assert [[getattr(t, f) for f in fields] for t in got] == [
+                [getattr(t, f) for f in fields] for t in want
+            ]
+            merged += len(flat) - len(kept)
+        assert merged > 200
+
+    def test_merge_gate_is_inclusive(self):
+        # A pair exactly at the threshold merges; one ulp below, it does not.
+        def pair():
+            tracks = [make_track(0, 0.0, 0.0, 0.013), make_track(1, 0.31, -0.17, 0.021)]
+            tracks[0].frames_seen = 4
+            return tracks
+
+        (a, b) = pair()
+        dx, dy = b.estimate.mean[:2] - a.estimate.mean[:2]
+        c = a.estimate.covariance[:2, :2] + b.estimate.covariance[:2, :2]
+        det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
+        d2 = float((c[1, 1] * dx * dx - 2.0 * c[0, 1] * dx * dy + c[0, 0] * dy * dy) / det)
+        for threshold, merged in ((d2, True), (math.nextafter(d2, -math.inf), False)):
+            tracks = pair()
+            kept = _merge_coincident(
+                tracks,
+                [0, 0],
+                np.array([t.estimate.mean[:2] for t in tracks]),
+                np.array([t.estimate.covariance[:2, :2] for t in tracks]),
+                threshold,
+            )
+            assert kept == ([0] if merged else [0, 1])
+            assert [t.id for t in merge_coincident_reference(pair(), threshold)] == [
+                tracks[k].id for k in kept
+            ]
 
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)

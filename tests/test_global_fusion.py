@@ -175,6 +175,14 @@ class TestPacketize:
         packet = cav_packet("cav0", 0.0, pose, [local_track(0, 1.0, 0.0)])
         assert packet.tracks[0].mean == pytest.approx((5.0, 6.0), abs=1e-12)
 
+    def test_packet_track_is_an_immutable_record(self):
+        track = PacketTrack(id="3", mean=(1.0, 2.0), covariance=((0.1, 0.0), (0.0, 0.1)))
+        assert track.object_class == "vehicle"
+        assert track == PacketTrack("3", (1.0, 2.0), ((0.1, 0.0), (0.0, 0.1)), "vehicle")
+        for name in ("id", "mean", "covariance", "object_class"):
+            with pytest.raises(AttributeError):
+                setattr(track, name, None)
+
 
 def random_tracks(rng, n):
     """``n`` local tracks whose estimates are views into stacked arrays, as

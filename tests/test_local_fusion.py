@@ -350,14 +350,14 @@ class TestBatchMatchesPerPlatformReference:
 
     def test_singular_innovation_is_never_gated(self):
         track = injected(0, 1.0, 0.0, np.full((2, 2), 1e20))
-        ((gated, unassociated),) = _gate_blocks(
+        block, rows, cols, density = _gate_blocks(
             *_track_blocks([track]),
             np.array([[1.0, 0.0]]),
             np.array([0.01 * np.eye(2)]),
             [(0, 1, 0, 1)],
             AssociationConfig(),
         )
-        assert gated == {} and unassociated == [0]
+        assert block.size == rows.size == cols.size == density.size == 0
 
     def test_stale_or_mixed_times_rejected_without_change(self):
         fusion = LocalFusion(PLATFORMS, DT)

@@ -2,14 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from oracles import ctrv_predict_reference, ekf_update_reference, sequential_update_reference
+from oracles import (
+    ctrv_predict_reference,
+    ekf_update_reference,
+    folded_reference,
+    inverse_2x2_reference,
+    multi_update_reference,
+    sequential_update_reference,
+)
 
+from coopfusion import tracking
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import (
     ProcessNoiseConfig,
     TrackEstimate,
     YAW_RATE_EPS,
-    _folded,
+    _fold,
     ctrv_jacobian,
     ctrv_motion,
     ctrv_predict,
@@ -23,6 +31,44 @@ def make_track(x=0.0, y=0.0, v=0.0, psi=0.0, psi_dot=0.0, cov=None):
     if cov is None:
         cov = np.eye(5)
     return TrackEstimate(np.array([x, y, v, psi, psi_dot], dtype=float), cov)
+
+
+def stacked(estimates):
+    """The estimates' means and covariances as stacked arrays."""
+    return (
+        np.array([e.mean for e in estimates]).reshape(-1, 5),
+        np.array([e.covariance for e in estimates]).reshape(-1, 5, 5),
+    )
+
+
+def observation_arrays(zs):
+    return (
+        np.array([z.mean for z in zs]).reshape(-1, 2),
+        np.array([z.covariance for z in zs]).reshape(-1, 2, 2),
+    )
+
+
+def unstacked(estimates, result):
+    """An update's result as estimates; one that did not update is the same object."""
+    flags, means, covs = result
+    return [
+        TrackEstimate(mean, cov) if flag else estimate
+        for estimate, flag, mean, cov in zip(estimates, flags.tolist(), means, covs)
+    ]
+
+
+def ekf_updated(estimates, zs):
+    """``ekf_update`` of each estimate by its own observation, on lists."""
+    return unstacked(estimates, ekf_update(stacked(estimates), *observation_arrays(zs)))
+
+
+def multi_updated(estimates, observations):
+    """``multi_update`` with track i's observations in ``observations[i]``,
+    folded in source order, on lists."""
+    pairs = [(i, z) for i, zs in enumerate(observations) for z in sorted(zs, key=lambda z: z.source)]
+    rows = np.array([i for i, _ in pairs], dtype=np.intp)
+    result = multi_update(stacked(estimates), rows, *observation_arrays([z for _, z in pairs]))
+    return unstacked(estimates, result)
 
 
 def ctrv_oracle_turn(v, psi, psi_dot, dt):
@@ -128,21 +174,21 @@ class TestEkfUpdate:
     def test_half_gain_closed_form(self):
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 0.0]), np.eye(2))
-        (out,) = ekf_update([track], [z])
+        (out,) = ekf_updated([track], [z])
         assert out.mean[0] == pytest.approx(0.5, abs=1e-12)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_gain_limit(self):
         track = make_track()
         z = GaussianEstimate(np.array([1.0, 1.0]), 1e9 * np.eye(2))
-        (out,) = ekf_update([track], [z])
+        (out,) = ekf_updated([track], [z])
         assert out.mean[0] == pytest.approx(0.0, abs=1e-6)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-6)
 
     def test_full_gain_limit(self):
         track = make_track(cov=1e9 * np.eye(5))
         z = GaussianEstimate(np.array([2.0, -1.0]), np.eye(2) * 1e-4)
-        (out,) = ekf_update([track], [z])
+        (out,) = ekf_updated([track], [z])
         assert out.mean[0] == pytest.approx(2.0, abs=1e-6)
         assert out.mean[1] == pytest.approx(-1.0, abs=1e-6)
 
@@ -153,7 +199,7 @@ class TestEkfUpdate:
             cov = base @ base.T + 0.1 * np.eye(5)
             track = make_track(cov=cov)
             z = GaussianEstimate(rng.uniform(-1, 1, size=2), np.diag(rng.uniform(0.01, 1.0, 2)))
-            (out,) = ekf_update([track], [z])
+            (out,) = ekf_updated([track], [z])
             assert np.trace(out.covariance[:2, :2]) <= np.trace(cov[:2, :2]) + 1e-12
             assert np.linalg.eigvalsh(out.covariance).min() >= -1e-10
 
@@ -164,7 +210,7 @@ class TestEkfUpdate:
         cov[0, 3] = cov[3, 0] = 0.5
         (track,) = ctrv_predict([make_track(psi=math.pi - 1e-3, cov=cov)], ProcessNoiseConfig())
         assert track.mean[3] == pytest.approx(math.pi - 1e-3)
-        (out,) = ekf_update([track], [GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2))])
+        (out,) = ekf_updated([track], [GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2))])
         assert -math.pi < out.mean[3] <= math.pi
         assert out.mean[3] < -math.pi / 2
 
@@ -172,29 +218,29 @@ class TestEkfUpdate:
         cov = np.zeros((5, 5))
         track = make_track(cov=cov)
         z = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
-        (out,) = ekf_update([track], [z])
+        (out,) = ekf_updated([track], [z])
         assert out is track
 
 
 class TestMultiUpdate:
     def test_empty_returns_track_unchanged(self):
         track = make_track(x=1.0, y=2.0)
-        (out,) = multi_update([track], [[]])
+        (out,) = multi_updated([track], [[]])
         assert out is track
 
     def test_two_measurements_tighter_than_one(self):
         track = make_track()
         z = GaussianEstimate(np.array([0.5, 0.0]), np.eye(2))
-        (once,) = ekf_update([track], [z])
-        (twice,) = multi_update([track], [[z, z]])
+        (once,) = ekf_updated([track], [z])
+        (twice,) = multi_updated([track], [[z, z]])
         assert np.trace(twice.covariance[:2, :2]) < np.trace(once.covariance[:2, :2])
 
     def test_order_permutation_invariant(self):
         track = make_track()
         z1 = GaussianEstimate(np.array([0.4, -0.1]), np.diag([0.2, 0.5]), source="a")
         z2 = GaussianEstimate(np.array([-0.2, 0.3]), np.diag([0.7, 0.1]), source="b")
-        (fwd,) = multi_update([track], [[z1, z2]])
-        (rev,) = multi_update([make_track()], [[z2, z1]])
+        (fwd,) = multi_updated([track], [[z1, z2]])
+        (rev,) = multi_updated([make_track()], [[z2, z1]])
         assert fwd.mean == pytest.approx(rev.mean, abs=1e-9)
         assert fwd.covariance == pytest.approx(rev.covariance, abs=1e-9)
 
@@ -226,7 +272,7 @@ class TestMultiUpdate:
         rng = np.random.default_rng(100 + k)
         for _ in range(20):
             track, zs = self.random_scene(rng, k)
-            (out,) = multi_update([track], [zs])
+            (out,) = multi_updated([track], [zs])
             ref = sequential_update_reference(track, zs)
             delta = out.mean - ref.mean
             delta[3] = math.remainder(delta[3], 2 * math.pi)
@@ -238,8 +284,8 @@ class TestMultiUpdate:
         rng = np.random.default_rng(7)
         for _ in range(50):
             track, zs = self.random_scene(rng, 1)
-            (out,) = multi_update([track], [zs])
-            (once,) = ekf_update([track], [zs[0]])
+            (out,) = multi_updated([track], [zs])
+            (once,) = ekf_updated([track], [zs[0]])
             assert np.array_equal(out.mean, once.mean)
             assert np.array_equal(out.covariance, once.covariance)
 
@@ -262,7 +308,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), covs[0], source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), covs[1], source="b"),
         ]
-        (out,) = multi_update([track], [zs])
+        (out,) = multi_updated([track], [zs])
         ref = sequential_update_reference(track, zs)
         assert out.mean == pytest.approx(ref.mean, rel=1e-12, abs=1e-12)
         assert out.covariance == pytest.approx(ref.covariance, rel=1e-12, abs=1e-12)
@@ -275,7 +321,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), 0.1 * np.eye(2), source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), np.diag([0.2, 0.3]), source="b"),
         ]
-        (out,) = multi_update([track], [zs])
+        (out,) = multi_updated([track], [zs])
         ref = sequential_update_reference(track, zs)
         assert out.mean == pytest.approx(track.mean, abs=1e-15)
         assert ref.mean == pytest.approx(track.mean, abs=1e-15)
@@ -287,7 +333,7 @@ class TestMultiUpdate:
             GaussianEstimate(np.array([1.0, 2.0]), np.zeros((2, 2)), source="a"),
             GaussianEstimate(np.array([-1.0, 0.5]), np.zeros((2, 2)), source="b"),
         ]
-        assert multi_update([track], [zs])[0] is track
+        assert multi_updated([track], [zs])[0] is track
         assert sequential_update_reference(track, zs) is track
 
 
@@ -301,7 +347,7 @@ class TestConvergence:
             truth = ctrv_motion_raw(truth, cfg.dt)
             (track,) = ctrv_predict([track], cfg)
             z = GaussianEstimate(truth[:2] + rng.normal(0, 1e-4, 2), 1e-8 * np.eye(2))
-            (track,) = ekf_update([track], [z])
+            (track,) = ekf_updated([track], [z])
         err = np.hypot(track.mean[0] - truth[0], track.mean[1] - truth[1])
         assert err < 1e-3
 
@@ -361,7 +407,7 @@ class TestStackedFilter:
         for _ in range(10):
             tracks = self.random_tracks(rng, n)
             zs = [self.random_observation(rng, t) for t in tracks]
-            out = ekf_update(tracks, zs)
+            out = ekf_updated(tracks, zs)
             self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(tracks, zs)])
 
     @pytest.mark.parametrize("n", SIZES)
@@ -376,13 +422,77 @@ class TestStackedFilter:
                 ]
                 for t in tracks
             ]
-            ref = [
-                t if not zs else ekf_update_reference(
-                    t, zs[0] if len(zs) == 1 else _folded(sorted(zs, key=lambda z: z.source))
-                )
-                for t, zs in zip(tracks, observations)
+            ref = multi_update_reference(tracks, observations)
+            self.assert_bits_equal(multi_updated(tracks, observations), ref)
+
+    @pytest.mark.parametrize("array_min", [1, tracking._ARRAY_FOLD_MIN, 10**9])
+    def test_fold_matches_scalar_fold(self, monkeypatch, array_min):
+        # Tracks take 1-6 observations each; some observations have zero or
+        # singular covariances and some joins are singular or not finite,
+        # so steps skip different tracks' joins within one array pass.
+        # Folds run as array steps throughout, as array steps while wide
+        # enough then per track, or per track throughout.
+        monkeypatch.setattr(tracking, "_ARRAY_FOLD_MIN", array_min)
+        rng = np.random.default_rng(14)
+        kinds = ("pd", "pd", "zero", "rank_one", "nan", "huge")
+
+        def covariance(kind):
+            if kind == "zero":
+                return np.zeros((2, 2))
+            if kind == "rank_one":
+                v = rng.normal(size=2)
+                return np.outer(v, v)
+            if kind == "nan":
+                return np.full((2, 2), np.nan)
+            if kind == "huge":
+                return np.diag([1e300, 1e300])
+            return rotated_covariance(*rng.uniform(0.005, 0.3, 2), rng.uniform(-math.pi, math.pi))
+
+        skipped = 0
+        for _ in range(40):
+            observations = [
+                [
+                    GaussianEstimate(rng.uniform(-5, 5, 2), covariance(rng.choice(kinds)))
+                    for _ in range(rng.integers(1, 7))
+                ]
+                for _ in range(rng.choice([rng.integers(1, 9), rng.integers(30, 80)]))
             ]
-            self.assert_bits_equal(multi_update(tracks, observations), ref)
+            rows = np.array([i for i, zs in enumerate(observations) for _ in zs], dtype=np.intp)
+            targets, means, covs = _fold(rows, *observation_arrays(sum(observations, [])))
+            assert targets.tolist() == list(range(len(observations)))
+            for zs, mean, cov in zip(observations, means, covs):
+                ref = folded_reference(zs)
+                assert mean.tobytes() == ref.mean.tobytes()
+                assert cov.tobytes() == ref.covariance.tobytes()
+                for k in range(1, len(zs)):
+                    joined = folded_reference(zs[:k]).covariance + zs[k].covariance
+                    skipped += inverse_2x2_reference(*joined.ravel().tolist()) is None
+        assert skipped > 200
+
+    def test_singular_mask_matches_scalar_inverse(self):
+        rng = np.random.default_rng(15)
+        tracks = self.random_tracks(rng, 60)
+        zs = [self.random_observation(rng, t) for t in tracks]
+        for k, track in enumerate(tracks[:30]):
+            track.covariance[:2, :2] = (
+                np.zeros((2, 2)),
+                np.ones((2, 2)),
+                [[1.0, 1.0], [1.0, 1.0 + 2.0**-52]],
+                np.full((2, 2), np.inf),
+                np.full((2, 2), np.nan),
+                [[1e200, 0.0], [0.0, 1e200]],
+            )[k % 6]
+            zs[k] = GaussianEstimate(zs[k].mean, np.zeros((2, 2)))
+        updated, _, _ = ekf_update(stacked(tracks), *observation_arrays(zs))
+        expected = [
+            inverse_2x2_reference(*(t.covariance[:2, :2] + z.covariance).ravel().tolist()) is not None
+            for t, z in zip(tracks, zs)
+        ]
+        assert updated.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+        with np.errstate(invalid="ignore", over="ignore"):
+            ref = [ekf_update_reference(t, z) for t, z in zip(tracks, zs)]
+        self.assert_bits_equal(ekf_updated(tracks, zs), ref)
 
     def test_singular_rows_keep_prediction_between_updated_ones(self):
         rng = np.random.default_rng(11)
@@ -391,7 +501,7 @@ class TestStackedFilter:
         tracks[3] = make_track(y=-1.0, cov=np.full((5, 5), np.nan))
         zs = [self.random_observation(rng, t) for t in tracks]
         zs[1] = GaussianEstimate(np.array([2.0, 0.0]), np.zeros((2, 2)))
-        out = ekf_update(tracks, zs)
+        out = ekf_updated(tracks, zs)
         assert out[1] is tracks[1] and out[3] is tracks[3]
         for i in (0, 2, 4):
             assert not np.array_equal(out[i].mean, tracks[i].mean)
@@ -413,7 +523,7 @@ class TestStackedFilter:
         zs = [
             GaussianEstimate(np.array([x, 0.0]), 0.5 * np.eye(2)) for x in (1.0, -1.0, 1.0, -1.0)
         ]
-        out = ekf_update(predicted, zs)
+        out = ekf_updated(predicted, zs)
         self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(predicted, zs)])
         assert all(-math.pi < e.mean[3] <= math.pi for e in out)
         assert out[2].mean[3] < -math.pi / 2 and out[3].mean[3] > math.pi / 2
@@ -422,7 +532,7 @@ class TestStackedFilter:
         rng = np.random.default_rng(12)
         tracks = self.random_tracks(rng, 7)
         zs = [GaussianEstimate(t.mean[:2] + rng.normal(size=2), np.zeros((2, 2))) for t in tracks]
-        out = ekf_update(tracks, zs)
+        out = ekf_updated(tracks, zs)
         self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(tracks, zs)])
         for got, z in zip(out, zs):
             assert got.mean[:2] == pytest.approx(z.mean, abs=1e-9)
@@ -431,7 +541,7 @@ class TestStackedFilter:
         rng = np.random.default_rng(13)
         tracks = self.random_tracks(rng, 4)
         observations = [[], [self.random_observation(rng, tracks[1])], [], []]
-        out = multi_update(tracks, observations)
+        out = multi_updated(tracks, observations)
         assert out[0] is tracks[0] and out[2] is tracks[2] and out[3] is tracks[3]
         self.assert_bits_equal(out[1:2], [ekf_update_reference(tracks[1], observations[1][0])])
-        assert multi_update(tracks, [[]] * 4) == tracks
+        assert multi_updated(tracks, [[]] * 4) == tracks

@@ -4,8 +4,15 @@ Each pair runs ``python3 benchmarks/run.py --workload W --seconds S --seed N
 --trace 0`` once in the base checkout and once in the change checkout; the
 side that goes first alternates from pair to pair.  The summary holds the
 environment stamp of the first run, each side's git SHA and ``src/``
-SHA-256, and per end-to-end metric each side's values, median and quartiles
-plus the number of pairs the change wins (ties count for neither side):
+SHA-256, and per end-to-end metric each side's values, median and quartiles,
+the number of pairs the change wins (ties count for neither side) and a
+verdict, which is also printed:
+
+- ``gain``: the change wins at least 9 of 10 pairs and its median is better
+  than the base median by more than the base quartile distance;
+- ``worse``: the change median is worse than the base median by more than
+  the metric's ``bound`` (a fraction of the base median);
+- ``unresolved``: neither.
 
     python3 tools/bench_pairs.py --base ../base --change . --workload presets \\
         --pairs 10 --out BENCH_11.json
@@ -38,6 +45,18 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(base: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """``gain``, ``worse`` or ``unresolved`` for one metric's quartiles."""
+    improvement = base["median"] - change["median"]
+    if better != "lower":
+        improvement = -improvement
+    if 10 * wins >= 9 * pairs and improvement > base["q3"] - base["q1"]:
+        return "gain"
+    if -improvement > bound * abs(base["median"]):
+        return "worse"
+    return "unresolved"
+
+
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
     summary = {}
     for metric in metrics:
@@ -47,13 +66,17 @@ def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
         wins = sum(
             (c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"])
         )
+        base, change = quartiles(values["base"]), quartiles(values["change"])
         summary[name] = {
             "unit": runs["base"][0]["metrics"][name]["unit"],
             "better": metric["better"],
             "bound": metric["bound"],
-            "base": quartiles(values["base"]),
-            "change": quartiles(values["change"]),
+            "base": base,
+            "change": change,
             "change_wins": wins,
+            "verdict": verdict(
+                base, change, wins, len(values["base"]), metric["better"], metric["bound"]
+            ),
             "values": values,
         }
     return summary
@@ -97,6 +120,12 @@ def main(argv=None) -> int:
         "loadavg": [run["details"]["env"]["loadavg_start"] for run in runs["base"] + runs["change"]],
         "metrics": summarize(runs, metrics),
     }
+    for name, metric in entry["metrics"].items():
+        print(
+            f"{args.workload} seed {args.seed} {name}: base median {metric['base']['median']:.4g}, "
+            f"change median {metric['change']['median']:.4g}, change wins "
+            f"{metric['change_wins']}/{args.pairs}: {metric['verdict']}"
+        )
     results = [
         r for r in bench.get("results", []) if (r["workload"], r["seed"]) != (args.workload, args.seed)
     ]
