@@ -12,6 +12,7 @@ from .association import (
     AssociationConfig,
     CombinatorialOverflowError,
     Track,
+    TrackTable,
     associate_frame,
     jpda_weights,
 )
@@ -33,6 +34,7 @@ from .error_models import (
     load_model_set,
     localization_covariances,
     observation_estimates,
+    sensor_table,
 )
 from .evaluation import (
     MODES,

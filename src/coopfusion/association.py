@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,17 +58,34 @@ class Track:
     object_class: str = "vehicle"
     sources: set[str] = field(default_factory=set)
 
-    def snapshot(self) -> "Track":
-        """Detached copy safe to hand to callers."""
-        return Track(
-            self.id,
-            self.estimate.copy(),
-            self.frames_seen,
-            self.frames_missed,
-            self.confirmed,
-            self.object_class,
-            set(self.sources),
-        )
+
+class TrackTable(NamedTuple):
+    """Tracks of several groups stacked into one detached record.
+
+    Group g (a platform of the local tier, or the RSU's one group) holds
+    the next ``counts[g]`` rows; row k is track ``ids[k]`` of class
+    ``classes[k]`` with mean ``means[k]`` (an (n, 5) array) and covariance
+    ``covariances[k]`` (an (n, 5, 5) array).  Every array is a fresh copy,
+    so a caller may keep or change it without touching the tier.
+    """
+
+    counts: list[int]
+    ids: list[int]
+    classes: list[str]
+    means: np.ndarray
+    covariances: np.ndarray
+
+
+def track_table(groups: Sequence[Sequence[Track]]) -> TrackTable:
+    """Every track of every group, stacked into a ``TrackTable``."""
+    tracks = [t for group in groups for t in group]
+    return TrackTable(
+        [len(group) for group in groups],
+        [t.id for t in tracks],
+        [t.object_class for t in tracks],
+        np.array([t.estimate.mean for t in tracks]).reshape(-1, 5),
+        np.array([t.estimate.covariance for t in tracks]).reshape(-1, 5, 5),
+    )
 
 
 @dataclass(frozen=True)
@@ -196,17 +213,6 @@ def _block_pairs(blocks: Sequence[tuple[int, int, int, int]]) -> tuple[np.ndarra
     k = np.arange(len(block)) - (sizes.cumsum() - sizes).repeat(sizes)
     row, col = np.divmod(k, widths[block])
     return spans[block, 0] + row, spans[block, 2] + col, block
-
-
-def gate(
-    tracks: Sequence[Track],
-    observations: Sequence[GaussianEstimate],
-    cfg: AssociationConfig,
-) -> np.ndarray:
-    """Boolean feasibility matrix: observation within a track's gate (inclusive)."""
-    (track_pos, track_cov), (obs_pos, obs_cov) = _track_blocks(tracks), _observation_blocks(observations)
-    dist2, _ = _pair_stats(track_pos[:, None], track_cov[:, None], obs_pos[None], obs_cov[None])
-    return dist2 <= cfg.gate_threshold
 
 
 # Gated observations of each track that has any: track -> [(observation, density)],

@@ -4,8 +4,11 @@ An :class:`ErrorModel` is a polynomial in a single predictor (measured
 distance for detection pipelines, measured speed for localizers) that
 evaluates to an expected error standard deviation in meters.  A
 single-coefficient model ignores its predictor and realizes the fixed (mean)
-baseline.  The functions here turn raw polar detections plus a pair of
-models into world- or platform-frame Gaussian estimates ready for fusion.
+baseline.  ``observation_estimates`` turns a frame's raw polar detections,
+each with its pipeline's row of a ``SensorTable`` (sensor pose plus both
+models), into platform-frame Gaussian estimates in one array pass, and
+``localization_covariances`` gives platform poses their world-frame
+uncertainty.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import symmetrized, wrap_angle
+from .geometry import cos_sin, symmetrized, wrap_angle
 
 # Evaluated sigmas are clamped here so calibrated models with slightly
 # negative intercepts stay usable as standard deviations.
@@ -145,22 +148,22 @@ class GaussianEstimate:
     object_class: str = "vehicle"
 
 
-def _rotated_covariances(rows) -> np.ndarray:
-    """(n, 2, 2) covariances ``R diag(sigma_a^2, sigma_b^2) R^T`` from
-    (sigma_a, sigma_b, angle) rows, R the rotation by the angle.
+def _rotated_covariances(sigmas: np.ndarray, trig: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) covariances ``R diag(a^2, b^2) R^T`` from (n, 2) sigma
+    rows (a, b) and (n, 2) rows (cos, sin) of R's angle.
 
-    The rotations and variances are built on Python floats and multiplied
-    as one stacked ``@``, which runs the same product per matrix as a single
-    2x2 ``@`` does, so a row gets the same bits in any batch.
+    The rotations and variances are built elementwise and multiplied as one
+    stacked ``@``, which runs the same product per matrix as a single 2x2
+    ``@`` does, so a row gets the same bits in any batch.
     """
-    rotations, variances = [], []
-    for sigma_a, sigma_b, angle in rows:
-        c = math.cos(angle)
-        s = math.sin(angle)
-        rotations.append((c, -s, s, c))
-        variances.append((sigma_a * sigma_a, 0.0, 0.0, sigma_b * sigma_b))
-    rot = np.array(rotations).reshape(-1, 2, 2)
-    return symmetrized(rot @ np.array(variances).reshape(-1, 2, 2) @ rot.swapaxes(1, 2))
+    n = len(sigmas)
+    rot = np.empty((n, 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = trig[:, 0]
+    rot[:, 1, 0] = trig[:, 1]
+    rot[:, 0, 1] = -trig[:, 1]
+    variances = np.zeros((n, 4))
+    variances[:, ::3] = sigmas * sigmas
+    return symmetrized(rot @ variances.reshape(n, 2, 2) @ rot.swapaxes(1, 2))
 
 
 def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarray:
@@ -173,50 +176,76 @@ def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarr
     """
     if not (sigma_a > 0.0 and sigma_b > 0.0):
         raise ValueError(f"sigmas must be positive, got ({sigma_a}, {sigma_b})")
-    return _rotated_covariances([(sigma_a, sigma_b, angle)])[0]
+    return _rotated_covariances(
+        np.array([[sigma_a, sigma_b]], dtype=float), cos_sin(np.array([angle], dtype=float))
+    )[0]
 
 
-def sensor_to_platform(
-    obs: PolarObservation, pose: SensorPose
-) -> tuple[tuple[float, float], float]:
-    """Convert a polar detection to platform-frame coordinates.
+@dataclass(frozen=True)
+class SensorTable:
+    """What expanding a detection needs of its pipeline, one row per pipeline.
 
-    Returns the 2D position and the bearing of the detection ray in the
-    platform frame.
+    ``poses[p]`` is pipeline p's sensor (x, y, theta) in the platform frame;
+    ``coefficients[p]`` holds its distal, then its perpendicular model's
+    coefficients, zero-padded at the high powers to one width.  A padded
+    zero adds ``0.0 * d + 0.0 == 0.0`` ahead of the model's own Horner
+    steps, so every sigma keeps the bits of ``eval_error_model``.
     """
-    phi_obs = float(wrap_angle(pose.theta_sensor + obs.theta_obs))
-    position = (
-        pose.x_sensor + obs.distance_obs * math.cos(phi_obs),
-        pose.y_sensor + obs.distance_obs * math.sin(phi_obs),
+
+    poses: np.ndarray
+    coefficients: np.ndarray
+
+
+def sensor_table(pipelines: Sequence[tuple[SensorPose, ErrorModel, ErrorModel]]) -> SensorTable:
+    """The table of (sensor pose, distal model, perpendicular model) rows;
+    raises ``ModelError`` unless every model uses the distance predictor."""
+    models = [model for _, distal, perp in pipelines for model in (distal, perp)]
+    if any(model.predictor != PREDICTOR_DISTANCE for model in models):
+        raise ModelError("observation models must use the distance predictor")
+    width = max((len(model.coefficients) for model in models), default=1)
+    coefficients = np.zeros((len(models), width))
+    for row, model in zip(coefficients, models):
+        row[: len(model.coefficients)] = model.coefficients
+    return SensorTable(
+        np.array(
+            [(pose.x_sensor, pose.y_sensor, pose.theta_sensor) for pose, _, _ in pipelines],
+            dtype=float,
+        ).reshape(-1, 3),
+        coefficients.reshape(-1, 2, width),
     )
-    return position, phi_obs
+
+
+def _sigmas(coefficients: np.ndarray, predictor: np.ndarray) -> np.ndarray:
+    """Both models of each row at its predictor value, as (m, 2): Horner
+    from 0.0, highest power first, floored at ``SIGMA_FLOOR``; the
+    elementwise form of ``eval_error_model``."""
+    acc = np.zeros(coefficients.shape[:2])
+    predictor = predictor[:, None]
+    for k in range(coefficients.shape[2] - 1, -1, -1):
+        acc = acc * predictor + coefficients[:, :, k]
+    return np.maximum(acc, SIGMA_FLOOR)
 
 
 def observation_estimates(
-    detections: Sequence[tuple[PolarObservation, SensorPose, ErrorModel, ErrorModel]],
+    table: SensorTable, pipelines: np.ndarray, distances: np.ndarray, bearings: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Platform-frame means, as an (m, 2) array, and distance-driven
-    covariances, as (m, 2, 2), of many detections at once.
+    covariances, as (m, 2, 2), of many detections in one pass.
 
-    Each detection is (observation, sensor pose, distal model, perpendicular
-    model): its covariance has the distal std-dev along the sensing ray and
-    the perpendicular one across it, both evaluated at the measured
-    distance.  Every detection gets the bits it would get alone.
+    Detection k was measured at ``distances[k]`` and ``bearings[k]`` by
+    pipeline ``pipelines[k]`` of ``table``.  Its ray's platform-frame
+    bearing is the sensor heading plus the measured bearing, wrapped; its
+    mean lies along that ray from the sensor, and its covariance has the
+    distal std-dev along the ray and the perpendicular one across it, both
+    evaluated at the measured distance.  Every step is elementwise, with
+    each cosine and sine through ``math``, so a detection gets the bits it
+    would get alone.
     """
-    means, rows = [], []
-    for obs, pose, distal, perp in detections:
-        if distal.predictor != PREDICTOR_DISTANCE or perp.predictor != PREDICTOR_DISTANCE:
-            raise ModelError("observation models must use the distance predictor")
-        position, phi_obs = sensor_to_platform(obs, pose)
-        means.append(position)
-        rows.append(
-            (
-                eval_error_model(distal, obs.distance_obs),
-                eval_error_model(perp, obs.distance_obs),
-                phi_obs,
-            )
-        )
-    return np.array(means).reshape(-1, 2), _rotated_covariances(rows)
+    poses = table.poses.take(pipelines, axis=0)
+    trig = cos_sin(wrap_angle(poses[:, 2] + bearings))
+    means = poses[:, :2] + distances[:, None] * trig
+    sigmas = _sigmas(table.coefficients.take(pipelines, axis=0), distances)
+    return means, _rotated_covariances(sigmas, trig)
 
 
 def localization_covariances(
@@ -228,11 +257,10 @@ def localization_covariances(
     if longitudinal.predictor != PREDICTOR_SPEED or lateral.predictor != PREDICTOR_SPEED:
         raise ModelError("localization models must use the speed predictor")
     # eval_error_model floors every sigma at SIGMA_FLOOR, so each is positive.
+    sigmas = [(eval_error_model(longitudinal, p.v), eval_error_model(lateral, p.v)) for p in poses]
     return _rotated_covariances(
-        [
-            (eval_error_model(longitudinal, pose.v), eval_error_model(lateral, pose.v), pose.theta)
-            for pose in poses
-        ]
+        np.array(sigmas, dtype=float).reshape(-1, 2),
+        cos_sin(np.array([pose.theta for pose in poses], dtype=float)),
     )
 
 

@@ -13,13 +13,13 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .association import Track
+from .association import TrackTable
 from .calibration import match_observations_to_truth
 from .error_models import (
     DEFAULT_FIXED_MODELS,
@@ -123,12 +123,38 @@ class RunReport:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunReport":
+        """The report a JSON object holds; raises ``LogError`` unless every
+        field has its declared type and every ``per_tick`` row its keys."""
         if not isinstance(obj, dict):
             raise LogError("a report must be a JSON object")
         if obj.get("schema") != LOG_SCHEMA:
             raise LogError(f"unsupported report schema {obj.get('schema')!r}")
         kwargs = {k: v for k, v in obj.items() if k != "schema"}
-        return cls(**kwargs)
+        for name, value in kwargs.items():
+            if name not in _REPORT_KINDS:
+                raise LogError(f"unknown report field {name!r}")
+            if isinstance(value, bool) or not isinstance(value, _REPORT_KINDS[name]):
+                raise LogError(f"report field {name!r} has the wrong type: {value!r}")
+        for index, row in enumerate(kwargs.get("per_tick", [])):
+            if not isinstance(row, dict) or not all(key in row for key in _PER_TICK_KEYS):
+                raise LogError(f"per_tick row {index} lacks one of {', '.join(_PER_TICK_KEYS)}")
+        try:
+            return cls(**kwargs)
+        except TypeError as exc:
+            raise LogError(f"malformed report: {exc}") from exc
+
+
+_PER_TICK_KEYS = ("t", "matched", "sse", "false_tracks", "loc_count", "loc_sse")
+# The JSON values each annotation of a RunReport field accepts.
+_JSON_KINDS = {
+    "str": str,
+    "int": int,
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "list[dict]": list,
+    "dict[str, dict]": dict,
+}
+_REPORT_KINDS = {f.name: _JSON_KINDS[f.type] for f in fields(RunReport)}
 
 
 # --- log records ---------------------------------------------------------
@@ -242,7 +268,7 @@ class _ScenarioFusion:
 
     def process(
         self, t: float, loc_poses: dict[str, PlatformPose], frames: dict[str, LocalFrame]
-    ) -> tuple[list[PlatformPacket], list[Track]]:
+    ) -> tuple[list[PlatformPacket], TrackTable]:
         local_tracks = self.local.step(frames)
         cav_poses = [loc_poses[pid] for pid in self.cav_ids]
         pose_covs = [
@@ -251,14 +277,11 @@ class _ScenarioFusion:
             ),
             *[self.cis_pose_cov] * len(self.cis_ids),
         ]
+        # The local tier holds the CAVs, then the CIS, in this order.
         packets = packetize(
             t,
-            [
-                (pid, pose, cov, local_tracks[pid])
-                for pid, pose, cov in zip(
-                    self.cav_ids + self.cis_ids, cav_poses + self.cis_poses, pose_covs
-                )
-            ],
+            list(zip(self.cav_ids + self.cis_ids, cav_poses + self.cis_poses, pose_covs)),
+            local_tracks,
         )
         for packet in packets:
             self.rsu.ingest(packet)
@@ -339,7 +362,7 @@ def _fusion_pass(
                 stopped_loc_count_total += 1
         loc_count = len(loc_poses)
 
-        track_positions = [tr.estimate.mean[:2] for tr in fused]
+        track_positions = list(fused.means[:, :2])
         match = match_observations_to_truth(track_positions, truth_positions, MATCH_MAX_DIST)
         tick_sse = 0.0
         tick_matched = 0
@@ -353,13 +376,13 @@ def _fusion_pass(
             if stopped[truth_idx]:
                 stopped_sse_total += err2
                 stopped_matched_total += 1
-            key = str(fused[track_idx].id)
+            key = str(fused.ids[track_idx])
             entry = per_track.setdefault(key, {"ticks": 0, "sse": 0.0})
             entry["ticks"] += 1
             entry["sse"] += err2
         false_tracks = len(match.unmatched_observations)
 
-        confirmed_ids.update(tr.id for tr in fused)
+        confirmed_ids.update(fused.ids)
         sse_total += tick_sse
         matched_total += tick_matched
         loc_sse_total += loc_sse
@@ -384,13 +407,10 @@ def _fusion_pass(
                     "kind": "fused",
                     "t": t,
                     "tracks": [
-                        {
-                            "id": tr.id,
-                            "x": float(tr.estimate.mean[0]),
-                            "y": float(tr.estimate.mean[1]),
-                            "class": tr.object_class,
-                        }
-                        for tr in fused
+                        {"id": tid, "x": x, "y": y, "class": object_class}
+                        for tid, (x, y), object_class in zip(
+                            fused.ids, fused.means[:, :2].tolist(), fused.classes
+                        )
                     ],
                 }
             )

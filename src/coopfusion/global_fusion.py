@@ -1,9 +1,11 @@
 """RSU-side fusion: platform packets in, confirmed world-frame tracks out.
 
-Each incoming local track is widened by its platform's speed-parameterized
-localization covariance before entering the shared JPDA/EKF machinery.  The
-platform's own reported pose is fed through as one more observation so that
-moving platforms are themselves tracked.
+``packetize`` turns the local tier's stacked confirmed tracks into every
+platform's packet in one pass.  Each incoming local track is widened by its
+platform's speed-parameterized localization covariance before entering the
+shared JPDA/EKF machinery.  The platform's own reported pose is fed through
+as one more observation so that moving platforms are themselves tracked.
+A step hands its confirmed tracks back as a one-group ``TrackTable``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from .association import (
     ObservationBatch,
     StaleFrameError,
     Track,
+    TrackTable,
     associate_frame,
+    track_table,
 )
 from .error_models import PlatformPose
 from .geometry import symmetrized
@@ -100,14 +104,17 @@ def covariance_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def packetize(
     timestamp: float,
-    platforms: Sequence[tuple[str, PlatformPose, np.ndarray, Sequence[Track]]],
+    platforms: Sequence[tuple[str, PlatformPose, np.ndarray]],
+    tracks: TrackTable,
 ) -> list[PlatformPacket]:
     """Every platform's RSU packet for one time, in the order given.
 
-    A platform is (id, pose, pose covariance, confirmed local tracks).  The
-    pose covariance is the 2x2 world-frame uncertainty of the pose: a mobile
-    platform's speed-driven localization covariance, or a surveyed static
-    platform's tiny fixed one.  It widens every track of its platform.
+    A platform is (id, pose, pose covariance); its confirmed local tracks
+    are its group of ``tracks``, the groups in the platforms' order.  The
+    pose covariance is the 2x2 world-frame uncertainty of the pose: a
+    mobile platform's speed-driven localization covariance, or a surveyed
+    static platform's tiny fixed one.  It widens every track of its
+    platform.
 
     Every track of every platform moves to the world frame in one stacked
     pass: the mean by ``p + R(theta) m``, the position block of the
@@ -115,9 +122,8 @@ def packetize(
     ``@`` runs the same product per matrix as a single 2x2 ``@``, so a track
     gets the bits it would get in a packet of its own.
     """
-    ids, poses, pose_covs, local_tracks = zip(*platforms) if platforms else ((),) * 4
-    counts = [len(tracks) for tracks in local_tracks]
-    tracks = [track for platform_tracks in local_tracks for track in platform_tracks]
+    ids, poses, pose_covs = zip(*platforms) if platforms else ((),) * 3
+    counts = tracks.counts
     pose_covs = np.array(pose_covs, dtype=float).reshape(-1, 2, 2)
 
     headings = np.array([pose.theta for pose in poses])
@@ -125,29 +131,33 @@ def packetize(
     rot = np.repeat(np.stack([c, -s, s, c], axis=1).reshape(-1, 2, 2), counts, axis=0)
     positions = np.array([(pose.x, pose.y) for pose in poses]).reshape(-1, 2)
     positions = np.repeat(positions, counts, axis=0)
-    states = np.array([track.estimate.mean for track in tracks]).reshape(-1, 5)
-    blocks = np.array([track.estimate.covariance for track in tracks]).reshape(-1, 5, 5)[:, :2, :2]
-    means = positions + (rot @ states[:, :2, None])[:, :, 0]
+    blocks = tracks.covariances[:, :2, :2]
+    means = positions + (rot @ tracks.means[:, :2, None])[:, :, 0]
     world_covs = covariance_union(
         np.repeat(pose_covs, counts, axis=0),
         symmetrized(rot @ blocks @ rot.swapaxes(1, 2)),
     )
 
-    rows = iter(np.concatenate([means, world_covs.reshape(-1, 4)], axis=1).tolist())
+    rows = iter(
+        zip(
+            tracks.ids,
+            tracks.classes,
+            np.concatenate([means, world_covs.reshape(-1, 4)], axis=1).tolist(),
+        )
+    )
     packets = []
-    for pid, pose, pose_cov, platform_tracks in zip(ids, poses, pose_covs.tolist(), local_tracks):
-        packet_tracks = []
-        for track, (mx, my, c00, c01, c10, c11) in zip(platform_tracks, rows):
-            packet_tracks.append(
-                PacketTrack(str(track.id), (mx, my), ((c00, c01), (c10, c11)), track.object_class)
-            )
+    for pid, pose, pose_cov, count in zip(ids, poses, pose_covs.tolist(), counts):
+        packet_tracks = tuple(
+            PacketTrack(str(tid), (mx, my), ((c00, c01), (c10, c11)), object_class)
+            for tid, object_class, (mx, my, c00, c01, c10, c11) in itertools.islice(rows, count)
+        )
         packets.append(
             PlatformPacket(
                 platform_id=pid,
                 timestamp=timestamp,
                 pose=pose,
                 pose_covariance=(tuple(pose_cov[0]), tuple(pose_cov[1])),
-                tracks=tuple(packet_tracks),
+                tracks=packet_tracks,
             )
         )
     return packets
@@ -251,8 +261,9 @@ class GlobalFusion:
                 return
         self._inbox[packet.platform_id] = packet
 
-    def step(self, timestamp: float) -> list[Track]:
-        """Fuse everything queued for this tick; returns confirmed snapshots.
+    def step(self, timestamp: float) -> TrackTable:
+        """Fuse everything queued for this tick; returns the confirmed tracks
+        as a one-group ``TrackTable``.
 
         ``timestamp`` must be finite and after the last fused tick, else
         ``StaleFrameError`` is raised and nothing changes.
@@ -293,7 +304,4 @@ class GlobalFusion:
         self.tracks = associate_frame(
             [self.tracks], observations, self.association, [self._next_id]
         )[0]
-        return self.confirmed_tracks()
-
-    def confirmed_tracks(self) -> list[Track]:
-        return [t.snapshot() for t in self.tracks if t.confirmed]
+        return track_table([[t for t in self.tracks if t.confirmed]])

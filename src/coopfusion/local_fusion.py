@@ -2,10 +2,11 @@
 
 Each platform fuses only its own pipelines into its own track list, but one
 step runs every platform of a run as a batch.  All detections are expanded
-into Gaussians whose covariance comes from the pipeline's error models
-evaluated at the measured distance, then one predict / gate / update cycle
-runs over all platforms' tracks, with JPDA enumeration and the track
-lifecycle per platform.
+in one array pass into Gaussians whose covariance comes from the
+pipeline's error models evaluated at the measured distance, then one
+predict / gate / update cycle runs over all platforms' tracks, with JPDA
+enumeration and the track lifecycle per platform.  A step hands every
+platform's confirmed tracks back as one stacked ``TrackTable``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,24 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
-from .association import AssociationConfig, ObservationBatch, StaleFrameError, Track, associate_frame
-from .error_models import ErrorModel, PolarObservation, SensorPose, observation_estimates
+import numpy as np
+
+from .association import (
+    AssociationConfig,
+    ObservationBatch,
+    StaleFrameError,
+    Track,
+    TrackTable,
+    associate_frame,
+    track_table,
+)
+from .error_models import (
+    ErrorModel,
+    PolarObservation,
+    SensorPose,
+    observation_estimates,
+    sensor_table,
+)
 from .tracking import ProcessNoiseConfig, ctrv_predict
 
 # Process noise of this tier, tuned so track NEES stays near its dimension on
@@ -67,6 +84,14 @@ class LocalFusion:
                 raise ValueError(f"duplicate pipeline names on {pid}: {names}")
             # Association runs source by source in name order.
             self.pipelines[pid] = sorted(pipelines, key=lambda p: p.name)
+        # Row r of the sensor table is the r-th pipeline in that order.
+        self._sensors = sensor_table(
+            [
+                (p.pose, p.distal_model, p.perp_model)
+                for pipelines in self.pipelines.values()
+                for p in pipelines
+            ]
+        )
         self.association = AssociationConfig()
         self.noise = replace(PROCESS_NOISE, dt=dt)
         self.platform_tracks: dict[str, list[Track]] = {pid: [] for pid in self.pipelines}
@@ -78,9 +103,9 @@ class LocalFusion:
         """Every platform's tracks, platform by platform."""
         return [t for tracks in self.platform_tracks.values() for t in tracks]
 
-    def step(self, frames: Mapping[str, LocalFrame]) -> dict[str, list[Track]]:
-        """Fuse one frame per platform, all for one time; returns each
-        platform's confirmed track snapshots."""
+    def step(self, frames: Mapping[str, LocalFrame]) -> TrackTable:
+        """Fuse one frame per platform, all for one time; returns every
+        platform's confirmed tracks, platform by platform."""
         times = {frames[pid].timestamp for pid in self.pipelines}
         if len(times) > 1 or not all(self._last_timestamp < t < math.inf for t in times):
             raise StaleFrameError(
@@ -88,16 +113,25 @@ class LocalFusion:
             )
         self._last_timestamp = max(times, default=self._last_timestamp)
 
-        detections, groups, sources, classes = [], [], [], []
+        distances, bearings, rows, groups, sources, classes = [], [], [], [], [], []
+        row = 0
         for g, (pid, pipelines) in enumerate(self.pipelines.items()):
             observations = frames[pid].observations
             for p in pipelines:
-                for obs in observations.get(p.name, ()):
-                    detections.append((obs, p.pose, p.distal_model, p.perp_model))
-                    groups.append(g)
-                    sources.append(p.name)
-                    classes.append(obs.object_class)
-        means, covariances = observation_estimates(detections)
+                detections = observations.get(p.name, ())
+                distances.extend([obs.distance_obs for obs in detections])
+                bearings.extend([obs.theta_obs for obs in detections])
+                classes.extend([obs.object_class for obs in detections])
+                rows.extend([row] * len(detections))
+                groups.extend([g] * len(detections))
+                sources.extend([p.name] * len(detections))
+                row += 1
+        means, covariances = observation_estimates(
+            self._sensors,
+            np.array(rows, dtype=np.intp),
+            np.array(distances, dtype=float),
+            np.array(bearings, dtype=float),
+        )
 
         tracks = self.tracks
         for track, estimate in zip(tracks, ctrv_predict([t.estimate for t in tracks], self.noise)):
@@ -110,7 +144,4 @@ class LocalFusion:
             self._next_ids,
         )
         self.platform_tracks = dict(zip(self.pipelines, updated))
-        return {
-            pid: [t.snapshot() for t in tracks if t.confirmed]
-            for pid, tracks in self.platform_tracks.items()
-        }
+        return track_table([[t for t in group if t.confirmed] for group in updated])

@@ -4,9 +4,10 @@ Everything here is deliberately brute force and shares no code with the
 package internals, except that the per-track filter references take the
 package's process noise matrix and its angle wrap and symmetrize helpers,
 the per-platform hand-off builds the package's packet records and takes
-its covariance union, and the per-platform local tier reuses the package's
-predict and cluster enumeration (each checked against its own reference
-elsewhere) around scalar gating, marginals, update and merge.
+its covariance union, the per-detection expansion takes the package's
+scalar ``eval_error_model``, and the per-platform local tier reuses the
+package's cluster enumeration (checked against its own reference
+elsewhere) around scalar predict, gating, marginals, update and merge.
 """
 
 import itertools
@@ -28,7 +29,6 @@ from coopfusion.error_models import (
     GaussianEstimate,
     ModelError,
     eval_error_model,
-    sensor_to_platform,
 )
 from coopfusion.geometry import symmetrized, wrap_angle
 from coopfusion.global_fusion import PacketError, PacketTrack, PlatformPacket, covariance_union
@@ -36,7 +36,6 @@ from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
 from coopfusion.tracking import (
     YAW_RATE_EPS,
     TrackEstimate,
-    ctrv_predict,
     process_noise_matrix,
 )
 
@@ -139,8 +138,14 @@ def ctrv_predict_reference(track, cfg):
 
     The stacked ``ctrv_predict`` must give every track exactly these bits.
     """
-    x, y, v, psi, psi_dot = track.mean
-    dt = cfg.dt
+    mean, jac = ctrv_reference(track.mean, cfg.dt)
+    cov = jac @ track.covariance @ jac.T + process_noise_matrix(cfg)
+    return TrackEstimate(mean, symmetrized(cov))
+
+
+def ctrv_reference(state, dt):
+    """One state's CTRV motion and its 5x5 Jacobian, on numpy scalars."""
+    x, y, v, psi, psi_dot = state
     psi_next = psi + psi_dot * dt
     jac = np.eye(5)
     jac[3, 4] = dt
@@ -168,9 +173,7 @@ def ctrv_predict_reference(track, cfg):
         jac[1, 2] = sin_p * dt
         jac[1, 3] = v * cos_p * dt
         jac[1, 4] = 0.5 * v * cos_p * dt * dt
-    cov = jac @ track.covariance @ jac.T + process_noise_matrix(cfg)
-    mean = np.array([x_next, y_next, v, wrap_angle(psi_next), psi_dot])
-    return TrackEstimate(mean, symmetrized(cov))
+    return np.array([x_next, y_next, v, wrap_angle(psi_next), psi_dot]), jac
 
 
 def ekf_update_reference(track, z):
@@ -304,16 +307,18 @@ def assignment_oracle(observations, truth, max_dist):
 def observation_estimate(obs, pose, distal, perp, source=""):
     """Platform-frame Gaussian for one detection, one 2x2 product at a time.
 
-    The per-detection expansion the batched ``observation_estimates`` must
-    reproduce bit for bit.
+    The per-detection expansion the array ``observation_estimates`` must
+    reproduce bit for bit: the ray's bearing is the sensor heading plus the
+    measured bearing, wrapped, and the mean lies along it from the sensor.
     """
     if distal.predictor != PREDICTOR_DISTANCE or perp.predictor != PREDICTOR_DISTANCE:
         raise ModelError("observation models must use the distance predictor")
-    position, phi_obs = sensor_to_platform(obs, pose)
-    sigma_distal = eval_error_model(distal, obs.distance_obs)
-    sigma_perp = eval_error_model(perp, obs.distance_obs)
+    phi_obs = float(wrap_angle(pose.theta_sensor + obs.theta_obs))
     c = math.cos(phi_obs)
     s = math.sin(phi_obs)
+    position = (pose.x_sensor + obs.distance_obs * c, pose.y_sensor + obs.distance_obs * s)
+    sigma_distal = eval_error_model(distal, obs.distance_obs)
+    sigma_perp = eval_error_model(perp, obs.distance_obs)
     rot = np.array([[c, -s], [s, c]])
     cov = symmetrized(rot @ np.diag([sigma_distal * sigma_distal, sigma_perp * sigma_perp]) @ rot.T)
     return GaussianEstimate(np.array(position), cov, source=source, object_class=obs.object_class)
@@ -531,8 +536,8 @@ class PlatformFusionReference:
     """One platform's local tier, stepped on its own as before the batch.
 
     Detections expand one at a time (``observation_estimate``), the
-    platform's tracks predict alone and associate by
-    ``associate_frame_reference``.
+    platform's tracks predict one at a time (``ctrv_predict_reference``)
+    and associate by ``associate_frame_reference``.
     """
 
     def __init__(self, pipelines, dt):
@@ -557,11 +562,8 @@ class PlatformFusionReference:
             ]
             for name, pipeline in self.pipelines.items()
         }
-        for track, estimate in zip(
-            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
-        ):
-            track.estimate = estimate
+        for track in self.tracks:
+            track.estimate = ctrv_predict_reference(track.estimate, self.noise)
         self.tracks = associate_frame_reference(
             self.tracks, by_pipeline, self.association, lambda: next(self._ids), self.events
         )
-        return [t.snapshot() for t in self.tracks if t.confirmed]

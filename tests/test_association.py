@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import math
 
 import numpy as np
@@ -17,11 +17,14 @@ from coopfusion.association import (
     CombinatorialOverflowError,
     ObservationBatch,
     Track,
+    _gate_blocks,
     _merge_coincident,
+    _observation_blocks,
+    _track_blocks,
     associate_frame,
-    gate,
     jpda_weights,
     new_track_estimate,
+    track_table,
 )
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import TrackEstimate
@@ -32,45 +35,42 @@ def make_track(tid, x, y, pos_var=1.0):
     return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
 
 
-class TestTrackSnapshot:
+class TestTrackTable:
     def test_every_field_copied(self):
         rng = np.random.default_rng(5)
-        base = rng.normal(size=(5, 5))
-        track = Track(
-            id=7,
-            estimate=TrackEstimate(rng.normal(size=5), base @ base.T),
-            frames_seen=4,
-            frames_missed=2,
-            confirmed=True,
-            object_class="platform",
-            sources={"cav0", "cis1"},
-        )
-        snap = track.snapshot()
-        for f in dataclasses.fields(Track):
-            got, want = getattr(snap, f.name), getattr(track, f.name)
-            if f.name == "estimate":
-                assert got.mean.tobytes() == want.mean.tobytes()
-                assert got.covariance.tobytes() == want.covariance.tobytes()
-            else:
-                assert got == want, f.name
-        # Detached: the arrays and the source set are new objects.
-        assert not np.shares_memory(snap.estimate.mean, track.estimate.mean)
-        assert not np.shares_memory(snap.estimate.covariance, track.estimate.covariance)
-        assert snap.sources is not track.sources
+        groups = []
+        for size in (2, 0, 3):
+            group = []
+            for _ in range(size):
+                base = rng.normal(size=(5, 5))
+                group.append(
+                    Track(
+                        id=int(rng.integers(100)),
+                        estimate=TrackEstimate(rng.normal(size=5), base @ base.T),
+                        object_class=str(rng.choice(["vehicle", "platform"])),
+                    )
+                )
+            groups.append(group)
+        table = track_table(groups)
+        flat = [t for group in groups for t in group]
+        assert table.counts == [2, 0, 3]
+        assert table.ids == [t.id for t in flat]
+        assert table.classes == [t.object_class for t in flat]
+        assert table.means.shape == (5, 5) and table.covariances.shape == (5, 5, 5)
+        for track, mean, cov in zip(flat, table.means, table.covariances):
+            assert mean.tobytes() == track.estimate.mean.tobytes()
+            assert cov.tobytes() == track.estimate.covariance.tobytes()
+        # Detached: the arrays are new, so writing them leaves the tracks alone.
+        for track in flat:
+            assert not np.shares_memory(table.means, track.estimate.mean)
+            assert not np.shares_memory(table.covariances, track.estimate.covariance)
+        table.means[:] = 0.0
+        assert all(t.estimate.mean.any() for t in flat)
 
-    def test_no_field_falls_back_to_its_default(self):
-        # A marker in every plain field must come through, so a field added
-        # to Track but not to snapshot's constructor call fails here.
-        track = make_track(0, 1.0, 2.0)
-        track.sources = {"cav0"}
-        markers = {
-            f.name: object() for f in dataclasses.fields(Track) if f.name not in ("estimate", "sources")
-        }
-        for name, marker in markers.items():
-            setattr(track, name, marker)
-        snap = track.snapshot()
-        for name, marker in markers.items():
-            assert getattr(snap, name) is marker, name
+    def test_no_tracks(self):
+        table = track_table([[], []])
+        assert table.counts == [0, 0] and table.ids == [] and table.classes == []
+        assert table.means.shape == (0, 5) and table.covariances.shape == (0, 5, 5)
 
 
 def make_obs(x, y, var=1.0, source=""):
@@ -88,6 +88,24 @@ def associate(tracks, observations_by_source, cfg, next_id):
         [obs.object_class for _, obs in keyed],
     )
     return associate_frame([tracks], batch, cfg, [next_id])[0]
+
+
+def gate(tracks, observations, cfg):
+    """Which observations fall in which track's gate, through the frame's
+    gating pass over one block.
+
+    An infinite gate takes in the singular pairs too (their distance is
+    infinite), whose densities come out NaN; only the gating is checked
+    here, so those warnings are silenced.
+    """
+    n, m = len(tracks), len(observations)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        _, rows, cols, _ = _gate_blocks(
+            *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
+        )
+    feasible = np.zeros((n, m), dtype=bool)
+    feasible[rows, cols] = True
+    return feasible
 
 
 class TestGate:
@@ -461,7 +479,7 @@ class TestApplyAssociation:
                     track.sources = {f"s{rng.integers(4)}"}
                     group.append(track)
                 groups.append(group)
-            expected = [merge_coincident_reference([t.snapshot() for t in g], 9.21) for g in groups]
+            expected = [merge_coincident_reference(copy.deepcopy(g), 9.21) for g in groups]
             flat = [t for g in groups for t in g]
             kept = _merge_coincident(
                 flat,

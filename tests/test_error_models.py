@@ -21,7 +21,7 @@ from coopfusion.error_models import (
     observation_estimates,
     rotated_covariance,
     save_model_set,
-    sensor_to_platform,
+    sensor_table,
 )
 from coopfusion.geometry import wrap_angle
 
@@ -74,6 +74,36 @@ class TestEvalErrorModel:
             grid = np.sort(rng.uniform(0.0, 5.0, size=20))
             values = [eval_error_model(model, p) for p in grid]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def expanded(detections):
+    """Detections of (observation, pose, distal, perp) through the array
+    expansion, each with a table row of its own: (means, covariances)."""
+    table = sensor_table([(pose, distal, perp) for _, pose, distal, perp in detections])
+    return observation_estimates(
+        table,
+        np.arange(len(detections)),
+        np.array([obs.distance_obs for obs, *_ in detections], dtype=float),
+        np.array([obs.theta_obs for obs, *_ in detections], dtype=float),
+    )
+
+
+def observation_estimate(obs, pose, distal, perp):
+    """One detection through the array expansion: (mean, covariance)."""
+    means, covariances = expanded([(obs, pose, distal, perp)])
+    return means[0], covariances[0]
+
+
+UNIT_DISTAL = ErrorModel((1.0,))
+THIN_PERP = ErrorModel((1e-3,))
+
+
+def sensor_to_platform(obs, pose):
+    """A detection's platform-frame mean and the bearing of its ray (modulo
+    pi) through the array expansion: with sigma 1 along the ray and 1e-3
+    across it, the covariance's major axis lies along the ray."""
+    mean, cov = observation_estimate(obs, pose, UNIT_DISTAL, THIN_PERP)
+    return mean, 0.5 * math.atan2(2.0 * cov[0, 1], cov[0, 0] - cov[1, 1])
 
 
 class TestSensorToPlatform:
@@ -171,12 +201,6 @@ class TestRotatedCovariance:
             rotated_covariance(1.0, -0.5, 0.0)
 
 
-def observation_estimate(obs, pose, distal, perp):
-    """One detection through the batch expansion: (mean, covariance)."""
-    means, covariances = observation_estimates([(obs, pose, distal, perp)])
-    return means[0], covariances[0]
-
-
 class TestObservationEstimate:
     def test_camera_models_straight_ahead(self):
         mean, cov = observation_estimate(
@@ -207,6 +231,8 @@ class TestObservationEstimate:
     def test_requires_distance_predictor(self):
         with pytest.raises(ModelError):
             observation_estimate(PolarObservation(1.0, 0.0), SensorPose(), LOC_LON, CAMERA_PERP)
+        with pytest.raises(ModelError):
+            sensor_table([(SensorPose(), CAMERA_DISTAL, CAMERA_PERP), (SensorPose(), CAMERA_DISTAL, LOC_LAT)])
 
     def test_batch_matches_per_detection_reference_bit_for_bit(self):
         rng = np.random.default_rng(41)
@@ -223,12 +249,59 @@ class TestObservationEstimate:
                 )
                 for _ in range(size)
             ]
-            means, covariances = observation_estimates(detections)
+            means, covariances = expanded(detections)
             assert means.shape == (size, 2) and covariances.shape == (size, 2, 2)
             for k, detection in enumerate(detections):
                 reference = oracles.observation_estimate(*detection)
                 np.testing.assert_array_equal(means[k], reference.mean)
                 np.testing.assert_array_equal(covariances[k], reference.covariance)
+
+
+    def test_mixed_widths_in_one_frame_match_reference(self):
+        # Pipelines whose models take 1, 2 and 3 coefficients share one
+        # table; detections at distance 0, with bearings that wrap past pi
+        # and through sensor headings near pi, and under a negative
+        # intercept that clamps to SIGMA_FLOOR, gather their rows in any
+        # order.  The -0.5 intercept clamps at any distance below 50.
+        rng = np.random.default_rng(43)
+        models = [
+            FIXED_DISTAL,
+            CAMERA_DISTAL,
+            ErrorModel((0.02, -0.01, 0.004)),
+            ErrorModel((-0.5, 0.01)),
+        ]
+        pipelines = [
+            (SensorPose(0.2, -0.1, 3.1), models[0], models[2]),
+            (SensorPose(), models[1], models[0]),
+            (SensorPose(-0.3, 0.0, -3.1), models[2], models[3]),
+            (SensorPose(0.0, 0.1, 0.7), models[3], models[1]),
+        ]
+        table = sensor_table(pipelines)
+        assert table.coefficients.shape == (4, 2, 3)
+        clamped = 0
+        for size in (0, 1, 5, 60):
+            rows = rng.integers(len(pipelines), size=size)
+            observations = [
+                PolarObservation(
+                    float(rng.choice([0.0, rng.uniform(0.0, 9.0)])),
+                    float(rng.choice([math.pi, -math.pi + 1e-12, rng.uniform(-7.0, 7.0)])),
+                )
+                for _ in range(size)
+            ]
+            means, covariances = observation_estimates(
+                table,
+                rows,
+                np.array([obs.distance_obs for obs in observations], dtype=float),
+                np.array([obs.theta_obs for obs in observations], dtype=float),
+            )
+            assert means.shape == (size, 2) and covariances.shape == (size, 2, 2)
+            for obs, row, mean, cov in zip(observations, rows.tolist(), means, covariances):
+                pose, distal, perp = pipelines[row]
+                reference = oracles.observation_estimate(obs, pose, distal, perp)
+                assert mean.tobytes() == reference.mean.tobytes()
+                assert cov.tobytes() == reference.covariance.tobytes()
+                clamped += models[3] in (distal, perp)
+        assert clamped > 0
 
 
 class TestLocalizationCovariance:

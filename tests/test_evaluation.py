@@ -148,11 +148,11 @@ class TestTickAnchors:
             calls.append("global")
             return global_step(fusion, timestamp)
 
-        def traced_expand(detections):
+        def traced_expand(*args):
             # Tier work outside the local step would leave the timed window.
             assert inside_local, "detections expanded outside LocalFusion.step"
             calls.append("expand")
-            return expand(detections)
+            return expand(*args)
 
         monkeypatch.setattr(local_fusion.LocalFusion, "step", traced_local_step)
         monkeypatch.setattr(global_fusion.GlobalFusion, "step", traced_global_step)
@@ -492,6 +492,25 @@ class TestCli:
         (tmp_path / "run" / "report.json").write_text("[]")
         assert cli.main(["report", "--runs", str(tmp_path)]) == 2
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            (lambda obj: obj["per_tick"][0].pop("t"), "per_tick row 0"),
+            (lambda obj: obj.update(sse_total="0.5"), "'sse_total'"),
+            (lambda obj: obj.update(per_tick=3), "'per_tick'"),
+        ],
+        ids=["row_without_t", "string_total", "per_tick_not_a_list"],
+    )
+    def test_misshapen_report_exits_2(self, tmp_path, capsys, spoil, message):
+        run_dir = tmp_path / "run"
+        run_scenario(tiny(duration=2.0), "fixed", out_dir=run_dir)
+        obj = json.loads((run_dir / "report.json").read_text())
+        spoil(obj)
+        (run_dir / "report.json").write_text(json.dumps(obj))
+        assert cli.main(["report", "--runs", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot parse" in err and message in err
 
     def test_fit_command(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -11,7 +11,7 @@ from oracles import (
     track_to_world,
 )
 
-from coopfusion.association import StaleFrameError, Track
+from coopfusion.association import StaleFrameError, Track, track_table
 from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     PlatformPose,
@@ -36,9 +36,19 @@ LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
 DT = 0.125
 
 
+def packetize_tracks(t, platforms):
+    """``packetize`` of (id, pose, pose covariance, local tracks) platforms,
+    the tracks stacked into one record as a local step returns them."""
+    return packetize(
+        t,
+        [(pid, pose, cov) for pid, pose, cov, _ in platforms],
+        track_table([tracks for *_, tracks in platforms]),
+    )
+
+
 def cav_packet(pid, t, pose, tracks):
     """A mobile platform's packet, widened by its localization covariance."""
-    (packet,) = packetize(t, [(pid, pose, localization_covariance(pose, LON, LAT), tracks)])
+    (packet,) = packetize_tracks(t, [(pid, pose, localization_covariance(pose, LON, LAT), tracks)])
     return packet
 
 
@@ -48,9 +58,19 @@ def local_track(tid, x, y, pos_var=0.01):
 
 
 def fuse(fusion, packets, t):
+    """Step the RSU; returns its confirmed tracks themselves, after checking
+    that the step's record holds them."""
     for packet in packets:
         fusion.ingest(packet)
-    return fusion.step(t)
+    record = fusion.step(t)
+    confirmed = [track for track in fusion.tracks if track.confirmed]
+    assert record.counts == [len(confirmed)]
+    assert record.ids == [track.id for track in confirmed]
+    assert record.classes == [track.object_class for track in confirmed]
+    for track, mean, cov in zip(confirmed, record.means, record.covariances):
+        assert mean.tobytes() == track.estimate.mean.tobytes()
+        assert cov.tobytes() == track.estimate.covariance.tobytes()
+    return confirmed
 
 
 def vehicle_tracks(tracks):
@@ -154,7 +174,9 @@ class TestCovarianceUnion:
 class TestPacketize:
     def test_surveyed_platform_keeps_local_covariance(self):
         pose = PlatformPose(0, 1, -math.pi / 2, 0.0)
-        (packet,) = packetize(1.0, [("cis0", pose, 1e-6 * np.eye(2), [local_track(0, 1.0, 0.0)])])
+        (packet,) = packetize_tracks(
+            1.0, [("cis0", pose, 1e-6 * np.eye(2), [local_track(0, 1.0, 0.0)])]
+        )
         track_cov = np.array(packet.tracks[0].covariance)
         assert np.abs(track_cov - 0.01 * np.eye(2)).max() < 1e-5
 
@@ -240,14 +262,14 @@ def packet_bits(packet):
 
 class TestPacketizeMatchesReference:
     def test_no_platforms(self):
-        assert packetize(2.5, []) == []
+        assert packetize_tracks(2.5, []) == []
 
     def test_platforms_without_tracks(self):
         platforms = [
             ("cav0", PlatformPose(1, 2, 3, 0.5), np.eye(2), []),
             ("cis0", PlatformPose(0, 0, 0, 0), 1e-6 * np.eye(2), []),
         ]
-        packets = packetize(0.0, platforms)
+        packets = packetize_tracks(0.0, platforms)
         assert [packet.tracks for packet in packets] == [(), ()]
         assert [packet_bits(p) for p in packets] == [
             packet_bits(packetize_reference(pid, 0.0, pose, tracks, cov))
@@ -261,7 +283,7 @@ class TestPacketizeMatchesReference:
             platforms = random_tick(rng)
             counts.update(len(tracks) for *_, tracks in platforms)
             t = 0.125 * k
-            packets = packetize(t, platforms)
+            packets = packetize_tracks(t, platforms)
             # The reference takes each CAV's covariance from its own
             # one-row call, so the stacked localization covariances are
             # checked here as well.
@@ -386,7 +408,7 @@ class TestCheckPacketMatchesReference:
         # spoiled: both checks agree on each.
         rng = np.random.default_rng(29)
         for k in range(100):
-            for packet in packetize(0.125 * k, random_tick(rng)):
+            for packet in packetize_tracks(0.125 * k, random_tick(rng)):
                 assert decision(check_packet, packet) is None
                 assert decision(check_packet_reference, packet) is None
                 bad = float(rng.choice([math.nan, math.inf, -1e-3, 1e308]))
@@ -532,6 +554,19 @@ class TestGlobalFusion:
             confirmed = fuse(fusion, [packet], k * 0.125)
         assert len(confirmed) == 1
         assert confirmed[0].estimate.mean[:2] == pytest.approx([2.0, -1.0], abs=0.01)
+
+    def test_confirmed_record_is_detached(self):
+        fusion = GlobalFusion(DT)
+        for k in range(4):
+            fusion.ingest(pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4))
+            record = fusion.step(k * 0.125)
+        (track,) = fusion.tracks
+        mean, cov = track.estimate.mean.copy(), track.estimate.covariance.copy()
+        assert record.counts == [1] and record.ids == [track.id]
+        record.means[:] = 123.0
+        record.covariances[:] = 123.0
+        assert track.estimate.mean.tobytes() == mean.tobytes()
+        assert track.estimate.covariance.tobytes() == cov.tobytes()
 
     def test_duplicate_packet_latest_wins(self):
         early = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0), 1e-4)

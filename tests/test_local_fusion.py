@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
-from oracles import PlatformFusionReference, pair_stats_reference
+from oracles import PlatformFusionReference, packetize_reference, pair_stats_reference
+
+from coopfusion import tracking
 
 from coopfusion.association import (
     AssociationConfig,
@@ -18,9 +20,11 @@ from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     ErrorModel,
     GaussianEstimate,
+    PlatformPose,
     PolarObservation,
     SensorPose,
 )
+from coopfusion.global_fusion import packetize
 from coopfusion.local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
 from coopfusion.tracking import TrackEstimate
 
@@ -67,7 +71,9 @@ class OnePlatform:
         return self.fusion.platform_tracks["p"]
 
     def step(self, frame):
-        return self.fusion.step({"p": frame})["p"]
+        """Step the tier; returns the platform's confirmed tracks themselves."""
+        self.fusion.step({"p": frame})
+        return [t for t in self.tracks if t.confirmed]
 
 
 class TestStep:
@@ -139,7 +145,10 @@ class TestStep:
 
     def test_no_platforms_steps_nothing(self):
         fusion = LocalFusion({}, DT)
-        assert fusion.step({}) == {} and fusion.step({}) == {}
+        for _ in range(2):
+            confirmed = fusion.step({})
+            assert confirmed.counts == [] and confirmed.ids == [] and confirmed.classes == []
+            assert confirmed.means.shape == (0, 5) and confirmed.covariances.shape == (0, 5, 5)
         assert fusion.tracks == []
 
     def test_unknown_pipeline_names_ignored(self):
@@ -197,12 +206,19 @@ class TestConfigValidation:
                 perp_model=ErrorModel((0.1,)),
             )
 
-    def test_confirmed_snapshot_is_detached(self):
-        fusion = OnePlatform([CAMERA])
+    def test_confirmed_record_is_detached(self):
+        fusion = LocalFusion({"p": [CAMERA]}, DT)
         for frame in frames_of([{"camera": [polar(1.0)]}] * 3):
-            confirmed = fusion.step(frame)
-        confirmed[0].estimate.covariance[0, 0] = 123.0
-        assert fusion.tracks[0].estimate.covariance[0, 0] != 123.0
+            confirmed = fusion.step({"p": frame})
+        (track,) = fusion.tracks
+        mean, cov = track.estimate.mean.copy(), track.estimate.covariance.copy()
+        assert confirmed.counts == [1] and confirmed.ids == [track.id]
+        confirmed.means[:] = 123.0
+        confirmed.covariances[:] = 123.0
+        confirmed.ids.append(7)
+        assert track.estimate.mean.tobytes() == mean.tobytes()
+        assert track.estimate.covariance.tobytes() == cov.tobytes()
+        assert [t.id for t in fusion.tracks] == confirmed.ids[:1]
 
 
 # --- the batch against the per-platform reference --------------------------
@@ -281,6 +297,18 @@ def assert_same_tracks(batch, reference):
         )
 
 
+def assert_table_holds(table, groups):
+    """The stacked record holds each group's confirmed tracks, group by group,
+    with their ids, classes and bits."""
+    confirmed = [[t for t in group if t.confirmed] for group in groups]
+    flat = [t for group in confirmed for t in group]
+    assert table.counts == [len(group) for group in confirmed]
+    assert table.ids == [t.id for t in flat]
+    assert table.classes == [t.object_class for t in flat]
+    assert table.means.tobytes() == b"".join(t.estimate.mean.tobytes() for t in flat)
+    assert table.covariances.tobytes() == b"".join(t.estimate.covariance.tobytes() for t in flat)
+
+
 def injected(tid, x, y, position_block, frames_seen=1):
     cov = np.diag([0.0, 0.0, 0.1, 0.1, 0.1])
     cov[:2, :2] = position_block
@@ -307,9 +335,10 @@ class TestBatchMatchesPerPlatformReference:
                     references[pid].tracks.extend(copy.deepcopy(tracks))
             before = {pid: dict(ref.events) for pid, ref in references.items()}
             confirmed = fusion.step(frames)
-            assert list(confirmed) == list(PLATFORMS)
+            assert list(fusion.platform_tracks) == list(PLATFORMS)
+            assert_table_holds(confirmed, fusion.platform_tracks.values())
             for pid, reference in references.items():
-                assert_same_tracks(confirmed[pid], reference.step(frames[pid]))
+                reference.step(frames[pid])
                 assert_same_tracks(fusion.platform_tracks[pid], reference.tracks)
                 events.append(
                     (k, pid, {e: n - before[pid][e] for e, n in reference.events.items()})
@@ -322,6 +351,35 @@ class TestBatchMatchesPerPlatformReference:
         assert fusion.platform_tracks["idle"] == []
         totals = {e: sum(counts[e] for _, _, counts in events) for e in ("spawned", "merged", "deleted")}
         assert all(totals.values()), totals
+
+    def test_random_scenes_with_array_predict(self, monkeypatch):
+        # The batch predicts its tracks as elementwise passes whatever their
+        # number; each reference platform predicts track by track.
+        monkeypatch.setattr(tracking, "_ARRAY_PREDICT_MIN", 1)
+        fusion, _ = self.run(random_frames(6, 30))
+        assert len(fusion.tracks) > 5
+
+    def test_record_packetizes_like_reference(self):
+        # Each tick's record, packetized, gives each platform the packet the
+        # per-platform reference builds from its live confirmed tracks.
+        fusion = LocalFusion(PLATFORMS, DT)
+        rng = np.random.default_rng(8)
+        shipped = 0
+        for k, frames in enumerate(random_frames(7, 20)):
+            confirmed = fusion.step(frames)
+            poses = {
+                pid: PlatformPose(*rng.normal(0.0, 5.0, 2), rng.uniform(-math.pi, math.pi))
+                for pid in PLATFORMS
+            }
+            covs = {pid: np.diag(rng.uniform(1e-4, 1e-2, 2)) for pid in PLATFORMS}
+            packets = packetize(
+                k * DT, [(pid, poses[pid], covs[pid]) for pid in PLATFORMS], confirmed
+            )
+            for packet, (pid, tracks) in zip(packets, fusion.platform_tracks.items()):
+                live = [t for t in tracks if t.confirmed]
+                assert packet == packetize_reference(pid, k * DT, poses[pid], live, covs[pid])
+                shipped += len(live)
+        assert shipped > 20
 
     def test_spawn_merge_delete_and_singular_innovation_in_one_tick(self):
         ticks = random_frames(4, 12)

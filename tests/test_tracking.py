@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import (
     ctrv_predict_reference,
+    ctrv_reference,
     ekf_update_reference,
     folded_reference,
     inverse_2x2_reference,
@@ -400,6 +401,55 @@ class TestStackedFilter:
             tracks = self.random_tracks(rng, n)
             out = ctrv_predict(tracks, cfg)
             self.assert_bits_equal(out, [ctrv_predict_reference(t, cfg) for t in tracks])
+
+    @pytest.mark.parametrize("array_min", [1, tracking._ARRAY_PREDICT_MIN, 10**9])
+    def test_array_predict_matches_per_track_loop(self, monkeypatch, array_min):
+        # Stacks on both sides of the threshold run as elementwise passes,
+        # by the size rule, or per track throughout.  Yaw rates sit at 0,
+        # -0, NaN (which takes the straight-line branch) and on and next to
+        # +-YAW_RATE_EPS; speeds at 0; headings within 1e-3 of +-pi, where
+        # the predict wraps.
+        monkeypatch.setattr(tracking, "_ARRAY_PREDICT_MIN", array_min)
+        array_calls = []
+        ctrv_arrays = tracking._ctrv_arrays
+
+        def counted(means, dt):
+            array_calls.append(len(means))
+            return ctrv_arrays(means, dt)
+
+        monkeypatch.setattr(tracking, "_ctrv_arrays", counted)
+        rng = np.random.default_rng(16)
+        # A period that is not a power of two, so reassociating a product
+        # with dt changes its bits.
+        cfg = ProcessNoiseConfig(dt=0.1)
+        eps = YAW_RATE_EPS
+        yaw_rates = (
+            0.0, -0.0, eps, -eps, math.nan,
+            math.nextafter(eps, 0.0), math.nextafter(-eps, 0.0),
+            math.nextafter(eps, 1.0), math.nextafter(-eps, -1.0),
+        )
+        sizes = (1, 5, 31, 32, 33, 90)
+        for n in sizes:
+            tracks = self.random_tracks(rng, n)
+            for k, track in enumerate(tracks):
+                if k % 3 == 0:
+                    track.mean[2] = 0.0
+                if k % 2 == 1:
+                    track.mean[3] = rng.choice([1.0, -1.0]) * (math.pi - rng.uniform(0.0, 1e-3))
+                if k % 4 != 3:
+                    track.mean[4] = yaw_rates[rng.integers(len(yaw_rates))]
+            with np.errstate(invalid="ignore"):
+                out = ctrv_predict(tracks, cfg)
+                ref = [ctrv_predict_reference(t, cfg) for t in tracks]
+            self.assert_bits_equal(out, ref)
+            assert all(-math.pi < e.mean[3] <= math.pi for e in out if not math.isnan(e.mean[4]))
+            # The Jacobians too, whose bits the covariance product can hide.
+            with np.errstate(invalid="ignore"):
+                moved, jacobians = ctrv_arrays(np.array([t.mean for t in tracks]), cfg.dt)
+                expected = [ctrv_reference(t.mean, cfg.dt) for t in tracks]
+            assert moved.tobytes() == b"".join(mean.tobytes() for mean, _ in expected)
+            assert jacobians.tobytes() == b"".join(jac.tobytes() for _, jac in expected)
+        assert array_calls == [n for n in sizes if n >= array_min]
 
     @pytest.mark.parametrize("n", SIZES)
     def test_update_matches_per_track_loop(self, n):
