@@ -239,8 +239,11 @@ def observation_estimates(
     distal std-dev along the ray and the perpendicular one across it, both
     evaluated at the measured distance.  Every step is elementwise, with
     each cosine and sine through ``math``, so a detection gets the bits it
-    would get alone.
+    would get alone.  Raises ``ValueError`` if a distance is negative, as
+    ``eval_error_model`` does for a negative predictor.
     """
+    if (distances < 0.0).any():
+        raise ValueError("detection distances must be non-negative")
     poses = table.poses.take(pipelines, axis=0)
     trig = cos_sin(wrap_angle(poses[:, 2] + bearings))
     means = poses[:, :2] + distances[:, None] * trig

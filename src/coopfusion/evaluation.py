@@ -124,7 +124,8 @@ class RunReport:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "RunReport":
         """The report a JSON object holds; raises ``LogError`` unless every
-        field has its declared type and every ``per_tick`` row its keys."""
+        field has its declared type and every ``per_tick`` row its keys, and
+        ``TypeError`` if a required field is missing."""
         if not isinstance(obj, dict):
             raise LogError("a report must be a JSON object")
         if obj.get("schema") != LOG_SCHEMA:
@@ -138,10 +139,7 @@ class RunReport:
         for index, row in enumerate(kwargs.get("per_tick", [])):
             if not isinstance(row, dict) or not all(key in row for key in _PER_TICK_KEYS):
                 raise LogError(f"per_tick row {index} lacks one of {', '.join(_PER_TICK_KEYS)}")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise LogError(f"malformed report: {exc}") from exc
+        return cls(**kwargs)
 
 
 _PER_TICK_KEYS = ("t", "matched", "sse", "false_tracks", "loc_count", "loc_sse")

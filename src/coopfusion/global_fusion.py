@@ -122,8 +122,10 @@ def packetize(
     ``@`` runs the same product per matrix as a single 2x2 ``@``, so a track
     gets the bits it would get in a packet of its own.
     """
-    ids, poses, pose_covs = zip(*platforms) if platforms else ((),) * 3
     counts = tracks.counts
+    if len(platforms) != len(counts):
+        raise ValueError(f"{len(platforms)} platforms for {len(counts)} track groups")
+    ids, poses, pose_covs = zip(*platforms) if platforms else ((),) * 3
     pose_covs = np.array(pose_covs, dtype=float).reshape(-1, 2, 2)
 
     headings = np.array([pose.theta for pose in poses])

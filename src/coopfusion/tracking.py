@@ -154,7 +154,11 @@ def ctrv_jacobian(state: np.ndarray, dt: float) -> np.ndarray:
 # elementwise passes over the stacked means than per track on Python
 # floats: timed whole predicts of random tracks cross between 24 and 32
 # tracks (10 tracks: 58 us per track loop against 95 us as arrays; 229
-# tracks: 1.3 ms against 0.48 ms).
+# tracks: 1.3 ms against 0.48 ms).  The array passes' fixed cost shows end
+# to end: with every predict on arrays, the presets benchmark (local tiers
+# of about 10 tracks, RSU tiers of about 4) read tick_ms_iqm 1.643 -> 1.887
+# ms against the per-track loop, losing 5 of 5 alternating pairs on 2 CPUs
+# (BENCH_14_array_predict.json).
 _ARRAY_PREDICT_MIN = 32
 
 

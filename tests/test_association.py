@@ -92,17 +92,11 @@ def associate(tracks, observations_by_source, cfg, next_id):
 
 def gate(tracks, observations, cfg):
     """Which observations fall in which track's gate, through the frame's
-    gating pass over one block.
-
-    An infinite gate takes in the singular pairs too (their distance is
-    infinite), whose densities come out NaN; only the gating is checked
-    here, so those warnings are silenced.
-    """
+    gating pass over one block."""
     n, m = len(tracks), len(observations)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        _, rows, cols, _ = _gate_blocks(
-            *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
-        )
+    _, rows, cols, _ = _gate_blocks(
+        *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
+    )
     feasible = np.zeros((n, m), dtype=bool)
     feasible[rows, cols] = True
     return feasible
@@ -178,9 +172,18 @@ class TestGate:
             finite = dist2[np.isfinite(dist2)]
             thresholds = {9.21, math.inf, *finite.tolist(), *np.nextafter(finite, -np.inf).tolist()}
             for threshold in thresholds:
-                if threshold > 0.0:
-                    feasible = gate(tracks, observations, AssociationConfig(gate_threshold=threshold))
-                    np.testing.assert_array_equal(feasible, dist2 <= threshold)
+                if threshold <= 0.0:
+                    continue
+                cfg = AssociationConfig(gate_threshold=threshold)
+                if threshold == math.inf:
+                    # An infinite gate takes in the singular pairs too (their
+                    # distance is infinite), whose densities come out NaN;
+                    # only the gating is checked here.
+                    with np.errstate(invalid="ignore", divide="ignore"):
+                        feasible = gate(tracks, observations, cfg)
+                else:
+                    feasible = gate(tracks, observations, cfg)
+                np.testing.assert_array_equal(feasible, dist2 <= threshold)
         assert excluded > 100
 
 

@@ -257,6 +257,11 @@ class TestObservationEstimate:
                 np.testing.assert_array_equal(covariances[k], reference.covariance)
 
 
+    def test_negative_distance_rejected(self):
+        table = sensor_table([(SensorPose(), CAMERA_DISTAL, CAMERA_DISTAL)])
+        with pytest.raises(ValueError):
+            observation_estimates(table, np.zeros(1, dtype=int), np.array([-0.1]), np.zeros(1))
+
     def test_mixed_widths_in_one_frame_match_reference(self):
         # Pipelines whose models take 1, 2 and 3 coefficients share one
         # table; detections at distance 0, with bearings that wrap past pi

@@ -197,6 +197,16 @@ class TestPacketize:
         packet = cav_packet("cav0", 0.0, pose, [local_track(0, 1.0, 0.0)])
         assert packet.tracks[0].mean == pytest.approx((5.0, 6.0), abs=1e-12)
 
+    def test_platforms_must_match_track_groups(self):
+        # One group of one track cannot be spread over two platforms.
+        pose = PlatformPose(0, 0, 0, 0.0)
+        with pytest.raises(ValueError, match="2 platforms for 1 track groups"):
+            packetize(
+                0.0,
+                [("cav0", pose, 1e-6 * np.eye(2)), ("cav1", pose, 1e-6 * np.eye(2))],
+                track_table([[local_track(0, 1.0, 0.0)]]),
+            )
+
     def test_packet_track_is_an_immutable_record(self):
         track = PacketTrack(id="3", mean=(1.0, 2.0), covariance=((0.1, 0.0), (0.0, 0.1)))
         assert track.object_class == "vehicle"
