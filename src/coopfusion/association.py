@@ -76,6 +76,14 @@ class TrackTable(NamedTuple):
     covariances: np.ndarray
 
 
+def stacked_state(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
+    """The tracks' means (n, 5) and covariances (n, 5, 5), copied into new arrays."""
+    return (
+        np.array([t.estimate.mean for t in tracks]).reshape(-1, 5),
+        np.array([t.estimate.covariance for t in tracks]).reshape(-1, 5, 5),
+    )
+
+
 def track_table(groups: Sequence[Sequence[Track]]) -> TrackTable:
     """Every track of every group, stacked into a ``TrackTable``."""
     tracks = [t for group in groups for t in group]
@@ -83,8 +91,7 @@ def track_table(groups: Sequence[Sequence[Track]]) -> TrackTable:
         [len(group) for group in groups],
         [t.id for t in tracks],
         [t.object_class for t in tracks],
-        np.array([t.estimate.mean for t in tracks]).reshape(-1, 5),
-        np.array([t.estimate.covariance for t in tracks]).reshape(-1, 5, 5),
+        *stacked_state(tracks),
     )
 
 
@@ -111,6 +118,13 @@ class AssociationConfig:
     def __post_init__(self):
         if not (self.gate_threshold > 0.0):
             raise ValueError("gate_threshold must be positive")
+        if not math.isfinite(SPAWN_GATE_FACTOR * float(self.gate_threshold)):
+            # An infinite gate would take in pairs whose innovation
+            # covariance is singular (their distance is infinite) and give
+            # them NaN densities.
+            raise ValueError(
+                f"gate_threshold times SPAWN_GATE_FACTOR ({SPAWN_GATE_FACTOR}) must be finite"
+            )
         if not (0.0 < self.detection_probability <= 1.0):
             raise ValueError("detection_probability must be in (0, 1]")
         if self.clutter_density < 0.0:
@@ -623,6 +637,7 @@ def _spawn(
 
 def associate_frame(
     tracks: Sequence[Sequence[Track]],
+    state: tuple[np.ndarray, np.ndarray],
     observations: ObservationBatch,
     cfg: AssociationConfig,
     next_ids: Sequence[Callable[[], int]],
@@ -630,8 +645,11 @@ def associate_frame(
     """One fusion frame over every group of a tier; returns each group's new
     track list.
 
-    ``tracks[g]`` are group g's tracks, already predicted to the frame time,
-    and ``next_ids[g]`` hands out its new track ids.  Sources (sensor
+    ``tracks[g]`` are group g's tracks and ``next_ids[g]`` hands out its new
+    track ids.  ``state`` is every group's tracks, in order, predicted to
+    the frame time: their means (n, 5) and covariances (n, 5, 5).  Each
+    track's ``estimate`` is set from the state after the update, as rows
+    of the arrays it returns.  Sources (sensor
     pipelines locally, platforms globally) each report an object at most
     once, so association runs per (group, source) block: within one source
     a track takes at most one observation, while across sources a track
@@ -656,9 +674,7 @@ def associate_frame(
         blocks.append((starts[g], starts[g + 1], first, stop))
         first = stop
 
-    # The tracks' state, stacked once for gating, the update and the lifecycle.
-    means = np.array([t.estimate.mean for t in flat]).reshape(-1, 5)
-    covs = np.array([t.estimate.covariance for t in flat]).reshape(-1, 5, 5)
+    means, covs = state
     block, rows, cols, density = _gate_blocks(
         means[:, :2], covs[:, :2, :2], observations.means, observations.covariances, blocks, cfg
     )
@@ -673,11 +689,11 @@ def associate_frame(
     accepted = accepted[np.argsort(rows[accepted], kind="stable")]
     rows, cols = rows[accepted], cols[accepted]
     inflated = observations.covariances.take(cols, axis=0) / weights[accepted].reshape(-1, 1, 1)
-    updated, means, covs = multi_update(
+    _, means, covs = multi_update(
         (means, covs), rows, observations.means.take(cols, axis=0), inflated
     )
-    for i in updated.nonzero()[0].tolist():
-        flat[i].estimate = TrackEstimate(means[i], covs[i])
+    for track, mean, cov in zip(flat, means, covs):
+        track.estimate = TrackEstimate(mean, cov)
 
     track_rows = rows.tolist()
     for i, j in zip(track_rows, cols.tolist()):

@@ -281,8 +281,7 @@ class _ScenarioFusion:
             list(zip(self.cav_ids + self.cis_ids, cav_poses + self.cis_poses, pose_covs)),
             local_tracks,
         )
-        for packet in packets:
-            self.rsu.ingest(packet)
+        self.rsu.ingest(packets)
         return packets, self.rsu.step(t)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .association import (
     Track,
     TrackTable,
     associate_frame,
+    stacked_state,
     track_table,
 )
 from .error_models import PlatformPose
@@ -38,29 +39,78 @@ class PacketError(ValueError):
     """Raised for malformed platform packets."""
 
 
-class PacketTrack(NamedTuple):
-    """One local-fusion track as shipped to the RSU, already in world frame.
-
-    A named tuple rather than a frozen dataclass: it is as immutable, and
-    ``packetize`` builds one per track without a per-field
-    ``object.__setattr__``.
-    """
-
-    id: str
-    mean: tuple[float, float]
-    covariance: tuple[tuple[float, float], tuple[float, float]]
-    object_class: str = "vehicle"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PlatformPacket:
-    """Everything one platform reports for one tick."""
+    """Everything one platform reports for one tick.
+
+    Track k has id ``track_ids[k]``, class ``classes[k]``, world-frame mean
+    ``means[k]`` (a read-only (k, 2) array) and covariance
+    ``covariances[k]`` (read-only (k, 2, 2)); ``pose_covariance`` is the
+    read-only 2x2 uncertainty of ``pose``.  Packets compare by identity:
+    ``==`` on their arrays has no single truth value.
+    """
 
     platform_id: str
     timestamp: float
     pose: PlatformPose
-    pose_covariance: tuple[tuple[float, float], tuple[float, float]]
-    tracks: tuple[PacketTrack, ...] = ()
+    pose_covariance: np.ndarray
+    track_ids: tuple[str, ...]
+    classes: tuple[str, ...]
+    means: np.ndarray
+    covariances: np.ndarray
+
+
+def _fault(scalars: np.ndarray, means: np.ndarray, covariances: np.ndarray) -> str | None:
+    """The first validity rule the numbers break, or None.
+
+    Every number must be finite; then, covariance by covariance in order,
+    each must be symmetric (to 1e-9) and positive semi-definite (to
+    -1e-12).  The smallest eigenvalue of 0.5 * (M + M^T) comes in closed
+    form, elementwise in the order a 2x2 numpy evaluation takes, so an
+    overflowing sum decides the same way (a NaN eigenvalue passes).
+    """
+    with np.errstate(all="ignore"):
+        if not (
+            np.isfinite(scalars).all()
+            and np.isfinite(means).all()
+            and np.isfinite(covariances).all()
+        ):
+            return "packet contains non-finite numbers"
+        a, b, c, d = covariances.reshape(-1, 4).T
+        asymmetric = np.abs(b - c) > 1e-9
+        s00, s01, s10, s11 = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (c + b), 0.5 * (d + d)
+        tr = s00 + s11
+        disc = np.maximum(tr * tr - 4.0 * (s00 * s11 - s01 * s10), 0.0)
+        bad = asymmetric | (0.5 * (tr - np.sqrt(disc)) < -1e-12)
+    if not bad.any():
+        return None
+    if asymmetric[bad.argmax()]:
+        return "packet covariance is not symmetric"
+    return "packet covariance is not positive semi-definite"
+
+
+def _packet_faults(packets: Sequence[PlatformPacket]) -> list[str | None]:
+    """Each packet's ``_fault``: its timestamp, pose, track means, and pose
+    covariance then track covariances, in that order.
+
+    All packets are tested in one set of array passes; only when some
+    packet fails is each tested alone, to say which.
+    """
+    if not packets:
+        return []
+    scalars = np.array(
+        [(p.timestamp, p.pose.x, p.pose.y, p.pose.theta, p.pose.v) for p in packets], dtype=float
+    )
+    means = np.concatenate([p.means for p in packets])
+    covariances = np.concatenate(
+        [np.array([p.pose_covariance for p in packets]), *(p.covariances for p in packets)]
+    )
+    if _fault(scalars, means, covariances) is None:
+        return [None] * len(packets)
+    return [
+        _fault(row, p.means, np.concatenate([p.pose_covariance[None], p.covariances]))
+        for row, p in zip(scalars, packets)
+    ]
 
 
 def check_packet(packet: PlatformPacket) -> None:
@@ -69,32 +119,13 @@ def check_packet(packet: PlatformPacket) -> None:
     -1e-12).
 
     Packets are where platform input enters the RSU, so this is the one
-    validity test: ``packet_from_wire`` and ``GlobalFusion.ingest`` apply it
-    and nothing downstream re-checks.
+    validity test: ``packet_from_wire`` applies it to one packet and
+    ``GlobalFusion.ingest`` to a tick's packets at once, and nothing
+    downstream re-checks.
     """
-    pose = packet.pose
-    covariances = [packet.pose_covariance, *(tr.covariance for tr in packet.tracks)]
-    values = [packet.timestamp, pose.x, pose.y, pose.theta, pose.v]
-    for tr in packet.tracks:
-        values.extend(tr.mean)
-    for cov in covariances:
-        for row in cov:
-            values.extend(row)
-    if not all(math.isfinite(v) for v in values):
-        raise PacketError("packet contains non-finite numbers")
-    for cov in covariances:
-        if abs(cov[0][1] - cov[1][0]) > 1e-9:
-            raise PacketError("packet covariance is not symmetric")
-        # The smallest eigenvalue of 0.5 * (M + M^T) in closed form, on
-        # Python floats in the order a 2x2 numpy evaluation takes, so an
-        # overflowing sum decides the same way (a NaN eigenvalue passes).
-        a, b = float(cov[0][0]), float(cov[0][1])
-        c, d = float(cov[1][0]), float(cov[1][1])
-        s00, s01, s10, s11 = 0.5 * (a + a), 0.5 * (b + c), 0.5 * (c + b), 0.5 * (d + d)
-        tr = s00 + s11
-        disc = max(tr * tr - 4.0 * (s00 * s11 - s01 * s10), 0.0)
-        if 0.5 * (tr - math.sqrt(disc)) < -1e-12:
-            raise PacketError("packet covariance is not positive semi-definite")
+    (fault,) = _packet_faults([packet])
+    if fault is not None:
+        raise PacketError(fault)
 
 
 def covariance_union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,29 +171,23 @@ def packetize(
         symmetrized(rot @ blocks @ rot.swapaxes(1, 2)),
     )
 
-    rows = iter(
-        zip(
-            tracks.ids,
-            tracks.classes,
-            np.concatenate([means, world_covs.reshape(-1, 4)], axis=1).tolist(),
+    for array in (pose_covs, means, world_covs):
+        array.setflags(write=False)
+    track_ids = [str(tid) for tid in tracks.ids]
+    bounds = list(itertools.accumulate(counts, initial=0))
+    return [
+        PlatformPacket(
+            platform_id=pid,
+            timestamp=timestamp,
+            pose=pose,
+            pose_covariance=pose_cov,
+            track_ids=tuple(track_ids[start:stop]),
+            classes=tuple(tracks.classes[start:stop]),
+            means=means[start:stop],
+            covariances=world_covs[start:stop],
         )
-    )
-    packets = []
-    for pid, pose, pose_cov, count in zip(ids, poses, pose_covs.tolist(), counts):
-        packet_tracks = tuple(
-            PacketTrack(str(tid), (mx, my), ((c00, c01), (c10, c11)), object_class)
-            for tid, object_class, (mx, my, c00, c01, c10, c11) in itertools.islice(rows, count)
-        )
-        packets.append(
-            PlatformPacket(
-                platform_id=pid,
-                timestamp=timestamp,
-                pose=pose,
-                pose_covariance=(tuple(pose_cov[0]), tuple(pose_cov[1])),
-                tracks=packet_tracks,
-            )
-        )
-    return packets
+        for pid, pose, pose_cov, start, stop in zip(ids, poses, pose_covs, bounds, bounds[1:])
+    ]
 
 
 def packet_to_wire(packet: PlatformPacket) -> dict:
@@ -176,46 +201,48 @@ def packet_to_wire(packet: PlatformPacket) -> dict:
             "theta": packet.pose.theta,
             "v": packet.pose.v,
         },
-        "pose_cov": [list(row) for row in packet.pose_covariance],
+        "pose_cov": packet.pose_covariance.tolist(),
         "tracks": [
-            {
-                "id": tr.id,
-                "mu": list(tr.mean),
-                "cov": [list(row) for row in tr.covariance],
-                "class": tr.object_class,
-            }
-            for tr in packet.tracks
+            {"id": tid, "mu": mean, "cov": cov, "class": object_class}
+            for tid, object_class, mean, cov in zip(
+                packet.track_ids,
+                packet.classes,
+                packet.means.tolist(),
+                packet.covariances.tolist(),
+            )
         ],
     }
+
+
+def _read_only(values: list, shape: tuple[int, ...]) -> np.ndarray:
+    array = np.array(values, dtype=float).reshape(shape)
+    array.setflags(write=False)
+    return array
 
 
 def packet_from_wire(obj: dict) -> PlatformPacket:
     """Parse and validate one wire object back into a packet."""
     try:
         pose = obj["pose"]
-        tracks = tuple(
-            PacketTrack(
-                id=str(tr["id"]),
-                mean=(float(tr["mu"][0]), float(tr["mu"][1])),
-                covariance=(
-                    (float(tr["cov"][0][0]), float(tr["cov"][0][1])),
-                    (float(tr["cov"][1][0]), float(tr["cov"][1][1])),
-                ),
-                object_class=str(tr["class"]),
-            )
-            for tr in obj["tracks"]
-        )
+        tracks = obj["tracks"]
         packet = PlatformPacket(
             platform_id=str(obj["platform_id"]),
             timestamp=float(obj["t"]),
             pose=PlatformPose(
                 float(pose["x"]), float(pose["y"]), float(pose["theta"]), float(pose["v"])
             ),
-            pose_covariance=(
-                (float(obj["pose_cov"][0][0]), float(obj["pose_cov"][0][1])),
-                (float(obj["pose_cov"][1][0]), float(obj["pose_cov"][1][1])),
+            pose_covariance=_read_only(
+                [float(obj["pose_cov"][r][c]) for r in (0, 1) for c in (0, 1)], (2, 2)
             ),
-            tracks=tracks,
+            track_ids=tuple(str(tr["id"]) for tr in tracks),
+            classes=tuple(str(tr["class"]) for tr in tracks),
+            means=_read_only(
+                [float(tr["mu"][k]) for tr in tracks for k in (0, 1)], (-1, 2)
+            ),
+            covariances=_read_only(
+                [float(tr["cov"][r][c]) for tr in tracks for r in (0, 1) for c in (0, 1)],
+                (-1, 2, 2),
+            ),
         )
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise PacketError(f"malformed platform packet: {exc}") from exc
@@ -223,10 +250,33 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
     return packet
 
 
+def _observations(packets: Sequence[PlatformPacket]) -> ObservationBatch:
+    """The RSU's observations of one tick: each packet's tracks, then its
+    platform's own pose as one more observation, all of one group."""
+    sizes = [len(packet.track_ids) + 1 for packet in packets]
+    # Each pose row goes in after its packet's track rows.
+    is_pose = np.zeros(sum(sizes), dtype=bool)
+    is_pose[list(itertools.accumulate(sizes, initial=-1))[1:]] = True
+    means = np.empty((len(is_pose), 2))
+    covariances = np.empty((len(is_pose), 2, 2))
+    if packets:
+        means[~is_pose] = np.concatenate([packet.means for packet in packets])
+        means[is_pose] = [(packet.pose.x, packet.pose.y) for packet in packets]
+        covariances[~is_pose] = np.concatenate([packet.covariances for packet in packets])
+        covariances[is_pose] = [packet.pose_covariance for packet in packets]
+    return ObservationBatch(
+        means,
+        symmetrized(covariances),
+        [0] * len(is_pose),
+        [packet.platform_id for packet, size in zip(packets, sizes) for _ in range(size)],
+        [c for packet in packets for c in (*packet.classes, "platform")],
+    )
+
+
 class GlobalFusion:
     """RSU fusion state: a packet inbox plus the world-frame track list.
 
-    ``ingest`` queues each packet, ``step`` drains the inbox for one tick,
+    ``ingest`` queues a tick's packets, ``step`` drains the inbox for one tick,
     and each predict covers ``dt``.
     """
 
@@ -241,27 +291,27 @@ class GlobalFusion:
         self.late_packets = 0
         self.invalid_packets = 0
 
-    def ingest(self, packet: PlatformPacket) -> None:
-        """Queue one packet for the next tick; latest per platform wins.
+    def ingest(self, packets: Sequence[PlatformPacket]) -> None:
+        """Queue a tick's packets for the next step; latest per platform wins.
 
-        A packet that fails ``check_packet`` is counted as invalid and
-        dropped, and so is one more than one frame period
-        (``noise.dt``) older than the last fused tick, counted as late.
+        The packets are checked together (``check_packet``'s test), then
+        taken in order: one that fails is counted as invalid and dropped,
+        and so is one more than one frame period (``noise.dt``) older than
+        the last fused tick, counted as late.
         """
-        try:
-            check_packet(packet)
-        except PacketError:
-            self.invalid_packets += 1
-            return
-        if packet.timestamp < self._current_time - self.noise.dt:
-            self.late_packets += 1
-            return
-        held = self._inbox.get(packet.platform_id)
-        if held is not None:
-            self.duplicate_packets += 1
-            if packet.timestamp < held.timestamp:
-                return
-        self._inbox[packet.platform_id] = packet
+        for packet, fault in zip(packets, _packet_faults(packets)):
+            if fault is not None:
+                self.invalid_packets += 1
+                continue
+            if packet.timestamp < self._current_time - self.noise.dt:
+                self.late_packets += 1
+                continue
+            held = self._inbox.get(packet.platform_id)
+            if held is not None:
+                self.duplicate_packets += 1
+                if packet.timestamp < held.timestamp:
+                    continue
+            self._inbox[packet.platform_id] = packet
 
     def step(self, timestamp: float) -> TrackTable:
         """Fuse everything queued for this tick; returns the confirmed tracks
@@ -277,33 +327,11 @@ class GlobalFusion:
         self._current_time = timestamp
         packets = [self._inbox[pid] for pid in sorted(self._inbox)]
         self._inbox.clear()
-
-        # Each platform reports its tracks, then its own pose as one more
-        # observation.
-        means, covariances, sources, classes = [], [], [], []
-        for packet in packets:
-            for tr in packet.tracks:
-                means.append(tr.mean)
-                covariances.append(tr.covariance)
-                classes.append(tr.object_class)
-            means.append((packet.pose.x, packet.pose.y))
-            covariances.append(packet.pose_covariance)
-            classes.append("platform")
-            sources.extend([packet.platform_id] * (len(packet.tracks) + 1))
-        observations = ObservationBatch(
-            np.array(means, dtype=float).reshape(-1, 2),
-            symmetrized(np.array(covariances, dtype=float).reshape(-1, 2, 2)),
-            [0] * len(sources),
-            sources,
-            classes,
-        )
-
-        for track, estimate in zip(
-            self.tracks, ctrv_predict([t.estimate for t in self.tracks], self.noise)
-        ):
-            track.estimate = estimate
-
         self.tracks = associate_frame(
-            [self.tracks], observations, self.association, [self._next_id]
+            [self.tracks],
+            ctrv_predict(stacked_state(self.tracks), self.noise),
+            _observations(packets),
+            self.association,
+            [self._next_id],
         )[0]
         return track_table([[t for t in self.tracks if t.confirmed]])

@@ -25,6 +25,7 @@ from .association import (
     Track,
     TrackTable,
     associate_frame,
+    stacked_state,
     track_table,
 )
 from .error_models import (
@@ -133,12 +134,9 @@ class LocalFusion:
             np.array(bearings, dtype=float),
         )
 
-        tracks = self.tracks
-        for track, estimate in zip(tracks, ctrv_predict([t.estimate for t in tracks], self.noise)):
-            track.estimate = estimate
-
         updated = associate_frame(
             list(self.platform_tracks.values()),
+            ctrv_predict(stacked_state(self.tracks), self.noise),
             ObservationBatch(means, covariances, groups, sources, classes),
             self.association,
             self._next_ids,

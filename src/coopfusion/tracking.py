@@ -6,7 +6,7 @@ folded into a single equivalent measurement.  State is [x, y, v, psi,
 psi_dot]; measurements are 2D positions with their own covariance, so the
 observation matrix just selects the first two state components.
 
-Each step takes a tier's whole track list at once.  CTRV motion and its
+Each step takes a tier's whole track list at once, stacked into arrays.  CTRV motion and its
 Jacobian entries run per track on Python floats for a few tracks and as
 elementwise array passes for many; the 2x2 innovation inverses and the
 observation fold run as elementwise array passes, whose IEEE ``+ - * /``
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -210,26 +209,27 @@ def _ctrv_arrays(means: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ctrv_predict(
-    estimates: Sequence[TrackEstimate], cfg: ProcessNoiseConfig
-) -> list[TrackEstimate]:
-    """One motion-model predict step for a list of tracks.
+    state: tuple[np.ndarray, np.ndarray], cfg: ProcessNoiseConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """One motion-model predict step of stacked tracks.
 
-    The means move, and the Jacobians are formed, per track on Python
-    floats, or as elementwise passes over the stacked means from
-    ``_ARRAY_PREDICT_MIN`` tracks up; the covariances grow as one stacked
-    ``J P J^T + Q``.
+    ``state`` is the tracks' means (n, 5) and covariances (n, 5, 5); the
+    predicted ones come back as new arrays of the same shapes.  The means
+    move, and the Jacobians are formed, per track on Python floats, or as
+    elementwise passes over the stacked means from ``_ARRAY_PREDICT_MIN``
+    tracks up; the covariances grow as one stacked ``J P J^T + Q``.
     """
-    if not estimates:
-        return []
-    if len(estimates) >= _ARRAY_PREDICT_MIN:
-        means, jac = _ctrv_arrays(np.array([e.mean for e in estimates]), cfg.dt)
+    means, covs = state
+    if not len(means):
+        return means.reshape(0, 5), covs.reshape(0, 5, 5)
+    if len(means) >= _ARRAY_PREDICT_MIN:
+        means, jac = _ctrv_arrays(means, cfg.dt)
     else:
-        moved = [_ctrv(estimate.mean.tolist(), cfg.dt) for estimate in estimates]
+        moved = [_ctrv(mean, cfg.dt) for mean in means.tolist()]
         means = np.array([mean for mean, _ in moved])
         jac = np.array([jacobian for _, jacobian in moved]).reshape(-1, 5, 5)
-    covs = np.array([e.covariance for e in estimates])
     covs = symmetrized(jac @ covs @ jac.swapaxes(1, 2) + process_noise_matrix(cfg))
-    return [TrackEstimate(m, c) for m, c in zip(means, covs)]
+    return means, covs
 
 
 def _inverses(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

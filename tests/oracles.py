@@ -4,7 +4,8 @@ Everything here is deliberately brute force and shares no code with the
 package internals, except that the per-track filter references take the
 package's process noise matrix and its angle wrap and symmetrize helpers,
 the per-platform hand-off builds the package's packet records and takes
-its covariance union, the per-detection expansion takes the package's
+its covariance union, the RSU's observations fill the package's batch
+record, the per-detection expansion takes the package's
 scalar ``eval_error_model``, and the per-platform local tier reuses the
 package's cluster enumeration (checked against its own reference
 elsewhere) around scalar predict, gating, marginals, update and merge.
@@ -12,13 +13,14 @@ elsewhere) around scalar predict, gating, marginals, update and merge.
 
 import itertools
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from coopfusion.association import (
     SPAWN_GATE_FACTOR,
     AssociationConfig,
+    ObservationBatch,
     Track,
     _clusters,
     _enumerate_cluster,
@@ -31,7 +33,7 @@ from coopfusion.error_models import (
     eval_error_model,
 )
 from coopfusion.geometry import symmetrized, wrap_angle
-from coopfusion.global_fusion import PacketError, PacketTrack, PlatformPacket, covariance_union
+from coopfusion.global_fusion import PacketError, PlatformPacket, covariance_union
 from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
 from coopfusion.tracking import (
     YAW_RATE_EPS,
@@ -343,8 +345,11 @@ def covariance_to_world(covariance, theta):
     return symmetrized(rot @ block @ rot.T)
 
 
-def _cov_tuple(cov):
-    return ((float(cov[0, 0]), float(cov[0, 1])), (float(cov[1, 0]), float(cov[1, 1])))
+def read_only(values, shape):
+    """A new read-only float array of ``values`` in ``shape``, as packets hold."""
+    array = np.array(values, dtype=float).reshape(shape)
+    array.setflags(write=False)
+    return array
 
 
 def packetize_reference(platform_id, timestamp, pose, local_tracks, pose_covariance):
@@ -354,24 +359,53 @@ def packetize_reference(platform_id, timestamp, pose, local_tracks, pose_covaria
     for bit.
     """
     pose_cov = np.asarray(pose_covariance, dtype=float)
-    packet_tracks = []
+    means, covariances = [], []
     for track in local_tracks:
-        mean = track_to_world(track.estimate, pose)
+        means.append(track_to_world(track.estimate, pose))
         world_cov = covariance_to_world(track.estimate.covariance, pose.theta)
-        packet_tracks.append(
-            PacketTrack(
-                id=str(track.id),
-                mean=(float(mean[0]), float(mean[1])),
-                covariance=_cov_tuple(covariance_union(pose_cov, world_cov)),
-                object_class=track.object_class,
-            )
-        )
+        covariances.append(covariance_union(pose_cov, world_cov))
     return PlatformPacket(
         platform_id=platform_id,
         timestamp=timestamp,
         pose=pose,
-        pose_covariance=_cov_tuple(pose_cov),
-        tracks=tuple(packet_tracks),
+        pose_covariance=read_only(pose_cov, (2, 2)),
+        track_ids=tuple(str(track.id) for track in local_tracks),
+        classes=tuple(track.object_class for track in local_tracks),
+        means=read_only(means, (-1, 2)),
+        covariances=read_only(covariances, (-1, 2, 2)),
+    )
+
+
+def packet_bits(packet):
+    """Every field of a packet, with each array as its dtype, shape and bytes:
+    equal for two packets exactly when they hold the same bits."""
+    return [
+        (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for value in (getattr(packet, field.name) for field in fields(packet))
+    ]
+
+
+def rsu_batch_reference(packets):
+    """The RSU's observations of one tick, built one packet and one track at a
+    time on tuples: each packet's tracks, then its pose."""
+    means, covariances, sources, classes = [], [], [], []
+    for packet in packets:
+        for mean, cov, object_class in zip(
+            packet.means.tolist(), packet.covariances.tolist(), packet.classes
+        ):
+            means.append(tuple(mean))
+            covariances.append(tuple(map(tuple, cov)))
+            classes.append(object_class)
+        means.append((packet.pose.x, packet.pose.y))
+        covariances.append(tuple(map(tuple, packet.pose_covariance.tolist())))
+        classes.append("platform")
+        sources.extend([packet.platform_id] * (len(packet.track_ids) + 1))
+    return ObservationBatch(
+        np.array(means, dtype=float).reshape(-1, 2),
+        symmetrized(np.array(covariances, dtype=float).reshape(-1, 2, 2)),
+        [0] * len(sources),
+        sources,
+        classes,
     )
 
 
@@ -384,15 +418,12 @@ def min_eig_2x2(m):
 
 
 def check_packet_reference(packet):
-    """``check_packet`` on numpy, one covariance array at a time."""
+    """``check_packet`` one number and one covariance at a time."""
     pose = packet.pose
-    covariances = [packet.pose_covariance, *(tr.covariance for tr in packet.tracks)]
-    values = [packet.timestamp, pose.x, pose.y, pose.theta, pose.v]
-    for tr in packet.tracks:
-        values.extend(tr.mean)
+    covariances = [packet.pose_covariance, *packet.covariances]
+    values = [packet.timestamp, pose.x, pose.y, pose.theta, pose.v, *packet.means.ravel()]
     for cov in covariances:
-        for row in cov:
-            values.extend(row)
+        values.extend(cov.ravel())
     if not all(math.isfinite(v) for v in values):
         raise PacketError("packet contains non-finite numbers")
     for cov in covariances:
@@ -567,3 +598,26 @@ class PlatformFusionReference:
         self.tracks = associate_frame_reference(
             self.tracks, by_pipeline, self.association, lambda: next(self._ids), self.events
         )
+
+
+def ingest_reference(fusion, packets):
+    """``GlobalFusion.ingest`` one packet at a time, each checked alone by
+    ``check_packet_reference``: an invalid or late packet is counted and
+    dropped, and a second packet of a platform counts as a duplicate and
+    replaces the held one unless it is older."""
+    for packet in packets:
+        try:
+            with np.errstate(all="ignore"):
+                check_packet_reference(packet)
+        except PacketError:
+            fusion.invalid_packets += 1
+            continue
+        if packet.timestamp < fusion._current_time - fusion.noise.dt:
+            fusion.late_packets += 1
+            continue
+        held = fusion._inbox.get(packet.platform_id)
+        if held is not None:
+            fusion.duplicate_packets += 1
+            if packet.timestamp < held.timestamp:
+                continue
+        fusion._inbox[packet.platform_id] = packet

@@ -240,20 +240,17 @@ class TestCriterion6EkfConsistency:
         for _ in range(runs):
             estimate_mean = np.array([0.0, 0.0, 0.5, 0.1, 0.3])
             truth = estimate_mean + sqrt_p0 @ rng.normal(size=5)
-            track = TrackEstimate(estimate_mean, p0)
+            means, covs = estimate_mean[None], p0[None]
             for k in range(frames):
                 truth = ctrv_motion(truth, cfg.dt) + sqrt_q @ rng.normal(size=5)
-                (track,) = ctrv_predict([track], cfg)
+                means, covs = ctrv_predict((means, covs), cfg)
                 z = GaussianEstimate(
                     truth[:2] + math.sqrt(meas_var) * rng.normal(size=2), meas_var * np.eye(2)
                 )
-                _, means, covs = ekf_update(
-                    (track.mean[None], track.covariance[None]), z.mean[None], z.covariance[None]
-                )
-                track = TrackEstimate(means[0], covs[0])
-                err = truth - track.mean
+                _, means, covs = ekf_update((means, covs), z.mean[None], z.covariance[None])
+                err = truth - means[0]
                 err[3] = math.atan2(math.sin(err[3]), math.cos(err[3]))
-                nees_sum[k] += float(err @ np.linalg.solve(track.covariance, err))
+                nees_sum[k] += float(err @ np.linalg.solve(covs[0], err))
         nees = nees_sum / runs
         lo = chi2.ppf(0.025, runs * 5) / runs
         hi = chi2.ppf(0.975, runs * 5) / runs

@@ -24,6 +24,7 @@ from coopfusion.association import (
     associate_frame,
     jpda_weights,
     new_track_estimate,
+    stacked_state,
     track_table,
 )
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
@@ -87,7 +88,7 @@ def associate(tracks, observations_by_source, cfg, next_id):
         [key for key, _ in keyed],
         [obs.object_class for _, obs in keyed],
     )
-    return associate_frame([tracks], batch, cfg, [next_id])[0]
+    return associate_frame([tracks], stacked_state(tracks), batch, cfg, [next_id])[0]
 
 
 def gate(tracks, observations, cfg):
@@ -170,21 +171,27 @@ class TestGate:
             dist2, _ = pair_stats_reference(tracks, observations)
             excluded += int(np.isinf(dist2).sum())
             finite = dist2[np.isfinite(dist2)]
-            thresholds = {9.21, math.inf, *finite.tolist(), *np.nextafter(finite, -np.inf).tolist()}
+            # 1e300 is about the widest gate a config accepts; the singular
+            # pairs (infinite distance) stay outside it.
+            thresholds = {9.21, 1e300, *finite.tolist(), *np.nextafter(finite, -np.inf).tolist()}
             for threshold in thresholds:
                 if threshold <= 0.0:
                     continue
-                cfg = AssociationConfig(gate_threshold=threshold)
-                if threshold == math.inf:
-                    # An infinite gate takes in the singular pairs too (their
-                    # distance is infinite), whose densities come out NaN;
-                    # only the gating is checked here.
-                    with np.errstate(invalid="ignore", divide="ignore"):
-                        feasible = gate(tracks, observations, cfg)
-                else:
-                    feasible = gate(tracks, observations, cfg)
+                feasible = gate(tracks, observations, AssociationConfig(gate_threshold=threshold))
                 np.testing.assert_array_equal(feasible, dist2 <= threshold)
         assert excluded > 100
+
+    @pytest.mark.parametrize("threshold", [math.inf, 1e308, 1.7976931348623157e308])
+    def test_gate_with_infinite_spawn_gate_rejected(self, threshold):
+        # Twice the gate overflows to inf for each of these.
+        with pytest.raises(ValueError, match="must be finite"):
+            AssociationConfig(gate_threshold=threshold)
+
+    def test_widest_finite_spawn_gate_accepted(self):
+        widest = 1.7976931348623157e308 / 2.0
+        assert AssociationConfig(gate_threshold=widest).gate_threshold == widest
+        with pytest.raises(ValueError, match="must be finite"):
+            AssociationConfig(gate_threshold=np.nextafter(widest, math.inf))
 
 
 @pytest.fixture(params=["closed_form", "default", "enumerated"])
@@ -591,6 +598,24 @@ class TestAssociateFrame:
         counter = iter(range(100))
         updated = associate([], per_source, cfg, lambda: next(counter))
         assert len(updated) == 1
+
+    def test_given_state_is_associated_and_set_on_every_track(self):
+        # The tracks' own estimates are stale; the frame uses the state given.
+        tracks = [make_track(0, 100.0, 0.0, 0.1), make_track(1, 105.0, 0.0, 0.1)]
+        means, covs = stacked_state(tracks)
+        for track in tracks:
+            track.estimate = TrackEstimate(np.full(5, np.nan), np.full((5, 5), np.nan))
+        batch = ObservationBatch(
+            np.array([[100.0, 0.0]]), 0.1 * np.eye(2)[None], [0], ["s"], ["vehicle"]
+        )
+        kept = associate_frame([tracks], (means, covs), batch, AssociationConfig(), [lambda: 9])[0]
+        assert [t.id for t in kept] == [0, 1]
+        assert kept[0].frames_seen == 2 and kept[1].frames_missed == 1
+        # The missed track holds exactly its given state; the other moved to
+        # the observation.
+        assert kept[1].estimate.mean.tobytes() == means[1].tobytes()
+        assert kept[1].estimate.covariance.tobytes() == covs[1].tobytes()
+        assert abs(kept[0].estimate.mean[0] - 100.0) < 0.1
 
 
 def test_new_track_estimate_seeds_from_observation():

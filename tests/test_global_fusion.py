@@ -7,7 +7,11 @@ import pytest
 from oracles import (
     check_packet_reference,
     covariance_to_world,
+    ingest_reference,
+    packet_bits,
     packetize_reference,
+    read_only,
+    rsu_batch_reference,
     track_to_world,
 )
 
@@ -22,7 +26,8 @@ from coopfusion.global_fusion import (
     GlobalFusion,
     PacketError,
     PlatformPacket,
-    PacketTrack,
+    _observations,
+    _packet_faults,
     check_packet,
     covariance_union,
     packet_from_wire,
@@ -60,8 +65,7 @@ def local_track(tid, x, y, pos_var=0.01):
 def fuse(fusion, packets, t):
     """Step the RSU; returns its confirmed tracks themselves, after checking
     that the step's record holds them."""
-    for packet in packets:
-        fusion.ingest(packet)
+    fusion.ingest(packets)
     record = fusion.step(t)
     confirmed = [track for track in fusion.tracks if track.confirmed]
     assert record.counts == [len(confirmed)]
@@ -78,12 +82,17 @@ def vehicle_tracks(tracks):
 
 
 def pose_packet(pid, t, pose, pose_var=1e-6, tracks=()):
+    """A packet whose tracks are (mean, covariance) pairs, with ids "0", "1",
+    ... and class "vehicle"."""
     return PlatformPacket(
         platform_id=pid,
         timestamp=t,
         pose=pose,
-        pose_covariance=((pose_var, 0.0), (0.0, pose_var)),
-        tracks=tuple(tracks),
+        pose_covariance=read_only([[pose_var, 0.0], [0.0, pose_var]], (2, 2)),
+        track_ids=tuple(str(k) for k in range(len(tracks))),
+        classes=("vehicle",) * len(tracks),
+        means=read_only([mean for mean, _ in tracks], (-1, 2)),
+        covariances=read_only([cov for _, cov in tracks], (-1, 2, 2)),
     )
 
 
@@ -177,25 +186,23 @@ class TestPacketize:
         (packet,) = packetize_tracks(
             1.0, [("cis0", pose, 1e-6 * np.eye(2), [local_track(0, 1.0, 0.0)])]
         )
-        track_cov = np.array(packet.tracks[0].covariance)
-        assert np.abs(track_cov - 0.01 * np.eye(2)).max() < 1e-5
+        assert np.abs(packet.covariances[0] - 0.01 * np.eye(2)).max() < 1e-5
 
     def test_speed_inflates_track_covariance(self):
         tracks = [local_track(0, 1.0, 0.0)]
         slow = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.0), tracks)
         fast = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.5), tracks)
-        assert np.trace(np.array(fast.tracks[0].covariance)) > np.trace(
-            np.array(slow.tracks[0].covariance)
-        )
+        assert np.trace(fast.covariances[0]) > np.trace(slow.covariances[0])
 
     def test_empty_track_list_is_valid(self):
         packet = cav_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0.1), [])
-        assert packet.tracks == ()
+        assert packet.track_ids == () and packet.classes == ()
+        assert packet.means.shape == (0, 2) and packet.covariances.shape == (0, 2, 2)
 
     def test_world_transform_applied(self):
         pose = PlatformPose(5.0, 5.0, math.pi / 2, 0.0)
         packet = cav_packet("cav0", 0.0, pose, [local_track(0, 1.0, 0.0)])
-        assert packet.tracks[0].mean == pytest.approx((5.0, 6.0), abs=1e-12)
+        assert packet.means[0] == pytest.approx((5.0, 6.0), abs=1e-12)
 
     def test_platforms_must_match_track_groups(self):
         # One group of one track cannot be spread over two platforms.
@@ -207,13 +214,23 @@ class TestPacketize:
                 track_table([[local_track(0, 1.0, 0.0)]]),
             )
 
-    def test_packet_track_is_an_immutable_record(self):
-        track = PacketTrack(id="3", mean=(1.0, 2.0), covariance=((0.1, 0.0), (0.0, 0.1)))
-        assert track.object_class == "vehicle"
-        assert track == PacketTrack("3", (1.0, 2.0), ((0.1, 0.0), (0.0, 0.1)), "vehicle")
-        for name in ("id", "mean", "covariance", "object_class"):
-            with pytest.raises(AttributeError):
-                setattr(track, name, None)
+    def test_packet_arrays_are_read_only(self):
+        pose = PlatformPose(1.0, 2.0, 0.5, 0.25)
+        tracks = [local_track(3, 1.0, 0.0), local_track(4, 0.0, 2.0)]
+        packets = packetize_tracks(0.5, [("cav0", pose, 0.1 * np.eye(2), tracks)] * 2)
+        packets.append(packet_from_wire(json.loads(json.dumps(packet_to_wire(packets[0])))))
+        for packet in packets:
+            assert packet.track_ids == ("3", "4") and packet.classes == ("vehicle", "vehicle")
+            assert packet.means.shape == (2, 2) and packet.covariances.shape == (2, 2, 2)
+            for array in (packet.means, packet.covariances, packet.pose_covariance):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            for field in dataclasses.fields(packet):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(packet, field.name, None)
+        # The two packetized packets are views of one pass, kept apart.
+        assert not np.shares_memory(packets[0].means, packets[1].means)
+        assert packets[0].means.base is packets[1].means.base
 
 
 def random_tracks(rng, n):
@@ -256,20 +273,6 @@ def random_tick(rng):
     ]
 
 
-def packet_bits(packet):
-    """Every field of a packet, with each float tuple as its bytes."""
-    return (
-        packet.platform_id,
-        packet.timestamp,
-        packet.pose,
-        np.array(packet.pose_covariance).tobytes(),
-        [
-            (tr.id, tr.object_class, np.array(tr.mean).tobytes(), np.array(tr.covariance).tobytes())
-            for tr in packet.tracks
-        ],
-    )
-
-
 class TestPacketizeMatchesReference:
     def test_no_platforms(self):
         assert packetize_tracks(2.5, []) == []
@@ -280,7 +283,7 @@ class TestPacketizeMatchesReference:
             ("cis0", PlatformPose(0, 0, 0, 0), 1e-6 * np.eye(2), []),
         ]
         packets = packetize_tracks(0.0, platforms)
-        assert [packet.tracks for packet in packets] == [(), ()]
+        assert [packet.track_ids for packet in packets] == [(), ()]
         assert [packet_bits(p) for p in packets] == [
             packet_bits(packetize_reference(pid, 0.0, pose, tracks, cov))
             for pid, pose, cov, tracks in platforms
@@ -323,12 +326,7 @@ def decision(check, packet):
 
 def cov_packet(cov):
     """A valid packet whose one track carries ``cov``."""
-    return pose_packet(
-        "cav0",
-        0.0,
-        PlatformPose(0, 0, 0, 0),
-        tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=cov)],
-    )
+    return pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0), tracks=[((1.0, 1.0), cov)])
 
 
 def as_cov(m):
@@ -370,17 +368,22 @@ class TestCheckPacketMatchesReference:
         packet = cov_packet(cov)
         assert decision(check_packet, packet) == verdict
         assert decision(check_packet_reference, packet) == verdict
+        # Batched between good packets, only this one is at fault.
+        good = cov_packet(((1.0, 0.0), (0.0, 1.0)))
+        assert _packet_faults([good, packet, good]) == [None, verdict, None]
 
     def test_overflowing_entries(self):
         # Sums and products of entries near 1e308 overflow to inf and then
         # NaN; both checks must still agree on every one.
         verdicts = set()
+        good = cov_packet(((1.0, 0.0), (0.0, 1.0)))
         for a in HUGE:
             for b in HUGE:
                 for d in HUGE:
                     packet = cov_packet(((a, b), (b, d)))
                     got = decision(check_packet, packet)
                     assert got == decision(check_packet_reference, packet), (a, b, d)
+                    assert _packet_faults([good, packet, good]) == [None, got, None]
                     verdicts.add(got)
         assert verdicts == {None, "packet covariance is not positive semi-definite"}
 
@@ -418,15 +421,24 @@ class TestCheckPacketMatchesReference:
         # spoiled: both checks agree on each.
         rng = np.random.default_rng(29)
         for k in range(100):
-            for packet in packetize_tracks(0.125 * k, random_tick(rng)):
+            packets = packetize_tracks(0.125 * k, random_tick(rng))
+            assert _packet_faults(packets) == [None] * len(packets)
+            for packet in packets:
                 assert decision(check_packet, packet) is None
                 assert decision(check_packet_reference, packet) is None
                 bad = float(rng.choice([math.nan, math.inf, -1e-3, 1e308]))
-                (a, b), (c, d) = packet.pose_covariance
-                spoiled = dataclasses.replace(packet, pose_covariance=((a, b), (c, bad)))
+                (a, b), (c, _) = packet.pose_covariance.tolist()
+                spoiled = dataclasses.replace(
+                    packet, pose_covariance=read_only([[a, b], [c, bad]], (2, 2))
+                )
                 got = decision(check_packet, spoiled)
                 assert got is not None or bad == 1e308
                 assert got == decision(check_packet_reference, spoiled)
+                assert _packet_faults([*packets, spoiled, *packets]) == (
+                    [None] * len(packets) + [got] + [None] * len(packets)
+                )
+
+
 class TestWireFormat:
     def test_exact_field_names(self):
         packet = cav_packet("cav0", 0.25, PlatformPose(1, 2, 0.1, 0.5), [local_track(3, 0.5, 0.5)])
@@ -440,7 +452,17 @@ class TestWireFormat:
             "cav1", 0.375, PlatformPose(-1, 0.5, 2.0, 0.25), [local_track(9, 1.5, -0.25)]
         )
         again = packet_from_wire(json.loads(json.dumps(packet_to_wire(packet))))
-        assert again == packet
+        assert packet_bits(again) == packet_bits(packet)
+
+    def test_random_packets_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        seen = 0
+        for k in range(50):
+            for packet in packetize_tracks(0.125 * k, random_tick(rng)):
+                again = packet_from_wire(json.loads(json.dumps(packet_to_wire(packet))))
+                assert packet_bits(again) == packet_bits(packet)
+                seen += len(packet.track_ids)
+        assert seen > 100
 
     def test_nonfinite_rejected(self):
         packet = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))
@@ -468,7 +490,7 @@ class TestWireFormat:
             "cav0",
             0.0,
             PlatformPose(0, 0, 0, 0),
-            tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))],
+            tracks=[((1.0, 1.0), ((0.01, 0), (0, 0.01)))],
         )
         wire = packet_to_wire(packet)
         if field == "cov":
@@ -492,9 +514,7 @@ class TestGlobalFusion:
                 "cis0",
                 k * 0.125,
                 PlatformPose(0, 2, -math.pi / 2, 0),
-                tracks=[
-                    PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))
-                ],
+                tracks=[((1.0, 1.0), ((0.01, 0), (0, 0.01)))],
             )
             confirmed = fuse(fusion, [packet], k * 0.125)
         positions = sorted(
@@ -512,9 +532,7 @@ class TestGlobalFusion:
                         pid,
                         k * 0.125,
                         PlatformPose(4, 3, 0, 0),
-                        tracks=[
-                            PacketTrack(id="0", mean=(1.0, 0.0), covariance=((0.05, 0), (0, 0.05)))
-                        ],
+                        tracks=[((1.0, 0.0), ((0.05, 0), (0, 0.05)))],
                     )
                     for pid in platforms
                 ]
@@ -535,17 +553,13 @@ class TestGlobalFusion:
                     "cis0",
                     k * 0.125,
                     PlatformPose(0, 4, 0, 0),
-                    tracks=[
-                        PacketTrack(id="0", mean=(1.0, 0.0), covariance=((0.004, 0), (0, 0.004)))
-                    ],
+                    tracks=[((1.0, 0.0), ((0.004, 0), (0, 0.004)))],
                 ),
                 pose_packet(
                     "cav1",
                     k * 0.125,
                     PlatformPose(3, 3, 0, 0.5),
-                    tracks=[
-                        PacketTrack(id="0", mean=(1.3, 0.0), covariance=((0.09, 0), (0, 0.09)))
-                    ],
+                    tracks=[((1.3, 0.0), ((0.09, 0), (0, 0.09)))],
                 ),
             ]
             confirmed = vehicle_tracks(fuse(fusion, packets, k * 0.125))
@@ -568,7 +582,7 @@ class TestGlobalFusion:
     def test_confirmed_record_is_detached(self):
         fusion = GlobalFusion(DT)
         for k in range(4):
-            fusion.ingest(pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4))
+            fusion.ingest([pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4)])
             record = fusion.step(k * 0.125)
         (track,) = fusion.tracks
         mean, cov = track.estimate.mean.copy(), track.estimate.covariance.copy()
@@ -585,8 +599,7 @@ class TestGlobalFusion:
         # one is counted as a duplicate
         for arrivals in ((early, late), (late, early)):
             fusion = GlobalFusion(DT)
-            for packet in arrivals:
-                fusion.ingest(packet)
+            fusion.ingest(arrivals)
             assert fusion.duplicate_packets == 1
             fusion.step(0.125)
             assert len(fusion.tracks) == 1
@@ -595,7 +608,7 @@ class TestGlobalFusion:
     def test_stale_packet_dropped_and_counted(self):
         fusion = GlobalFusion(DT)
         fusion.step(10.0)
-        fusion.ingest(pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0)))
+        fusion.ingest([pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))])
         assert fusion.late_packets == 1
         fusion.step(10.125)
         assert fusion.tracks == []
@@ -603,8 +616,12 @@ class TestGlobalFusion:
     def test_late_window_is_the_given_period(self):
         fusion = GlobalFusion(0.25)
         fusion.step(10.0)
-        fusion.ingest(pose_packet("cav0", 9.75, PlatformPose(0, 0, 0, 0)))
-        fusion.ingest(pose_packet("cav1", 9.75 - 1e-9, PlatformPose(3, 3, 0, 0)))
+        fusion.ingest(
+            [
+                pose_packet("cav0", 9.75, PlatformPose(0, 0, 0, 0)),
+                pose_packet("cav1", 9.75 - 1e-9, PlatformPose(3, 3, 0, 0)),
+            ]
+        )
         assert fusion.late_packets == 1
         fusion.step(10.25)
         assert [track.sources for track in fusion.tracks] == [{"cav0"}]
@@ -612,14 +629,14 @@ class TestGlobalFusion:
     @pytest.mark.parametrize("timestamp", [5.0, 10.0])
     def test_backwards_or_repeated_step_rejected(self, timestamp):
         fusion = GlobalFusion(DT)
-        fusion.ingest(pose_packet("cav0", 10.0, PlatformPose(0, 0, 0, 0)))
+        fusion.ingest([pose_packet("cav0", 10.0, PlatformPose(0, 0, 0, 0))])
         fusion.step(10.0)
         held = [track.estimate.copy() for track in fusion.tracks]
-        fusion.ingest(pose_packet("cav0", 10.125, PlatformPose(0.01, 0, 0, 0)))
+        fusion.ingest([pose_packet("cav0", 10.125, PlatformPose(0.01, 0, 0, 0))])
         with pytest.raises(StaleFrameError):
             fusion.step(timestamp)
         # nothing moved: the late-packet window, the inbox and the tracks
-        fusion.ingest(pose_packet("cav1", 4.9, PlatformPose(3, 3, 0, 0)))
+        fusion.ingest([pose_packet("cav1", 4.9, PlatformPose(3, 3, 0, 0))])
         assert fusion.late_packets == 1
         for track, estimate in zip(fusion.tracks, held):
             np.testing.assert_array_equal(track.estimate.mean, estimate.mean)
@@ -634,7 +651,7 @@ class TestGlobalFusion:
         with pytest.raises(ValueError):
             fusion.step(timestamp)
         # the rejected tick leaves the late-packet window where it was
-        fusion.ingest(pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0)))
+        fusion.ingest([pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))])
         assert fusion.late_packets == 1
 
     @pytest.mark.parametrize(
@@ -652,16 +669,93 @@ class TestGlobalFusion:
             "cis0",
             0.0,
             PlatformPose(0, 2, 0, 0),
-            tracks=[PacketTrack(id="0", mean=(1.0, 1.0), covariance=((0.01, 0), (0, 0.01)))],
+            tracks=[((1.0, 1.0), ((0.01, 0), (0, 0.01)))],
         )
-        bad = pose_packet(
-            "cav1", t, PlatformPose(3, 3, 0, 0), tracks=[PacketTrack(id="0", mean=mean, covariance=cov)]
-        )
+        bad = pose_packet("cav1", t, PlatformPose(3, 3, 0, 0), tracks=[(mean, cov)])
         fusion = GlobalFusion(DT)
-        fusion.ingest(good)
-        fusion.ingest(bad)
+        fusion.ingest([good, bad])
         fusion.step(0.0)
         assert fusion.invalid_packets == 1
         positions = sorted(tuple(track.estimate.mean[:2]) for track in fusion.tracks)
         assert positions == [(0.0, 2.0), (1.0, 1.0)]
         assert all(track.sources == {"cis0"} for track in fusion.tracks)
+
+
+class TestBatchedIngest:
+    """``ingest`` of a tick's packets at once against the packet-by-packet
+    reference: the same inbox, packet for packet, and the same counters."""
+
+    @staticmethod
+    def ingest_both(batch, last_step=10.0):
+        fusion, reference = GlobalFusion(DT), GlobalFusion(DT)
+        for rsu in (fusion, reference):
+            rsu.step(last_step)
+        fusion.ingest(batch)
+        ingest_reference(reference, batch)
+        assert list(fusion._inbox.items()) == list(reference._inbox.items())
+        counters = ("invalid_packets", "late_packets", "duplicate_packets")
+        assert [getattr(fusion, c) for c in counters] == [getattr(reference, c) for c in counters]
+        return fusion
+
+    def test_empty_batch_is_a_no_op(self):
+        fusion = GlobalFusion(DT)
+        held = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))
+        fusion.ingest([held])
+        fusion.ingest([])
+        assert fusion._inbox == {"cav0": held}
+        assert (fusion.invalid_packets, fusion.late_packets, fusion.duplicate_packets) == (0, 0, 0)
+        assert self.ingest_both([])._inbox == {}
+
+    def test_invalid_late_and_duplicate(self):
+        rng = np.random.default_rng(43)
+        pose = PlatformPose(1, 1, 0, 0)
+        older = pose_packet("cav9", 10.0, pose, tracks=[((1.0, 0.0), ((0.1, 0), (0, 0.1)))])
+        newer = pose_packet("cav9", 10.1, pose)
+        invalid = pose_packet("cav8", 10.1, pose, tracks=[((1.0, 0.0), ((0.1, 0.5), (0, 0.1)))])
+        late = pose_packet("cav7", 10.0 - DT - 1e-9, pose)
+        for _ in range(20):
+            good = packetize_tracks(10.125, random_tick(rng))
+            batch = [*good, invalid, late, newer, older]
+            for order in (batch, batch[::-1], list(rng.permutation(np.array(batch, dtype=object)))):
+                fusion = self.ingest_both(order)
+                assert fusion.invalid_packets == 1 and fusion.late_packets == 1
+                assert fusion.duplicate_packets == 1
+                assert fusion._inbox["cav9"] is newer
+                assert "cav8" not in fusion._inbox and "cav7" not in fusion._inbox
+                assert all(fusion._inbox[p.platform_id] is p for p in good)
+
+    def test_only_the_bad_packet_is_dropped(self):
+        rng = np.random.default_rng(47)
+        for bad in (math.nan, math.inf, -1e-3):
+            good = packetize_tracks(10.125, random_tick(rng))
+            spoiled = pose_packet("cav8", 10.125, PlatformPose(0, 0, 0, 0), pose_var=bad)
+            fusion = self.ingest_both([*good, spoiled, *good[::-1]])
+            assert fusion.invalid_packets == 1
+            assert fusion.duplicate_packets == len(good)
+            assert sorted(fusion._inbox) == sorted(p.platform_id for p in good)
+
+
+class TestRsuObservations:
+    def test_matches_tuple_reference_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        sizes = set()
+        for k in range(100):
+            packets = packetize_tracks(0.125 * k, random_tick(rng))
+            packets.sort(key=lambda p: p.platform_id)
+            sizes.update(len(p.track_ids) for p in packets)
+            got, want = _observations(packets), rsu_batch_reference(packets)
+            assert got.means.tobytes() == want.means.tobytes()
+            assert got.covariances.tobytes() == want.covariances.tobytes()
+            assert got.means.shape == want.means.shape
+            assert got.covariances.shape == want.covariances.shape
+            assert (got.groups, got.sources, got.classes) == (
+                want.groups,
+                want.sources,
+                want.classes,
+            )
+        assert {0, 1, 20} <= sizes
+
+    def test_no_packets(self):
+        batch = _observations([])
+        assert batch.means.shape == (0, 2) and batch.covariances.shape == (0, 2, 2)
+        assert batch.groups == [] and batch.sources == [] and batch.classes == []

@@ -42,6 +42,12 @@ def stacked(estimates):
     )
 
 
+def predicted(estimates, cfg):
+    """``ctrv_predict`` of the stacked estimates, unstacked into estimates."""
+    means, covs = ctrv_predict(stacked(estimates), cfg)
+    return [TrackEstimate(mean, cov) for mean, cov in zip(means, covs)]
+
+
 def observation_arrays(zs):
     return (
         np.array([z.mean for z in zs]).reshape(-1, 2),
@@ -83,19 +89,19 @@ class TestCtrvPredict:
     def test_stationary_target(self):
         cfg = ProcessNoiseConfig()
         track = make_track()
-        (out,) = ctrv_predict([track], cfg)
+        (out,) = predicted([track], cfg)
         assert out.mean[0] == 0.0 and out.mean[1] == 0.0
         assert np.trace(out.covariance) > np.trace(track.covariance)
 
     def test_straight_line_at_frame_rate(self):
         cfg = ProcessNoiseConfig(dt=0.125)
-        (out,) = ctrv_predict([make_track(v=1.0)], cfg)
+        (out,) = predicted([make_track(v=1.0)], cfg)
         assert out.mean[0] == pytest.approx(0.125, abs=1e-12)
         assert out.mean[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_quarter_turn_matches_closed_form(self):
         cfg = ProcessNoiseConfig(dt=1.0)
-        (out,) = ctrv_predict([make_track(v=1.0, psi_dot=math.pi / 2)], cfg)
+        (out,) = predicted([make_track(v=1.0, psi_dot=math.pi / 2)], cfg)
         dx, dy = ctrv_oracle_turn(1.0, 0.0, math.pi / 2, 1.0)
         assert dx == pytest.approx(2.0 / math.pi)
         assert out.mean[0] == pytest.approx(dx, abs=1e-12)
@@ -107,8 +113,21 @@ class TestCtrvPredict:
         for _ in range(20):
             state = rng.uniform(-1, 1, size=5)
             track = TrackEstimate(state, np.diag(rng.uniform(0.1, 1.0, size=5)))
-            (out,) = ctrv_predict([track], cfg)
+            (out,) = predicted([track], cfg)
             assert np.trace(out.covariance) > np.trace(track.covariance)
+
+    def test_stacked_state_in_and_out(self):
+        rng = np.random.default_rng(6)
+        means, covs = stacked(TestStackedFilter.random_tracks(rng, 5))
+        before = means.tobytes(), covs.tobytes()
+        out_means, out_covs = ctrv_predict((means, covs), ProcessNoiseConfig())
+        assert out_means.shape == (5, 5) and out_covs.shape == (5, 5, 5)
+        assert (means.tobytes(), covs.tobytes()) == before
+        assert not np.shares_memory(out_means, means) and not np.shares_memory(out_covs, covs)
+
+    def test_no_tracks(self):
+        means, covs = ctrv_predict((np.zeros((0, 5)), np.zeros((0, 5, 5))), ProcessNoiseConfig())
+        assert means.shape == (0, 5) and covs.shape == (0, 5, 5)
 
     def test_process_noise_is_psd_and_symmetric(self):
         q = process_noise_matrix(ProcessNoiseConfig())
@@ -209,7 +228,7 @@ class TestEkfUpdate:
         # psi up past pi, and the update must wrap it round to near -pi.
         cov = np.diag([1.0, 1.0, 0.1, 1.0, 0.1])
         cov[0, 3] = cov[3, 0] = 0.5
-        (track,) = ctrv_predict([make_track(psi=math.pi - 1e-3, cov=cov)], ProcessNoiseConfig())
+        (track,) = predicted([make_track(psi=math.pi - 1e-3, cov=cov)], ProcessNoiseConfig())
         assert track.mean[3] == pytest.approx(math.pi - 1e-3)
         (out,) = ekf_updated([track], [GaussianEstimate(np.array([1.0, 0.0]), 0.5 * np.eye(2))])
         assert -math.pi < out.mean[3] <= math.pi
@@ -251,7 +270,7 @@ class TestMultiUpdate:
         inflated by 1/weight for a JPDA weight in (0.2, 1]."""
         a = rng.normal(size=(5, 5))
         mean = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3), 0.3])
-        (track,) = ctrv_predict(
+        (track,) = predicted(
             [TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5))],
             ProcessNoiseConfig(),
         )
@@ -346,7 +365,7 @@ class TestConvergence:
         track = TrackEstimate(truth.copy(), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0]))
         for _ in range(50):
             truth = ctrv_motion_raw(truth, cfg.dt)
-            (track,) = ctrv_predict([track], cfg)
+            (track,) = predicted([track], cfg)
             z = GaussianEstimate(truth[:2] + rng.normal(0, 1e-4, 2), 1e-8 * np.eye(2))
             (track,) = ekf_updated([track], [z])
         err = np.hypot(track.mean[0] - truth[0], track.mean[1] - truth[1])
@@ -399,7 +418,7 @@ class TestStackedFilter:
         cfg = ProcessNoiseConfig()
         for _ in range(10):
             tracks = self.random_tracks(rng, n)
-            out = ctrv_predict(tracks, cfg)
+            out = predicted(tracks, cfg)
             self.assert_bits_equal(out, [ctrv_predict_reference(t, cfg) for t in tracks])
 
     @pytest.mark.parametrize("array_min", [1, tracking._ARRAY_PREDICT_MIN, 10**9])
@@ -439,7 +458,7 @@ class TestStackedFilter:
                 if k % 4 != 3:
                     track.mean[4] = yaw_rates[rng.integers(len(yaw_rates))]
             with np.errstate(invalid="ignore"):
-                out = ctrv_predict(tracks, cfg)
+                out = predicted(tracks, cfg)
                 ref = [ctrv_predict_reference(t, cfg) for t in tracks]
             self.assert_bits_equal(out, ref)
             assert all(-math.pi < e.mean[3] <= math.pi for e in out if not math.isnan(e.mean[4]))
@@ -567,14 +586,14 @@ class TestStackedFilter:
             make_track(psi=math.pi - 1e-3, cov=cov),
             make_track(psi=-(math.pi - 1e-3), cov=cov),
         ]
-        predicted = ctrv_predict(tracks, cfg)
-        self.assert_bits_equal(predicted, [ctrv_predict_reference(t, cfg) for t in tracks])
-        assert predicted[0].mean[3] < 0.0 < predicted[1].mean[3]
+        moved = predicted(tracks, cfg)
+        self.assert_bits_equal(moved, [ctrv_predict_reference(t, cfg) for t in tracks])
+        assert moved[0].mean[3] < 0.0 < moved[1].mean[3]
         zs = [
             GaussianEstimate(np.array([x, 0.0]), 0.5 * np.eye(2)) for x in (1.0, -1.0, 1.0, -1.0)
         ]
-        out = ekf_updated(predicted, zs)
-        self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(predicted, zs)])
+        out = ekf_updated(moved, zs)
+        self.assert_bits_equal(out, [ekf_update_reference(t, z) for t, z in zip(moved, zs)])
         assert all(-math.pi < e.mean[3] <= math.pi for e in out)
         assert out[2].mean[3] < -math.pi / 2 and out[3].mean[3] > math.pi / 2
 

@@ -14,6 +14,12 @@ their listings are equal:
 
     python3 tools/output_digest.py OUT_DIR > digest.txt
 
+With ``--against LISTING`` (such a listing from another checkout) it prints
+instead each path whose digest differs from the listing's, is missing
+from the run or is not in the listing, and exits 1 if there is any:
+
+    python3 tools/output_digest.py OUT_DIR --against digest.txt
+
 The package is imported from ``src/`` next to this script.
 """
 
@@ -66,14 +72,50 @@ def write_outputs(out: Path) -> list[Path]:
     return [run_dir / name for run_dir in run_dirs for name in RUN_FILES] + replays
 
 
+def parse_listing(text: str) -> dict[str, str]:
+    """Path -> digest of a ``sha256  path`` listing."""
+    entries = (line.split("  ", 1) for line in text.splitlines() if line.strip())
+    return {path: digest for digest, path in entries}
+
+
+def compare(listing: str, reference: str) -> list[str]:
+    """One line per path whose digest differs between two listings or that
+    only one of them holds, sorted by path; empty when they agree."""
+    got, want = parse_listing(listing), parse_listing(reference)
+    lines = []
+    for path in sorted(got.keys() | want.keys()):
+        if path not in got:
+            lines.append(f"missing  {path}")
+        elif path not in want:
+            lines.append(f"not in listing  {path}")
+        elif got[path] != want[path]:
+            lines.append(f"differs  {path}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out_dir", metavar="OUT_DIR", help="directory the outputs are written to")
-    out = Path(parser.parse_args(argv).out_dir)
-    for path in sorted(write_outputs(out)):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out).as_posix()}")
-    return 0
+    parser.add_argument(
+        "--against",
+        metavar="LISTING",
+        help="compare with this listing: print the paths that differ, exit 1 if any",
+    )
+    args = parser.parse_args(argv)
+    out = Path(args.out_dir)
+    listing = "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}\n"
+        for path in sorted(write_outputs(out))
+    )
+    if args.against is None:
+        print(listing, end="")
+        return 0
+    differences = compare(listing, Path(args.against).read_text())
+    for line in differences:
+        print(line)
+    if not differences:
+        print(f"all {len(parse_listing(listing))} files match {args.against}")
+    return 1 if differences else 0
 
 
 if __name__ == "__main__":
