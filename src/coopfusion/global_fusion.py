@@ -215,6 +215,7 @@ def packet_to_wire(packet: PlatformPacket) -> dict:
 
 
 def _read_only(values: list, shape: tuple[int, ...]) -> np.ndarray:
+    """A new read-only float array of ``values`` in ``shape``."""
     array = np.array(values, dtype=float).reshape(shape)
     array.setflags(write=False)
     return array
@@ -236,9 +237,7 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
             ),
             track_ids=tuple(str(tr["id"]) for tr in tracks),
             classes=tuple(str(tr["class"]) for tr in tracks),
-            means=_read_only(
-                [float(tr["mu"][k]) for tr in tracks for k in (0, 1)], (-1, 2)
-            ),
+            means=_read_only([float(tr["mu"][k]) for tr in tracks for k in (0, 1)], (-1, 2)),
             covariances=_read_only(
                 [float(tr["cov"][r][c]) for tr in tracks for r in (0, 1) for c in (0, 1)],
                 (-1, 2, 2),
