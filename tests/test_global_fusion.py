@@ -716,7 +716,7 @@ class TestBatchedIngest:
         for _ in range(20):
             good = packetize_tracks(10.125, random_tick(rng))
             batch = [*good, invalid, late, newer, older]
-            for order in (batch, batch[::-1], list(rng.permutation(np.array(batch, dtype=object)))):
+            for order in (batch, batch[::-1], [batch[i] for i in rng.permutation(len(batch))]):
                 fusion = self.ingest_both(order)
                 assert fusion.invalid_packets == 1 and fusion.late_packets == 1
                 assert fusion.duplicate_packets == 1
