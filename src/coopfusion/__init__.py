@@ -50,7 +50,6 @@ from .local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFr
 from .simulator import ScenarioConfig, Simulation
 from .tracking import (
     ProcessNoiseConfig,
-    TrackEstimate,
     ctrv_predict,
     ekf_update,
     multi_update,

@@ -6,14 +6,14 @@ observation per event).  Tracks and observations are first split into
 connected components of the gating graph, which keeps enumeration exact
 while bounding its cost by the size of one contended neighborhood.
 
-A tier's frame covers all of its groups at once (every platform of the
-local tier, the one group of the RSU): gating, the filter update, the
+A tier keeps all of its groups' tracks (every platform of the local tier,
+the one group of the RSU) in one ``TrackTable``, and a frame covers them
+at once: gating, the filter update, the lifecycle counters, the
 coincidence test of the merge and spawn coverage each run once over the
 frame as flat arrays, computing only the pairs within a group.  A track
 alone in its cluster takes a closed form, as arrays across the frame when
 the frame has enough such tracks to repay numpy's per-call cost; the
-other clusters are enumerated, and the lifecycle counters kept, on Python
-floats.  Every array pass takes the scalar loop's IEEE ``+ - * /`` in its
+other clusters are enumerated on Python floats.  Every array pass takes the scalar loop's IEEE ``+ - * /`` in its
 order, so it gives that loop's bits; ``np.exp``, ``np.power`` and
 reductions need not, so densities and clutter powers come from ``math``
 and Python floats.
@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .error_models import GaussianEstimate
-from .tracking import TrackEstimate, multi_update
+from .tracking import multi_update
 
 _TWO_PI = 2.0 * math.pi
 
@@ -48,25 +48,31 @@ class StaleFrameError(ValueError):
 
 @dataclass
 class Track:
-    """A tracked object: filter estimate plus lifecycle counters."""
+    """One track as a record: the input of ``jpda_weights``.
+
+    ``estimate`` holds the state mean [x, y, v, psi, psi_dot] and its 5x5
+    covariance.  The tiers keep their tracks in a ``TrackTable`` instead.
+    """
 
     id: int
-    estimate: TrackEstimate
+    estimate: GaussianEstimate
     frames_seen: int = 1
     frames_missed: int = 0
     confirmed: bool = False
     object_class: str = "vehicle"
-    sources: set[str] = field(default_factory=set)
 
 
 class TrackTable(NamedTuple):
-    """Tracks of several groups stacked into one detached record.
+    """A tier's tracks, group by group, as one record of stacked arrays.
 
     Group g (a platform of the local tier, or the RSU's one group) holds
-    the next ``counts[g]`` rows; row k is track ``ids[k]`` of class
-    ``classes[k]`` with mean ``means[k]`` (an (n, 5) array) and covariance
-    ``covariances[k]`` (an (n, 5, 5) array).  Every array is a fresh copy,
-    so a caller may keep or change it without touching the tier.
+    the next ``counts[g]`` rows.  Row k is track ``ids[k]`` of class
+    ``classes[k]``, with mean ``means[k]`` (an (n, 5) array of [x, y, v,
+    psi, psi_dot]) and covariance ``covariances[k]`` (an (n, 5, 5) array);
+    it has been seen in ``frames_seen[k]`` frames, missed the last
+    ``frames_missed[k]`` and is ``confirmed[k]`` (arrays of n).  A tier
+    holds its state as one table and replaces it each frame; nothing
+    changes a table once it is made.
     """
 
     counts: list[int]
@@ -74,25 +80,39 @@ class TrackTable(NamedTuple):
     classes: list[str]
     means: np.ndarray
     covariances: np.ndarray
+    frames_seen: np.ndarray
+    frames_missed: np.ndarray
+    confirmed: np.ndarray
 
+    @classmethod
+    def empty(cls, groups: int) -> TrackTable:
+        """A table of ``groups`` groups that hold no track."""
+        no_rows = np.zeros(0, dtype=np.intp)
+        return cls(
+            [0] * groups, [], [], np.zeros((0, 5)), np.zeros((0, 5, 5)), no_rows, no_rows,
+            np.zeros(0, dtype=bool),
+        )
 
-def stacked_state(tracks: Sequence[Track]) -> tuple[np.ndarray, np.ndarray]:
-    """The tracks' means (n, 5) and covariances (n, 5, 5), copied into new arrays."""
-    return (
-        np.array([t.estimate.mean for t in tracks]).reshape(-1, 5),
-        np.array([t.estimate.covariance for t in tracks]).reshape(-1, 5, 5),
-    )
+    def groups(self) -> np.ndarray:
+        """The group of every row."""
+        return np.repeat(np.arange(len(self.counts)), self.counts)
 
-
-def track_table(groups: Sequence[Sequence[Track]]) -> TrackTable:
-    """Every track of every group, stacked into a ``TrackTable``."""
-    tracks = [t for group in groups for t in group]
-    return TrackTable(
-        [len(group) for group in groups],
-        [t.id for t in tracks],
-        [t.object_class for t in tracks],
-        *stacked_state(tracks),
-    )
+    def take(self, rows: np.ndarray) -> TrackTable:
+        """The given rows (ascending) as a new table whose groups keep their
+        rows among them; every list and array is a fresh copy."""
+        picked = rows.tolist()
+        return TrackTable(
+            np.bincount(self.groups().take(rows), minlength=len(self.counts)).tolist(),
+            [self.ids[r] for r in picked],
+            [self.classes[r] for r in picked],
+            *(
+                column.take(rows, axis=0)
+                for column in (
+                    self.means, self.covariances, self.frames_seen, self.frames_missed,
+                    self.confirmed,
+                )
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -484,48 +504,27 @@ def jpda_weights(
     return AssociationResult(weights, track_miss, unassociated)
 
 
-def new_track_estimate(obs: GaussianEstimate) -> TrackEstimate:
-    """Fresh estimate seeded from one observation.
+def _merge_coincident(table: TrackTable, rows: np.ndarray, threshold: float) -> TrackTable:
+    """The table's ``rows`` (ascending) less the tracks sitting on top of a
+    better-established one of their group, as a new table.
 
-    Position and its covariance come from the observation; speed, heading,
-    and yaw rate start at zero with wide variances (1, pi^2, 1).
+    Soft association keeps duplicate tracks of the same object alive
+    indefinitely (they share every observation), so coincidence is resolved
+    here: within a group, tracks rank by frames seen (most first), then id,
+    and each track not yet absorbed absorbs every later-ranked one not yet
+    absorbed within the squared Mahalanobis ``threshold`` of their position
+    blocks, picking up its history (the most frames seen, the fewest
+    missed, either's confirmation).  The distance of every later-ranked
+    pair of every group is computed in one pass, with the operations of a
+    scalar per-pair loop in its order; only the pairs within the threshold
+    are walked.
     """
-    cov = np.zeros((5, 5))
-    cov[:2, :2] = obs.covariance
-    cov[2, 2] = 1.0
-    cov[3, 3] = math.pi**2
-    cov[4, 4] = 1.0
-    mean = np.zeros(5)
-    mean[:2] = obs.mean
-    return TrackEstimate(mean, cov)
-
-
-def _merge_coincident(
-    tracks: Sequence[Track],
-    groups: Sequence[int],
-    positions: np.ndarray,
-    covariances: np.ndarray,
-    threshold: float,
-) -> list[int]:
-    """Absorb tracks sitting on top of a better-established one of their group;
-    returns the indices of the tracks that stay, ascending.
-
-    Track k belongs to group ``groups[k]`` and has position ``positions[k]``
-    with covariance ``covariances[k]``.  Soft association keeps duplicate
-    tracks of the same object alive indefinitely (they share every
-    observation), so coincidence is resolved here: within a group, tracks
-    rank by frames seen (most first), then id, and each track not yet
-    absorbed absorbs every later-ranked one not yet absorbed within the
-    squared Mahalanobis ``threshold``, picking up its history.  The
-    distance of every later-ranked pair of every group is computed in one
-    pass, with the operations of a scalar per-pair loop in its order; only
-    the pairs within the threshold are walked.
-    """
+    groups = table.groups().take(rows).tolist()
     if len(set(groups)) == len(groups):
-        return list(range(len(tracks)))
-    order = sorted(
-        range(len(tracks)), key=lambda k: (groups[k], -tracks[k].frames_seen, tracks[k].id)
-    )
+        return table.take(rows)
+    seen = table.frames_seen.take(rows).tolist()
+    ids = [table.ids[r] for r in rows.tolist()]
+    order = sorted(range(len(groups)), key=lambda k: (groups[k], -seen[k], ids[k]))
     # Rank position p pairs with every later position of its group's run.
     later = []
     for _, run in itertools.groupby(groups[k] for k in order):
@@ -534,8 +533,9 @@ def _merge_coincident(
     counts = np.array(later, dtype=np.intp)
     first = np.arange(len(order)).repeat(counts)
     second = first + 1 + np.arange(len(first)) - (counts.cumsum() - counts).repeat(counts)
-    ranked = np.array(order, dtype=np.intp)
+    ranked = rows.take(order)
     keepers, others = ranked[first], ranked[second]
+    positions, covariances = table.means[:, :2], table.covariances[:, :2, :2]
     dx, dy = (positions.take(others, axis=0) - positions.take(keepers, axis=0)).T
     c = covariances.take(keepers, axis=0) + covariances.take(others, axis=0)
     c00, c01, c10, c11 = c.reshape(-1, 4).T
@@ -544,53 +544,59 @@ def _merge_coincident(
         d2 = _quadratic(c00, c01, c11, dx, dy) / det
     d2[det <= 0] = np.inf
     close = (d2 <= threshold).nonzero()[0]
-    absorbed: set[int] = set()
+    absorbed: dict[int, int] = {}
     for k, o in zip(keepers[close].tolist(), others[close].tolist()):
-        if k in absorbed or o in absorbed:
-            continue
-        keeper, other = tracks[k], tracks[o]
-        absorbed.add(o)
-        keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
-        keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
-        keeper.confirmed = keeper.confirmed or other.confirmed
-        keeper.sources.update(other.sources)
-    return [k for k in range(len(tracks)) if k not in absorbed]
+        if k not in absorbed and o not in absorbed:
+            absorbed[o] = k
+    if not absorbed:
+        return table.take(rows)
+    # A track is absorbed before it could absorb any (its own pairs come
+    # later in rank order), so each keeper folds in unchanged histories.
+    other, keeper = np.array(list(absorbed.items()), dtype=np.intp).T
+    frames_seen, frames_missed, confirmed = (
+        column.copy() for column in (table.frames_seen, table.frames_missed, table.confirmed)
+    )
+    np.maximum.at(frames_seen, keeper, frames_seen.take(other))
+    np.minimum.at(frames_missed, keeper, frames_missed.take(other))
+    np.logical_or.at(confirmed, keeper, confirmed.take(other))
+    stay = np.array([r for r in rows.tolist() if r not in absorbed], dtype=np.intp)
+    merged = table._replace(
+        frames_seen=frames_seen, frames_missed=frames_missed, confirmed=confirmed
+    )
+    return merged.take(stay)
 
 
 def _spawn(
-    tracks: Sequence[Track],
-    survivors: list[list[int]],
-    positions: np.ndarray,
-    covariances: np.ndarray,
+    table: TrackTable,
     unassociated: list[list[int]],
     observations: ObservationBatch,
     cfg: AssociationConfig,
     next_ids: Sequence[Callable[[], int]],
-) -> list[list[Track]]:
-    """Each group's survivors plus a tentative track for every unassociated
-    observation that no survivor, and no track spawned from an earlier
+) -> TrackTable:
+    """The table with, after each group's tracks, a tentative track for every
+    unassociated observation (group g's are the columns ``unassociated[g]``)
+    that no track of the group, and no track spawned from an earlier
     observation of the frame, covers within the widened spawn gate.
 
-    ``survivors[g]`` indexes group g's surviving tracks in ``tracks``,
-    whose positions and position covariances are ``positions`` and
-    ``covariances``.
+    A spawned track starts at its observation's position and covariance,
+    with speed, heading and yaw rate at zero with variances 1, pi^2 and 1.
     """
-    result = [[tracks[i] for i in group] for group in survivors]
     spawning = [g for g, columns in enumerate(unassociated) if columns]
     if not spawning:
-        return result
-    # A group's coverage candidates are its survivors, then the track each of
+        return table
+    # A group's coverage candidates are its tracks, then the track each of
     # its unassociated observations would spawn, which starts at that
-    # observation's mean and covariance (see ``new_track_estimate``).
-    candidates = [i for g in spawning for i in survivors[g]]
+    # observation's mean and covariance.
+    starts = list(itertools.accumulate(table.counts, initial=0))
+    candidates = [i for g in spawning for i in range(starts[g], starts[g + 1])]
     columns = [j for g in spawning for j in unassociated[g]]
-    track_pos, track_cov = positions[candidates], covariances[candidates]
+    track_pos, track_cov = table.means[candidates, :2], table.covariances[candidates, :2, :2]
     obs_pos, obs_cov = observations.means[columns], observations.covariances[columns]
     order: list[int] = []
     blocks = []
     first_track = first_obs = 0
     for g in spawning:
-        n, u = len(survivors[g]), len(unassociated[g])
+        n, u = table.counts[g], len(unassociated[g])
         start = len(order)
         order.extend(range(first_track, first_track + n))
         order.extend(range(len(candidates) + first_obs, len(candidates) + first_obs + u))
@@ -606,54 +612,70 @@ def _spawn(
     )
     # Block entry (candidate r, observation k) sits at offset + r * u + k.
     covers = (dist2 <= SPAWN_GATE_FACTOR * cfg.gate_threshold).tolist()
+    spawned: list[list[int]] = [[] for _ in table.counts]
     offset = 0
     for g in spawning:
-        n, u = len(survivors[g]), len(unassociated[g])
+        n, u = table.counts[g], len(unassociated[g])
         spawners: list[int] = []
-        spawned: list[Track] = []
         for k, j in enumerate(unassociated[g]):
             covered_by = covers[offset + k : offset + (n + u) * u : u]
             if any(covered_by[:n]) or any(covered_by[n + s] for s in spawners):
                 continue
             spawners.append(k)
-            source = observations.sources[j]
-            spawned.append(
-                Track(
-                    id=next_ids[g](),
-                    estimate=new_track_estimate(
-                        GaussianEstimate(observations.means[j], observations.covariances[j])
-                    ),
-                    frames_seen=1,
-                    frames_missed=0,
-                    confirmed=cfg.confirm_threshold <= 1,
-                    object_class=observations.classes[j],
-                    sources={source} if source else set(),
-                )
-            )
-        result[g].extend(spawned)
+            spawned[g].append(j)
         offset += (n + u) * u
-    return result
+
+    columns = [j for group in spawned for j in group]
+    if not columns:
+        return table
+    m = len(columns)
+    means = np.zeros((m, 5))
+    means[:, :2] = observations.means.take(columns, axis=0)
+    covs = np.zeros((m, 5, 5))
+    covs[:, :2, :2] = observations.covariances.take(columns, axis=0)
+    covs[:, 2, 2], covs[:, 3, 3], covs[:, 4, 4] = 1.0, math.pi**2, 1.0
+    groups = [g for g, group in enumerate(spawned) for _ in group]
+    ids = table.ids + [next_ids[g]() for g in groups]
+    classes = table.classes + [observations.classes[j] for j in columns]
+    # A stable sort by group puts each group's spawns after its tracks.
+    order = np.argsort(np.concatenate([table.groups(), groups]), kind="stable")
+    rows = order.tolist()
+    return TrackTable(
+        [count + len(group) for count, group in zip(table.counts, spawned)],
+        [ids[r] for r in rows],
+        [classes[r] for r in rows],
+        *(
+            np.concatenate(pair).take(order, axis=0)
+            for pair in (
+                (table.means, means),
+                (table.covariances, covs),
+                (table.frames_seen, np.ones(m, dtype=np.intp)),
+                (table.frames_missed, np.zeros(m, dtype=np.intp)),
+                (table.confirmed, np.full(m, cfg.confirm_threshold <= 1)),
+            )
+        ),
+    )
 
 
 def associate_frame(
-    tracks: Sequence[Sequence[Track]],
+    table: TrackTable,
     state: tuple[np.ndarray, np.ndarray],
     observations: ObservationBatch,
     cfg: AssociationConfig,
     next_ids: Sequence[Callable[[], int]],
-) -> list[list[Track]]:
-    """One fusion frame over every group of a tier; returns each group's new
-    track list.
+) -> TrackTable:
+    """One fusion frame over every group of a tier; returns the tier's new table.
 
-    ``tracks[g]`` are group g's tracks and ``next_ids[g]`` hands out its new
-    track ids.  ``state`` is every group's tracks, in order, predicted to
-    the frame time: their means (n, 5) and covariances (n, 5, 5).  Each
-    track's ``estimate`` is set from the state after the update, as rows
-    of the arrays it returns.  Sources (sensor
-    pipelines locally, platforms globally) each report an object at most
-    once, so association runs per (group, source) block: within one source
-    a track takes at most one observation, while across sources a track
-    accumulates up to one observation per source.  This is what makes a
+    Group g of ``table`` holds group g's tracks, and ``next_ids[g]`` hands
+    out its new track ids.  ``state`` is the table's tracks predicted to
+    the frame time, ``ctrv_predict((table.means, table.covariances), ...)``:
+    their means (n, 5) and covariances (n, 5, 5).  Nothing given is
+    changed.
+
+    Sources (sensor pipelines locally, platforms globally) each report an
+    object at most once, so association runs per (group, source) block:
+    within one source a track takes at most one observation, while across
+    sources a track accumulates up to one observation per source.  This is what makes a
     second platform's view of the same object add information instead of
     splitting the first one's weight.  Every block is gated in one pass and
     the JPDA marginals of all blocks come out together (``_marginals``).
@@ -661,12 +683,15 @@ def associate_frame(
     Each track updates once with every observation whose weight clears the
     floor (see ``multi_update``), the observation covariance inflated by
     1/weight to realize the soft assignment; all groups' tracks update
-    together.  Then tracks are confirmed, deleted and merged within their
-    group, and unassociated observations spawn tentative tracks unless a
-    live track already covers them within the widened spawn gate.
+    together.  Then, as passes over every track, a track that took an
+    observation counts as seen and any other as missed, tracks seen often
+    enough are confirmed, and tracks missed too often or too uncertain are
+    deleted; coincident tracks merge within their group
+    (``_merge_coincident``), and unassociated observations spawn tentative
+    tracks after their group's tracks unless a live track already covers
+    them within the widened spawn gate (``_spawn``).
     """
-    flat = [t for group in tracks for t in group]
-    starts = list(itertools.accumulate((len(group) for group in tracks), initial=0))
+    starts = list(itertools.accumulate(table.counts, initial=0))
     blocks = []
     first = 0
     for (g, _), run in itertools.groupby(zip(observations.groups, observations.sources)):
@@ -679,7 +704,7 @@ def associate_frame(
         means[:, :2], covs[:, :2, :2], observations.means, observations.covariances, blocks, cfg
     )
     weights, _, _ = _marginals(block, rows, cols, density, cfg)
-    unassociated: list[list[int]] = [[] for _ in tracks]
+    unassociated: list[list[int]] = [[] for _ in table.counts]
     inside = np.bincount(cols, minlength=len(observations.groups))
     for j in (inside == 0).nonzero()[0].tolist():
         unassociated[observations.groups[j]].append(j)
@@ -692,37 +717,21 @@ def associate_frame(
     _, means, covs = multi_update(
         (means, covs), rows, observations.means.take(cols, axis=0), inflated
     )
-    for track, mean, cov in zip(flat, means, covs):
-        track.estimate = TrackEstimate(mean, cov)
 
-    track_rows = rows.tolist()
-    for i, j in zip(track_rows, cols.tolist()):
-        flat[i].sources.add(observations.sources[j])
-    seen = set(track_rows)
-    for i, track in enumerate(flat):
-        if i in seen:
-            track.frames_seen += 1
-            track.frames_missed = 0
-        else:
-            track.frames_missed += 1
-        if track.frames_seen >= cfg.confirm_threshold:
-            track.confirmed = True
-
-    bounded = (covs[:, 0, 0] + covs[:, 1, 1] <= cfg.max_position_variance).tolist()
-    group_of = [g for g, group in enumerate(tracks) for _ in group]
-    alive = [
-        i for i, t in enumerate(flat) if t.frames_missed < cfg.delete_threshold and bounded[i]
-    ]
-    kept = _merge_coincident(
-        [flat[i] for i in alive],
-        [group_of[i] for i in alive],
-        means.take(alive, axis=0)[:, :2],
-        covs.take(alive, axis=0)[:, :2, :2],
-        cfg.gate_threshold,
+    seen = np.zeros(len(means), dtype=bool)
+    seen[rows] = True
+    frames_seen = table.frames_seen + seen
+    frames_missed = np.where(seen, 0, table.frames_missed + 1)
+    confirmed = table.confirmed | (frames_seen >= cfg.confirm_threshold)
+    live = (
+        (frames_missed < cfg.delete_threshold)
+        & (covs[:, 0, 0] + covs[:, 1, 1] <= cfg.max_position_variance)
+    ).nonzero()[0]
+    updated = table._replace(
+        means=means, covariances=covs, frames_seen=frames_seen, frames_missed=frames_missed,
+        confirmed=confirmed,
     )
-    survivors: list[list[int]] = [[] for _ in tracks]
-    for k in kept:
-        survivors[group_of[alive[k]]].append(alive[k])
     return _spawn(
-        flat, survivors, means[:, :2], covs[:, :2, :2], unassociated, observations, cfg, next_ids
+        _merge_coincident(updated, live, cfg.gate_threshold), unassociated, observations, cfg,
+        next_ids,
     )

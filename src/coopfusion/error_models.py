@@ -134,7 +134,8 @@ class PlatformPose:
 
 @dataclass
 class GaussianEstimate:
-    """2D mean and 2x2 covariance, the common currency between stages.
+    """A mean and its covariance, the common currency between stages: 2D
+    for an observation, the 5-vector state for a ``Track``.
 
     ``source`` tags where the estimate came from (pipeline or platform id)
     and keeps multi-measurement updates deterministically ordered.  A plain
@@ -265,13 +266,6 @@ def localization_covariances(
         np.array(sigmas, dtype=float).reshape(-1, 2),
         cos_sin(np.array([pose.theta for pose in poses], dtype=float)),
     )
-
-
-def localization_covariance(
-    pose: PlatformPose, longitudinal: ErrorModel, lateral: ErrorModel
-) -> np.ndarray:
-    """2x2 localization covariance at the platform's measured speed and heading."""
-    return localization_covariances([pose], longitudinal, lateral)[0]
 
 
 @dataclass(frozen=True)

@@ -21,11 +21,8 @@ from .association import (
     AssociationConfig,
     ObservationBatch,
     StaleFrameError,
-    Track,
     TrackTable,
     associate_frame,
-    stacked_state,
-    track_table,
 )
 from .error_models import PlatformPose
 from .geometry import symmetrized
@@ -273,7 +270,8 @@ def _observations(packets: Sequence[PlatformPacket]) -> ObservationBatch:
 
 
 class GlobalFusion:
-    """RSU fusion state: a packet inbox plus the world-frame track list.
+    """RSU fusion state: a packet inbox plus the world-frame tracks as a
+    one-group ``TrackTable`` (``table``).
 
     ``ingest`` queues a tick's packets, ``step`` drains the inbox for one tick,
     and each predict covers ``dt``.
@@ -282,7 +280,7 @@ class GlobalFusion:
     def __init__(self, dt: float):
         self.association = AssociationConfig()
         self.noise = replace(PROCESS_NOISE, dt=dt)
-        self.tracks: list[Track] = []
+        self.table = TrackTable.empty(1)
         self._next_id = itertools.count().__next__
         self._inbox: dict[str, PlatformPacket] = {}
         self._current_time = -math.inf
@@ -326,11 +324,11 @@ class GlobalFusion:
         self._current_time = timestamp
         packets = [self._inbox[pid] for pid in sorted(self._inbox)]
         self._inbox.clear()
-        self.tracks = associate_frame(
-            [self.tracks],
-            ctrv_predict(stacked_state(self.tracks), self.noise),
+        self.table = associate_frame(
+            self.table,
+            ctrv_predict((self.table.means, self.table.covariances), self.noise),
             _observations(packets),
             self.association,
             [self._next_id],
-        )[0]
-        return track_table([[t for t in self.tracks if t.confirmed]])
+        )
+        return self.table.take(self.table.confirmed.nonzero()[0])

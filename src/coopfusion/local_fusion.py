@@ -1,12 +1,13 @@
 """Local fusion: every platform's sensor frames in, confirmed platform-frame tracks out.
 
-Each platform fuses only its own pipelines into its own track list, but one
-step runs every platform of a run as a batch.  All detections are expanded
-in one array pass into Gaussians whose covariance comes from the
-pipeline's error models evaluated at the measured distance, then one
-predict / gate / update cycle runs over all platforms' tracks, with JPDA
-enumeration and the track lifecycle per platform.  A step hands every
-platform's confirmed tracks back as one stacked ``TrackTable``.
+Each platform fuses only its own pipelines into its own tracks, but one
+step runs every platform of a run as a batch on one ``TrackTable`` with a
+group per platform.  All detections are expanded in one array pass into
+Gaussians whose covariance comes from the pipeline's error models
+evaluated at the measured distance, then one predict / gate / update
+cycle runs over all platforms' tracks, with JPDA enumeration and the
+track lifecycle per platform.  A step hands every platform's confirmed
+tracks back as one new ``TrackTable``.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ from .association import (
     AssociationConfig,
     ObservationBatch,
     StaleFrameError,
-    Track,
     TrackTable,
     associate_frame,
-    stacked_state,
-    track_table,
 )
 from .error_models import (
     ErrorModel,
@@ -73,8 +71,9 @@ class LocalFrame:
 class LocalFusion:
     """The local tier of every platform of a run; each predict covers ``dt``.
 
-    ``platforms`` maps each platform id to its pipelines.  A platform keeps
-    its own track list (``platform_tracks``) and its own track ids.
+    ``platforms`` maps each platform id to its pipelines.  The tier's state
+    is one ``TrackTable`` (``table``) with a group per platform, in that
+    order; a platform keeps its own track ids.
     """
 
     def __init__(self, platforms: Mapping[str, Sequence[SensorPipelineConfig]], dt: float):
@@ -95,14 +94,9 @@ class LocalFusion:
         )
         self.association = AssociationConfig()
         self.noise = replace(PROCESS_NOISE, dt=dt)
-        self.platform_tracks: dict[str, list[Track]] = {pid: [] for pid in self.pipelines}
+        self.table = TrackTable.empty(len(self.pipelines))
         self._next_ids = [itertools.count().__next__ for _ in self.pipelines]
         self._last_timestamp = -math.inf
-
-    @property
-    def tracks(self) -> list[Track]:
-        """Every platform's tracks, platform by platform."""
-        return [t for tracks in self.platform_tracks.values() for t in tracks]
 
     def step(self, frames: Mapping[str, LocalFrame]) -> TrackTable:
         """Fuse one frame per platform, all for one time; returns every
@@ -134,12 +128,11 @@ class LocalFusion:
             np.array(bearings, dtype=float),
         )
 
-        updated = associate_frame(
-            list(self.platform_tracks.values()),
-            ctrv_predict(stacked_state(self.tracks), self.noise),
+        self.table = associate_frame(
+            self.table,
+            ctrv_predict((self.table.means, self.table.covariances), self.noise),
             ObservationBatch(means, covariances, groups, sources, classes),
             self.association,
             self._next_ids,
         )
-        self.platform_tracks = dict(zip(self.pipelines, updated))
-        return track_table([[t for t in group if t.confirmed] for group in updated])
+        return self.table.take(self.table.confirmed.nonzero()[0])

@@ -6,16 +6,16 @@ folded into a single equivalent measurement.  State is [x, y, v, psi,
 psi_dot]; measurements are 2D positions with their own covariance, so the
 observation matrix just selects the first two state components.
 
-Each step takes a tier's whole track list at once, stacked into arrays.  CTRV motion and its
-Jacobian entries run per track on Python floats for a few tracks and as
-elementwise array passes for many; the 2x2 innovation inverses and the
-observation fold run as elementwise array passes, whose IEEE ``+ - * /``
-give each track the bits of the one-track scalar form (sines and cosines
-come from ``math``); and the 5x5 products run as one ``@`` over stacked
-(n, 5, 5) arrays.  A stacked ``@`` runs the same inner loop per matrix as
-a single product, so every track gets the bits it would get alone;
-``np.einsum`` and reductions such as ``np.add.reduce`` do not, so they are
-not used here.
+Each step takes every track of a tier at once, as the stacked means and
+covariances of its track table.  CTRV motion and its Jacobian entries run
+per track on Python floats for a few tracks and as elementwise array
+passes for many; the 2x2 innovation inverses and the observation fold run
+as elementwise array passes, whose IEEE ``+ - * /`` give each track the
+bits of the one-track scalar form (sines and cosines come from ``math``);
+and the 5x5 products run as one ``@`` over stacked (n, 5, 5) arrays.  A
+stacked ``@`` runs the same inner loop per matrix as a single product, so
+every track gets the bits it would get alone; ``np.einsum`` and
+reductions such as ``np.add.reduce`` do not, so they are not used here.
 """
 
 from __future__ import annotations
@@ -35,21 +35,6 @@ YAW_RATE_EPS = 1e-4
 _IDENTITY = np.eye(5)
 _ADJUGATE_ORDER = np.array([3, 1, 2, 0])
 _ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-
-
-@dataclass
-class TrackEstimate:
-    """State mean [x, y, v, psi, psi_dot] with its 5x5 covariance.
-
-    A plain record: the filter steps below keep psi wrapped and the
-    covariance symmetric, so nothing is re-checked here.
-    """
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def copy(self) -> "TrackEstimate":
-        return TrackEstimate(self.mean.copy(), self.covariance.copy())
 
 
 @dataclass(frozen=True)

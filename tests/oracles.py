@@ -22,9 +22,9 @@ from coopfusion.association import (
     AssociationConfig,
     ObservationBatch,
     Track,
+    TrackTable,
     _clusters,
     _enumerate_cluster,
-    new_track_estimate,
 )
 from coopfusion.error_models import (
     PREDICTOR_DISTANCE,
@@ -35,11 +35,7 @@ from coopfusion.error_models import (
 from coopfusion.geometry import symmetrized, wrap_angle
 from coopfusion.global_fusion import PacketError, PlatformPacket, covariance_union
 from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
-from coopfusion.tracking import (
-    YAW_RATE_EPS,
-    TrackEstimate,
-    process_noise_matrix,
-)
+from coopfusion.tracking import YAW_RATE_EPS, process_noise_matrix
 
 
 def jpda_oracle(tracks, observations, cfg):
@@ -142,7 +138,7 @@ def ctrv_predict_reference(track, cfg):
     """
     mean, jac = ctrv_reference(track.mean, cfg.dt)
     cov = jac @ track.covariance @ jac.T + process_noise_matrix(cfg)
-    return TrackEstimate(mean, symmetrized(cov))
+    return GaussianEstimate(mean, symmetrized(cov))
 
 
 def ctrv_reference(state, dt):
@@ -210,7 +206,7 @@ def ekf_update_reference(track, z):
     identity_minus_gain = np.eye(5)
     identity_minus_gain[:, :2] -= gain
     cov_new = identity_minus_gain @ cov @ identity_minus_gain.T + gain @ z.covariance @ gain.T
-    return TrackEstimate(updated, symmetrized(cov_new))
+    return GaussianEstimate(updated, symmetrized(cov_new))
 
 
 def inverse_2x2_reference(s00, s01, s10, s11):
@@ -466,8 +462,8 @@ def merge_coincident_reference(tracks, threshold):
     Tracks rank by frames seen (most first), then id; each track not yet
     absorbed absorbs every later-ranked one not yet absorbed whose squared
     Mahalanobis distance to it is within ``threshold``, taking the larger
-    ``frames_seen``, the smaller ``frames_missed``, either's confirmation
-    and both source sets.  Returns the tracks that stay, in input order.
+    ``frames_seen``, the smaller ``frames_missed`` and either's
+    confirmation.  Returns the tracks that stay, in input order.
     """
     order = sorted(range(len(tracks)), key=lambda i: (-tracks[i].frames_seen, tracks[i].id))
     blocks = [
@@ -496,8 +492,21 @@ def merge_coincident_reference(tracks, threshold):
             keeper.frames_seen = max(keeper.frames_seen, other.frames_seen)
             keeper.frames_missed = min(keeper.frames_missed, other.frames_missed)
             keeper.confirmed = keeper.confirmed or other.confirmed
-            keeper.sources.update(other.sources)
     return [t for idx, t in enumerate(tracks) if idx not in absorbed]
+
+
+def spawned_estimate(obs):
+    """A new track's estimate from one observation: its position and position
+    covariance, with speed, heading and yaw rate at zero with variances 1,
+    pi^2 and 1."""
+    cov = np.zeros((5, 5))
+    cov[:2, :2] = obs.covariance
+    cov[2, 2] = 1.0
+    cov[3, 3] = math.pi**2
+    cov[4, 4] = 1.0
+    mean = np.zeros(5)
+    mean[:2] = obs.mean
+    return GaussianEstimate(mean, cov)
 
 
 def associate_frame_reference(tracks, observations_by_source, cfg, next_id, events=None):
@@ -506,7 +515,8 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
 
     The per-platform loop the batched ``associate_frame`` must reproduce for
     every group.  ``events``, when given, is a dict whose "spawned",
-    "merged" and "deleted" counts this frame adds to.
+    "merged" and "deleted" counts this frame adds to, and "fused", the
+    tracks that folded observations of more than one source.
     """
     accepted = [[] for _ in tracks]
     unassociated = []
@@ -528,7 +538,6 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
         if zs:
             track.frames_seen += 1
             track.frames_missed = 0
-            track.sources.update(z.source for z in zs)
         else:
             track.frames_missed += 1
         if track.frames_seen >= cfg.confirm_threshold:
@@ -550,13 +559,13 @@ def associate_frame_reference(tracks, observations_by_source, cfg, next_id, even
         spawned.append(
             Track(
                 id=next_id(),
-                estimate=new_track_estimate(obs),
+                estimate=spawned_estimate(obs),
                 confirmed=cfg.confirm_threshold <= 1,
                 object_class=obs.object_class,
-                sources={obs.source} if obs.source else set(),
             )
         )
     if events is not None:
+        events["fused"] += sum(len({z.source for z in zs}) > 1 for zs in accepted)
         events["deleted"] += len(tracks) - len(survivors)
         events["merged"] += len(survivors) - len(merged)
         events["spawned"] += len(spawned)
@@ -578,7 +587,7 @@ class PlatformFusionReference:
         self.tracks = []
         self._ids = itertools.count()
         self._last_timestamp = -math.inf
-        self.events = {"spawned": 0, "merged": 0, "deleted": 0}
+        self.events = {"spawned": 0, "merged": 0, "deleted": 0, "fused": 0}
 
     def step(self, frame):
         if not self._last_timestamp < frame.timestamp < math.inf:
@@ -621,3 +630,47 @@ def ingest_reference(fusion, packets):
             if packet.timestamp < held.timestamp:
                 continue
         fusion._inbox[packet.platform_id] = packet
+
+
+def table_of(groups):
+    """Every track of every group (lists of ``Track``) stacked into a
+    ``TrackTable``, as a tier holds them."""
+    tracks = [t for group in groups for t in group]
+    return TrackTable(
+        [len(group) for group in groups],
+        [t.id for t in tracks],
+        [t.object_class for t in tracks],
+        np.array([t.estimate.mean for t in tracks], dtype=float).reshape(-1, 5),
+        np.array([t.estimate.covariance for t in tracks], dtype=float).reshape(-1, 5, 5),
+        np.array([t.frames_seen for t in tracks], dtype=np.intp),
+        np.array([t.frames_missed for t in tracks], dtype=np.intp),
+        np.array([t.confirmed for t in tracks], dtype=bool),
+    )
+
+
+def tracks_of(table):
+    """Each group of a ``TrackTable`` as a list of ``Track`` records that
+    hold copies of its rows."""
+    tracks = [
+        Track(tid, GaussianEstimate(mean.copy(), cov.copy()), seen, missed, confirmed, object_class)
+        for tid, object_class, mean, cov, seen, missed, confirmed in zip(
+            table.ids,
+            table.classes,
+            table.means,
+            table.covariances,
+            table.frames_seen.tolist(),
+            table.frames_missed.tolist(),
+            table.confirmed.tolist(),
+        )
+    ]
+    bounds = list(itertools.accumulate(table.counts, initial=0))
+    return [tracks[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def table_bits(table):
+    """Every field of a ``TrackTable``, with each array as its dtype, shape and
+    bytes: equal for two tables exactly when they hold the same bits."""
+    return [
+        (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+        for value in table
+    ]

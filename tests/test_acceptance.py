@@ -31,7 +31,6 @@ from coopfusion.local_fusion import SensorPipelineConfig
 from coopfusion.simulator import LocalizerDrift, stream_rng, synth_sensor_frame
 from coopfusion.tracking import (
     ProcessNoiseConfig,
-    TrackEstimate,
     ctrv_jacobian,
     ctrv_motion,
     ctrv_predict,
@@ -197,7 +196,7 @@ class TestCriterion5JpdaOracle:
                     [float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.1, 2.0)), 1, 1, 1]
                 )
                 state = np.array([rng.uniform(-2, 2), rng.uniform(-2, 2), 0, 0, 0])
-                tracks.append(Track(id=tid, estimate=TrackEstimate(state, cov)))
+                tracks.append(Track(id=tid, estimate=GaussianEstimate(state, cov)))
             observations = [
                 GaussianEstimate(
                     rng.uniform(-2, 2, size=2), float(rng.uniform(0.1, 2.0)) * np.eye(2)

@@ -1,14 +1,20 @@
 import copy
+import itertools
 import math
 
 import numpy as np
 import pytest
 from oracles import (
+    associate_frame_reference,
     jpda_enumeration,
     jpda_oracle,
     jpda_weights_reference,
     merge_coincident_reference,
     pair_stats_reference,
+    spawned_estimate,
+    table_bits,
+    table_of,
+    tracks_of,
 )
 
 from coopfusion import association
@@ -17,27 +23,26 @@ from coopfusion.association import (
     CombinatorialOverflowError,
     ObservationBatch,
     Track,
+    TrackTable,
     _gate_blocks,
     _merge_coincident,
     _observation_blocks,
     _track_blocks,
     associate_frame,
     jpda_weights,
-    new_track_estimate,
-    stacked_state,
-    track_table,
 )
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
-from coopfusion.tracking import TrackEstimate
 
 
 def make_track(tid, x, y, pos_var=1.0):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
-    return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
+    return Track(id=tid, estimate=GaussianEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
 
 
 class TestTrackTable:
     def test_every_field_copied(self):
+        # take: the rows asked for, each group keeping its own, in new
+        # lists and arrays.
         rng = np.random.default_rng(5)
         groups = []
         for size in (2, 0, 3):
@@ -47,31 +52,40 @@ class TestTrackTable:
                 group.append(
                     Track(
                         id=int(rng.integers(100)),
-                        estimate=TrackEstimate(rng.normal(size=5), base @ base.T),
+                        estimate=GaussianEstimate(rng.normal(size=5), base @ base.T),
+                        frames_seen=int(rng.integers(1, 9)),
+                        frames_missed=int(rng.integers(0, 4)),
+                        confirmed=bool(rng.integers(2)),
                         object_class=str(rng.choice(["vehicle", "platform"])),
                     )
                 )
             groups.append(group)
-        table = track_table(groups)
+        table = table_of(groups)
+        held = table_bits(table)
+        rows = np.array([1, 2, 4])
+        taken = table.take(rows)
         flat = [t for group in groups for t in group]
-        assert table.counts == [2, 0, 3]
-        assert table.ids == [t.id for t in flat]
-        assert table.classes == [t.object_class for t in flat]
-        assert table.means.shape == (5, 5) and table.covariances.shape == (5, 5, 5)
-        for track, mean, cov in zip(flat, table.means, table.covariances):
-            assert mean.tobytes() == track.estimate.mean.tobytes()
-            assert cov.tobytes() == track.estimate.covariance.tobytes()
-        # Detached: the arrays are new, so writing them leaves the tracks alone.
-        for track in flat:
-            assert not np.shares_memory(table.means, track.estimate.mean)
-            assert not np.shares_memory(table.covariances, track.estimate.covariance)
-        table.means[:] = 0.0
-        assert all(t.estimate.mean.any() for t in flat)
+        assert taken.counts == [1, 0, 2]
+        assert taken.ids == [flat[r].id for r in rows]
+        assert taken.classes == [flat[r].object_class for r in rows]
+        assert taken.means.shape == (3, 5) and taken.covariances.shape == (3, 5, 5)
+        for column, whole in zip(taken[3:], table[3:]):
+            assert column.dtype == whole.dtype
+            assert column.tobytes() == whole[rows].tobytes()
+            assert not np.shares_memory(column, whole)
+        # Detached: writing the new table leaves the old one alone.
+        for column in taken[3:]:
+            column[:] = 0
+        taken.ids.append(7)
+        taken.classes.append("x")
+        assert table_bits(table) == held
 
     def test_no_tracks(self):
-        table = track_table([[], []])
+        table = TrackTable.empty(2)
         assert table.counts == [0, 0] and table.ids == [] and table.classes == []
         assert table.means.shape == (0, 5) and table.covariances.shape == (0, 5, 5)
+        assert [a.shape for a in table[5:]] == [(0,)] * 3
+        assert table_bits(table.take(np.zeros(0, dtype=np.intp))) == table_bits(table)
 
 
 def make_obs(x, y, var=1.0, source=""):
@@ -88,7 +102,11 @@ def associate(tracks, observations_by_source, cfg, next_id):
         [key for key, _ in keyed],
         [obs.object_class for _, obs in keyed],
     )
-    return associate_frame([tracks], stacked_state(tracks), batch, cfg, [next_id])[0]
+    table = table_of([tracks])
+    (updated,) = tracks_of(
+        associate_frame(table, (table.means, table.covariances), batch, cfg, [next_id])
+    )
+    return updated
 
 
 def gate(tracks, observations, cfg):
@@ -124,7 +142,7 @@ class TestGate:
 
     def test_singular_innovation_not_gated(self):
         track = Track(
-            id=0, estimate=TrackEstimate(np.array([0, 0, 0, 0, 0], dtype=float), np.zeros((5, 5)))
+            id=0, estimate=GaussianEstimate(np.array([0, 0, 0, 0, 0], dtype=float), np.zeros((5, 5)))
         )
         obs = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
         feasible = gate([track], [obs], AssociationConfig())
@@ -151,7 +169,7 @@ class TestGate:
             cov = np.diag([1.0, 1.0, 1.0, math.pi**2, 1.0])
             cov[:2, :2] = block(kind)
             state = np.array([*rng.uniform(-3, 3, 2), 0, 0, 0])
-            return Track(id=i, estimate=TrackEstimate(state, cov))
+            return Track(id=i, estimate=GaussianEstimate(state, cov))
 
         track_kinds = ["pd", "zero", "rank_one", "near_singular", "negative"]
         obs_kinds = ["pd", "zero", "rank_one"]
@@ -486,25 +504,19 @@ class TestApplyAssociation:
                     track.frames_seen = int(rng.integers(1, 4))
                     track.frames_missed = int(rng.integers(0, 3))
                     track.confirmed = bool(rng.integers(2))
-                    track.sources = {f"s{rng.integers(4)}"}
                     group.append(track)
                 groups.append(group)
             expected = [merge_coincident_reference(copy.deepcopy(g), 9.21) for g in groups]
-            flat = [t for g in groups for t in g]
-            kept = _merge_coincident(
-                flat,
-                [g for g, group in enumerate(groups) for _ in group],
-                np.array([t.estimate.mean[:2] for t in flat]).reshape(-1, 2),
-                np.array([t.estimate.covariance[:2, :2] for t in flat]).reshape(-1, 2, 2),
-                9.21,
-            )
-            got = [flat[k] for k in kept]
+            n = sum(len(g) for g in groups)
+            kept = _merge_coincident(table_of(groups), np.arange(n), 9.21)
+            assert kept.counts == [len(g) for g in expected]
+            got = [t for g in tracks_of(kept) for t in g]
             want = [t for g in expected for t in g]
-            fields = ("id", "frames_seen", "frames_missed", "confirmed", "sources")
+            fields = ("id", "frames_seen", "frames_missed", "confirmed")
             assert [[getattr(t, f) for f in fields] for t in got] == [
                 [getattr(t, f) for f in fields] for t in want
             ]
-            merged += len(flat) - len(kept)
+            merged += n - len(got)
         assert merged > 200
 
     def test_merge_gate_is_inclusive(self):
@@ -520,18 +532,9 @@ class TestApplyAssociation:
         det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
         d2 = float((c[1, 1] * dx * dx - 2.0 * c[0, 1] * dx * dy + c[0, 0] * dy * dy) / det)
         for threshold, merged in ((d2, True), (math.nextafter(d2, -math.inf), False)):
-            tracks = pair()
-            kept = _merge_coincident(
-                tracks,
-                [0, 0],
-                np.array([t.estimate.mean[:2] for t in tracks]),
-                np.array([t.estimate.covariance[:2, :2] for t in tracks]),
-                threshold,
-            )
+            kept = _merge_coincident(table_of([pair()]), np.arange(2), threshold).ids
             assert kept == ([0] if merged else [0, 1])
-            assert [t.id for t in merge_coincident_reference(pair(), threshold)] == [
-                tracks[k].id for k in kept
-            ]
+            assert [t.id for t in merge_coincident_reference(pair(), threshold)] == kept
 
     def test_runaway_variance_deleted(self):
         cfg = AssociationConfig(max_position_variance=0.5)
@@ -556,13 +559,24 @@ class TestApplyAssociation:
 class TestAssociateFrame:
     def test_two_sources_both_update(self):
         cfg = AssociationConfig()
-        track = make_track(0, 0, 0, pos_var=0.5)
         per_source = {
             "camera": [make_obs(0.1, 0.0, 0.2, "camera")],
             "lidar": [make_obs(-0.1, 0.0, 0.2, "lidar")],
         }
-        updated = associate([track], per_source, cfg, lambda: 50)
-        assert updated[0].sources == {"camera", "lidar"}
+
+        def bits(sources, fuse):
+            (track,) = fuse(
+                [make_track(0, 0, 0, pos_var=0.5)], {s: per_source[s] for s in sources}, cfg,
+                lambda: 50,
+            )
+            return track.estimate.mean.tobytes(), track.estimate.covariance.tobytes()
+
+        # The track takes exactly both observations: the reference update
+        # from both, and neither source's alone.
+        both = bits(["camera", "lidar"], associate)
+        assert both == bits(["camera", "lidar"], associate_frame_reference)
+        assert both != bits(["camera"], associate_frame_reference)
+        assert both != bits(["lidar"], associate_frame_reference)
 
     def test_second_source_adds_information(self):
         cfg = AssociationConfig(clutter_density=0.0)
@@ -602,13 +616,15 @@ class TestAssociateFrame:
     def test_given_state_is_associated_and_set_on_every_track(self):
         # The tracks' own estimates are stale; the frame uses the state given.
         tracks = [make_track(0, 100.0, 0.0, 0.1), make_track(1, 105.0, 0.0, 0.1)]
-        means, covs = stacked_state(tracks)
+        _, _, _, means, covs, *_ = table_of([tracks])
         for track in tracks:
-            track.estimate = TrackEstimate(np.full(5, np.nan), np.full((5, 5), np.nan))
+            track.estimate = GaussianEstimate(np.full(5, np.nan), np.full((5, 5), np.nan))
         batch = ObservationBatch(
             np.array([[100.0, 0.0]]), 0.1 * np.eye(2)[None], [0], ["s"], ["vehicle"]
         )
-        kept = associate_frame([tracks], (means, covs), batch, AssociationConfig(), [lambda: 9])[0]
+        (kept,) = tracks_of(
+            associate_frame(table_of([tracks]), (means, covs), batch, AssociationConfig(), [lambda: 9])
+        )
         assert [t.id for t in kept] == [0, 1]
         assert kept[0].frames_seen == 2 and kept[1].frames_missed == 1
         # The missed track holds exactly its given state; the other moved to
@@ -617,10 +633,74 @@ class TestAssociateFrame:
         assert kept[1].estimate.covariance.tobytes() == covs[1].tobytes()
         assert abs(kept[0].estimate.mean[0] - 100.0) < 0.1
 
+    def test_pure_function_of_its_inputs(self):
+        # Group 0 merges (1 into 0), deletes (2, missed once too often) and
+        # spawns; group 1 spawns too.  The input table serves as the state.
+        cfg = AssociationConfig()
+        groups = [
+            [
+                make_track(0, 0.0, 0.0, 0.01),
+                make_track(1, 0.05, 0.0, 0.01),
+                make_track(2, 10.0, 10.0, 0.01),
+                make_track(3, -5.0, 0.0, 0.01),
+            ],
+            [make_track(0, 1.0, 1.0, 0.01), make_track(1, 3.0, 3.0, 0.01)],
+        ]
+        groups[0][0].frames_seen = 5
+        groups[0][2].frames_missed = cfg.delete_threshold - 1
+        groups[1][0].frames_seen = 2
+        observations = [
+            {"s": [make_obs(0.0, 0.0, 0.05, "s"), make_obs(-5.0, 0.0, 0.05, "s")],
+             "t": [make_obs(20.0, 20.0, 0.05, "t")]},
+            {"s": [make_obs(1.0, 1.0, 0.05, "s"), make_obs(-20.0, -20.0, 0.05, "s")]},
+        ]
+        keyed = [
+            (g, source, obs)
+            for g, by_source in enumerate(observations)
+            for source in sorted(by_source)
+            for obs in by_source[source]
+        ]
+        batch = ObservationBatch(
+            np.array([obs.mean for *_, obs in keyed]),
+            np.array([obs.covariance for *_, obs in keyed]),
+            [g for g, _, _ in keyed],
+            [source for _, source, _ in keyed],
+            [obs.object_class for *_, obs in keyed],
+        )
+        table = table_of(groups)
+        held = table_bits(table)
+        counters = [itertools.count(100), itertools.count(200)]
+        out = associate_frame(
+            table, (table.means, table.covariances), batch, cfg, [c.__next__ for c in counters]
+        )
+        assert table_bits(table) == held
+        # Group by group, each group's survivors before its spawns.
+        assert out.counts == [3, 3] and out.ids == [0, 3, 100, 0, 1, 200]
+        events = {"spawned": 0, "merged": 0, "deleted": 0, "fused": 0}
+        expected = [
+            associate_frame_reference(
+                copy.deepcopy(group), by_source, cfg, c.__next__, events if g == 0 else None
+            )
+            for g, (group, by_source, c) in enumerate(
+                zip(groups, observations, [itertools.count(100), itertools.count(200)])
+            )
+        ]
+        assert events["spawned"] == events["merged"] == events["deleted"] == 1
+        fields = ("id", "frames_seen", "frames_missed", "confirmed", "object_class")
+        assert [[[getattr(t, f) for f in fields] for t in g] for g in tracks_of(out)] == [
+            [[getattr(t, f) for f in fields] for t in g] for g in expected
+        ]
+
 
 def test_new_track_estimate_seeds_from_observation():
-    obs = make_obs(1.0, -2.0, var=0.3)
-    estimate = new_track_estimate(obs)
+    obs = make_obs(1.0, -2.0, var=0.3, source="s")
+    (track,) = associate([], {"s": [obs]}, AssociationConfig(), lambda: 0)
+    estimate = track.estimate
+    want = spawned_estimate(obs)
+    assert (estimate.mean.tobytes(), estimate.covariance.tobytes()) == (
+        want.mean.tobytes(),
+        want.covariance.tobytes(),
+    )
     assert estimate.mean[:2] == pytest.approx([1.0, -2.0])
     assert estimate.covariance[:2, :2] == pytest.approx(0.3 * np.eye(2))
     assert estimate.covariance[2, 2] == 1.0

@@ -17,7 +17,7 @@ from coopfusion.error_models import (
     SIGMA_FLOOR,
     eval_error_model,
     load_model_set,
-    localization_covariance,
+    localization_covariances,
     observation_estimates,
     rotated_covariance,
     save_model_set,
@@ -311,22 +311,23 @@ class TestObservationEstimate:
 
 class TestLocalizationCovariance:
     def test_stationary_heading_zero(self):
-        cov = localization_covariance(PlatformPose(0, 0, 0.0, 0.0), LOC_LON, LOC_LAT)
+        cov = localization_covariances([PlatformPose(0, 0, 0.0, 0.0)], LOC_LON, LOC_LAT)[0]
         assert cov == pytest.approx(np.diag([0.0428**2, 0.0241**2]), abs=1e-12)
 
     def test_target_speed(self):
-        cov = localization_covariance(PlatformPose(0, 0, 0.0, 0.5), LOC_LON, LOC_LAT)
+        cov = localization_covariances([PlatformPose(0, 0, 0.0, 0.5)], LOC_LON, LOC_LAT)[0]
         assert cov == pytest.approx(np.diag([0.0819**2, 0.06615**2]), abs=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
-        cov = localization_covariance(PlatformPose(0, 0, math.pi / 2, 0.3), LOC_LON, LOC_LAT)
+        pose = PlatformPose(0, 0, math.pi / 2, 0.3)
+        cov = localization_covariances([pose], LOC_LON, LOC_LAT)[0]
         lon = eval_error_model(LOC_LON, 0.3)
         lat = eval_error_model(LOC_LAT, 0.3)
         assert cov == pytest.approx(np.diag([lat**2, lon**2]), abs=1e-12)
 
     def test_requires_speed_predictor(self):
         with pytest.raises(ModelError):
-            localization_covariance(PlatformPose(0, 0, 0, 0), CAMERA_DISTAL, LOC_LAT)
+            localization_covariances([PlatformPose(0, 0, 0, 0)], CAMERA_DISTAL, LOC_LAT)
 
 
 class TestTypes:

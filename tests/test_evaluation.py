@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopfusion import cli, error_models, global_fusion, local_fusion
-from coopfusion.association import Track
+from coopfusion.association import TrackTable
 from coopfusion.calibration import LabeledSample, write_samples_csv
 from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS
 from coopfusion.evaluation import (
@@ -134,13 +134,13 @@ class TestTickAnchors:
         expand = error_models.observation_estimates
 
         def traced_local_step(fusion, frames):
-            assert all(isinstance(track, Track) for track in fusion.tracks)
+            assert isinstance(fusion.table, TrackTable)
             inside_local.append(True)
             try:
                 result = local_step(fusion, frames)
             finally:
                 inside_local.pop()
-            assert all(isinstance(track, Track) for track in fusion.tracks)
+            assert isinstance(fusion.table, TrackTable)
             calls.append("local")
             return result
 

@@ -12,14 +12,17 @@ from oracles import (
     packetize_reference,
     read_only,
     rsu_batch_reference,
+    table_bits,
+    table_of,
     track_to_world,
+    tracks_of,
 )
 
-from coopfusion.association import StaleFrameError, Track, track_table
+from coopfusion.association import StaleFrameError, Track
 from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
+    GaussianEstimate,
     PlatformPose,
-    localization_covariance,
     localization_covariances,
 )
 from coopfusion.global_fusion import (
@@ -34,7 +37,6 @@ from coopfusion.global_fusion import (
     packet_to_wire,
     packetize,
 )
-from coopfusion.tracking import TrackEstimate
 
 LON = DEFAULT_PARAMETERIZED_MODELS.localizer_longitudinal
 LAT = DEFAULT_PARAMETERIZED_MODELS.localizer_lateral
@@ -47,27 +49,35 @@ def packetize_tracks(t, platforms):
     return packetize(
         t,
         [(pid, pose, cov) for pid, pose, cov, _ in platforms],
-        track_table([tracks for *_, tracks in platforms]),
+        table_of([tracks for *_, tracks in platforms]),
     )
 
 
 def cav_packet(pid, t, pose, tracks):
     """A mobile platform's packet, widened by its localization covariance."""
-    (packet,) = packetize_tracks(t, [(pid, pose, localization_covariance(pose, LON, LAT), tracks)])
+    (packet,) = packetize_tracks(
+        t, [(pid, pose, localization_covariances([pose], LON, LAT)[0], tracks)]
+    )
     return packet
 
 
 def local_track(tid, x, y, pos_var=0.01):
     cov = np.diag([pos_var, pos_var, 1.0, math.pi**2, 1.0])
-    return Track(id=tid, estimate=TrackEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
+    return Track(id=tid, estimate=GaussianEstimate(np.array([x, y, 0, 0, 0], dtype=float), cov))
+
+
+def rsu_tracks(fusion):
+    """The RSU's tracks, as records of its table's rows."""
+    (tracks,) = tracks_of(fusion.table)
+    return tracks
 
 
 def fuse(fusion, packets, t):
-    """Step the RSU; returns its confirmed tracks themselves, after checking
-    that the step's record holds them."""
+    """Step the RSU; returns its confirmed tracks, after checking that the
+    step's record holds them."""
     fusion.ingest(packets)
     record = fusion.step(t)
-    confirmed = [track for track in fusion.tracks if track.confirmed]
+    confirmed = [track for track in rsu_tracks(fusion) if track.confirmed]
     assert record.counts == [len(confirmed)]
     assert record.ids == [track.id for track in confirmed]
     assert record.classes == [track.object_class for track in confirmed]
@@ -98,15 +108,15 @@ def pose_packet(pid, t, pose, pose_var=1e-6, tracks=()):
 
 class TestTrackToWorld:
     def test_identity_pose(self):
-        est = TrackEstimate(np.array([1, 2, 0, 0, 0], dtype=float), np.eye(5))
+        est = GaussianEstimate(np.array([1, 2, 0, 0, 0], dtype=float), np.eye(5))
         assert track_to_world(est, PlatformPose(0, 0, 0, 0)) == pytest.approx([1, 2])
 
     def test_translation_only(self):
-        est = TrackEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
+        est = GaussianEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
         assert track_to_world(est, PlatformPose(5, 5, 0, 0)) == pytest.approx([6, 5])
 
     def test_quarter_turn(self):
-        est = TrackEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
+        est = GaussianEstimate(np.array([1, 0, 0, 0, 0], dtype=float), np.eye(5))
         out = track_to_world(est, PlatformPose(0, 0, math.pi / 2, 0))
         # rigid-transform oracle: t + R(theta) p
         c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
@@ -211,7 +221,7 @@ class TestPacketize:
             packetize(
                 0.0,
                 [("cav0", pose, 1e-6 * np.eye(2)), ("cav1", pose, 1e-6 * np.eye(2))],
-                track_table([[local_track(0, 1.0, 0.0)]]),
+                table_of([[local_track(0, 1.0, 0.0)]]),
             )
 
     def test_packet_arrays_are_read_only(self):
@@ -243,7 +253,7 @@ def random_tracks(rng, n):
     return [
         Track(
             id=int(rng.integers(0, 1000)),
-            estimate=TrackEstimate(means[i], covs[i]),
+            estimate=GaussianEstimate(means[i], covs[i]),
             object_class=classes[i % 2],
         )
         for i in range(n)
@@ -306,7 +316,9 @@ class TestPacketizeMatchesReference:
                     t,
                     pose,
                     tracks,
-                    localization_covariance(pose, LON, LAT) if pid.startswith("cav") else cov,
+                    localization_covariances([pose], LON, LAT)[0]
+                    if pid.startswith("cav")
+                    else cov,
                 )
                 for pid, pose, cov, tracks in platforms
             ]
@@ -584,13 +596,12 @@ class TestGlobalFusion:
         for k in range(4):
             fusion.ingest([pose_packet("cav0", k * 0.125, PlatformPose(2.0, -1.0, 0.3, 0.0), 1e-4)])
             record = fusion.step(k * 0.125)
-        (track,) = fusion.tracks
-        mean, cov = track.estimate.mean.copy(), track.estimate.covariance.copy()
-        assert record.counts == [1] and record.ids == [track.id]
-        record.means[:] = 123.0
-        record.covariances[:] = 123.0
-        assert track.estimate.mean.tobytes() == mean.tobytes()
-        assert track.estimate.covariance.tobytes() == cov.tobytes()
+        held = table_bits(fusion.table)
+        assert record.counts == [1] and record.ids == fusion.table.ids
+        for column in record[3:]:
+            column[:] = 123
+        record.ids.append(7)
+        assert table_bits(fusion.table) == held
 
     def test_duplicate_packet_latest_wins(self):
         early = pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0), 1e-4)
@@ -602,8 +613,8 @@ class TestGlobalFusion:
             fusion.ingest(arrivals)
             assert fusion.duplicate_packets == 1
             fusion.step(0.125)
-            assert len(fusion.tracks) == 1
-            assert fusion.tracks[0].estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
+            (track,) = rsu_tracks(fusion)
+            assert track.estimate.mean[:2] == pytest.approx([1, 1], abs=1e-6)
 
     def test_stale_packet_dropped_and_counted(self):
         fusion = GlobalFusion(DT)
@@ -611,10 +622,10 @@ class TestGlobalFusion:
         fusion.ingest([pose_packet("cav0", 0.0, PlatformPose(0, 0, 0, 0))])
         assert fusion.late_packets == 1
         fusion.step(10.125)
-        assert fusion.tracks == []
+        assert rsu_tracks(fusion) == []
 
     def test_late_window_is_the_given_period(self):
-        fusion = GlobalFusion(0.25)
+        fusion, cav0_alone = GlobalFusion(0.25), GlobalFusion(0.25)
         fusion.step(10.0)
         fusion.ingest(
             [
@@ -624,25 +635,34 @@ class TestGlobalFusion:
         )
         assert fusion.late_packets == 1
         fusion.step(10.25)
-        assert [track.sources for track in fusion.tracks] == [{"cav0"}]
+        # cav0's packet alone made the one track.
+        cav0_alone.step(10.0)
+        cav0_alone.ingest([pose_packet("cav0", 9.75, PlatformPose(0, 0, 0, 0))])
+        cav0_alone.step(10.25)
+        assert fusion.table.ids == [0]
+        assert table_bits(fusion.table) == table_bits(cav0_alone.table)
 
     @pytest.mark.parametrize("timestamp", [5.0, 10.0])
     def test_backwards_or_repeated_step_rejected(self, timestamp):
-        fusion = GlobalFusion(DT)
+        fusion, cav0_alone = GlobalFusion(DT), GlobalFusion(DT)
         fusion.ingest([pose_packet("cav0", 10.0, PlatformPose(0, 0, 0, 0))])
         fusion.step(10.0)
-        held = [track.estimate.copy() for track in fusion.tracks]
+        held = rsu_tracks(fusion)
         fusion.ingest([pose_packet("cav0", 10.125, PlatformPose(0.01, 0, 0, 0))])
         with pytest.raises(StaleFrameError):
             fusion.step(timestamp)
         # nothing moved: the late-packet window, the inbox and the tracks
         fusion.ingest([pose_packet("cav1", 4.9, PlatformPose(3, 3, 0, 0))])
         assert fusion.late_packets == 1
-        for track, estimate in zip(fusion.tracks, held):
-            np.testing.assert_array_equal(track.estimate.mean, estimate.mean)
+        for track, estimate in zip(rsu_tracks(fusion), held):
+            np.testing.assert_array_equal(track.estimate.mean, estimate.estimate.mean)
         fusion.step(10.125)
-        assert [track.sources for track in fusion.tracks] == [{"cav0"}]
-        assert fusion.tracks[0].frames_seen == 2
+        # cav0's two packets alone made the one track.
+        for t, x in ((10.0, 0.0), (10.125, 0.01)):
+            cav0_alone.ingest([pose_packet("cav0", t, PlatformPose(x, 0, 0, 0))])
+            cav0_alone.step(t)
+        assert table_bits(fusion.table) == table_bits(cav0_alone.table)
+        assert rsu_tracks(fusion)[0].frames_seen == 2
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_non_finite_step_rejected(self, timestamp):
@@ -672,13 +692,16 @@ class TestGlobalFusion:
             tracks=[((1.0, 1.0), ((0.01, 0), (0, 0.01)))],
         )
         bad = pose_packet("cav1", t, PlatformPose(3, 3, 0, 0), tracks=[(mean, cov)])
-        fusion = GlobalFusion(DT)
+        fusion, cis0_alone = GlobalFusion(DT), GlobalFusion(DT)
         fusion.ingest([good, bad])
         fusion.step(0.0)
         assert fusion.invalid_packets == 1
-        positions = sorted(tuple(track.estimate.mean[:2]) for track in fusion.tracks)
+        positions = sorted(tuple(track.estimate.mean[:2]) for track in rsu_tracks(fusion))
         assert positions == [(0.0, 2.0), (1.0, 1.0)]
-        assert all(track.sources == {"cis0"} for track in fusion.tracks)
+        # cis0's packet alone made both tracks.
+        cis0_alone.ingest([good])
+        cis0_alone.step(0.0)
+        assert table_bits(fusion.table) == table_bits(cis0_alone.table)
 
 
 class TestBatchedIngest:

@@ -8,6 +8,9 @@ from oracles import (
     packet_bits,
     packetize_reference,
     pair_stats_reference,
+    table_bits,
+    table_of,
+    tracks_of,
 )
 
 from coopfusion import tracking
@@ -31,7 +34,6 @@ from coopfusion.error_models import (
 )
 from coopfusion.global_fusion import packetize
 from coopfusion.local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
-from coopfusion.tracking import TrackEstimate
 
 DT = 0.125
 
@@ -73,10 +75,12 @@ class OnePlatform:
 
     @property
     def tracks(self):
-        return self.fusion.platform_tracks["p"]
+        """The platform's tracks, as records of the tier's table rows."""
+        (tracks,) = tracks_of(self.fusion.table)
+        return tracks
 
     def step(self, frame):
-        """Step the tier; returns the platform's confirmed tracks themselves."""
+        """Step the tier; returns the platform's confirmed tracks."""
         self.fusion.step({"p": frame})
         return [t for t in self.tracks if t.confirmed]
 
@@ -108,15 +112,21 @@ class TestStep:
             fusion.step(LocalFrame(0.0, {}))
 
     def test_stationary_object_confirmed_once(self):
-        fusion = OnePlatform([CAMERA, LIDAR])
-        confirmed = []
-        for frame in frames_of(
-            [{"camera": [polar(1.0)], "lidar": [polar(1.0, 0.01)]} for _ in range(20)]
-        ):
-            confirmed = fusion.step(frame)
-        assert len(confirmed) == 1
-        assert confirmed[0].estimate.mean[:2] == pytest.approx([1.0, 0.0], abs=0.05)
-        assert confirmed[0].sources == {"camera", "lidar"}
+        def run(pipelines, names):
+            fusion = OnePlatform(pipelines)
+            confirmed = []
+            detections = {"camera": [polar(1.0)], "lidar": [polar(1.0, 0.01)]}
+            for frame in frames_of([{name: detections[name] for name in names}] * 20):
+                confirmed = fusion.step(frame)
+            assert len(confirmed) == 1
+            return confirmed[0]
+
+        track = run([CAMERA, LIDAR], ("camera", "lidar"))
+        assert track.estimate.mean[:2] == pytest.approx([1.0, 0.0], abs=0.05)
+        # Both pipelines feed the track: it is tighter than each one alone.
+        trace = np.trace(track.estimate.covariance[:2, :2])
+        assert trace < np.trace(run([CAMERA], ("camera",)).estimate.covariance[:2, :2])
+        assert trace < np.trace(run([LIDAR], ("lidar",)).estimate.covariance[:2, :2])
 
     def test_two_pipelines_tighter_than_either_alone(self):
         def run(mask):
@@ -139,14 +149,17 @@ class TestStep:
     def test_lidar_only_object_still_tracked(self):
         # bearing outside the camera field of view: the frame simply has no
         # camera detection, and the track forms from the lidar stream alone
-        fusion = OnePlatform([CAMERA, LIDAR])
-        confirmed = []
-        for frame in frames_of(
+        frames = frames_of(
             [{"camera": [], "lidar": [polar(1.5, math.radians(100))]} for _ in range(10)]
-        ):
+        )
+        fusion = OnePlatform([CAMERA, LIDAR])
+        lidar_alone = OnePlatform([LIDAR])
+        confirmed = []
+        for frame in frames:
             confirmed = fusion.step(frame)
+            lidar_alone.step(frame)
         assert len(confirmed) == 1
-        assert confirmed[0].sources == {"lidar"}
+        assert table_bits(fusion.fusion.table) == table_bits(lidar_alone.fusion.table)
 
     def test_no_platforms_steps_nothing(self):
         fusion = LocalFusion({}, DT)
@@ -154,7 +167,7 @@ class TestStep:
             confirmed = fusion.step({})
             assert confirmed.counts == [] and confirmed.ids == [] and confirmed.classes == []
             assert confirmed.means.shape == (0, 5) and confirmed.covariances.shape == (0, 5, 5)
-        assert fusion.tracks == []
+        assert tracks_of(fusion.table) == []
 
     def test_unknown_pipeline_names_ignored(self):
         fusion = OnePlatform([CAMERA])
@@ -176,7 +189,7 @@ class TestModelModes:
         fusion = OnePlatform([camera])
         prior = np.diag([0.04, 0.04, 1.0, math.pi**2, 1.0])
         state = np.array([distance, 0, 0, 0, 0], dtype=float)
-        fusion.tracks.append(Track(id=0, estimate=TrackEstimate(state, prior)))
+        fusion.fusion.table = table_of([[Track(id=0, estimate=GaussianEstimate(state, prior))]])
         before = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))
         fusion.step(LocalFrame(0.125, {"camera": [polar(distance)]}))
         after = float(np.trace(fusion.tracks[0].estimate.covariance[:2, :2]))
@@ -215,15 +228,13 @@ class TestConfigValidation:
         fusion = LocalFusion({"p": [CAMERA]}, DT)
         for frame in frames_of([{"camera": [polar(1.0)]}] * 3):
             confirmed = fusion.step({"p": frame})
-        (track,) = fusion.tracks
-        mean, cov = track.estimate.mean.copy(), track.estimate.covariance.copy()
-        assert confirmed.counts == [1] and confirmed.ids == [track.id]
-        confirmed.means[:] = 123.0
-        confirmed.covariances[:] = 123.0
+        held = table_bits(fusion.table)
+        assert confirmed.counts == [1] and confirmed.ids == fusion.table.ids
+        for column in confirmed[3:]:
+            column[:] = 123
         confirmed.ids.append(7)
-        assert track.estimate.mean.tobytes() == mean.tobytes()
-        assert track.estimate.covariance.tobytes() == cov.tobytes()
-        assert [t.id for t in fusion.tracks] == confirmed.ids[:1]
+        confirmed.classes.append("x")
+        assert table_bits(fusion.table) == held
 
 
 # --- the batch against the per-platform reference --------------------------
@@ -288,16 +299,23 @@ def random_frames(seed, n_ticks):
     return ticks
 
 
+def platform_tracks(fusion):
+    """Each platform's tracks as records of the tier's table, by platform id."""
+    return dict(zip(fusion.pipelines, tracks_of(fusion.table)))
+
+
 def assert_same_tracks(batch, reference):
+    """Same ids, lifecycle and bits.  The reference updates each track from
+    exactly the observations it accepts, so equal bits also mean the same
+    sources fed each track."""
     assert [t.id for t in batch] == [t.id for t in reference]
     for a, b in zip(batch, reference):
         np.testing.assert_array_equal(a.estimate.mean, b.estimate.mean)
         np.testing.assert_array_equal(a.estimate.covariance, b.estimate.covariance)
-        assert (a.frames_seen, a.frames_missed, a.confirmed, a.sources, a.object_class) == (
+        assert (a.frames_seen, a.frames_missed, a.confirmed, a.object_class) == (
             b.frames_seen,
             b.frames_missed,
             b.confirmed,
-            b.sources,
             b.object_class,
         )
 
@@ -319,9 +337,8 @@ def injected(tid, x, y, position_block, frames_seen=1):
     cov[:2, :2] = position_block
     return Track(
         id=tid,
-        estimate=TrackEstimate(np.array([x, y, 0.0, 0.0, 0.0]), cov),
+        estimate=GaussianEstimate(np.array([x, y, 0.0, 0.0, 0.0]), cov),
         frames_seen=frames_seen,
-        sources={"lidar"},
     )
 
 
@@ -334,17 +351,21 @@ class TestBatchMatchesPerPlatformReference:
         references = {pid: PlatformFusionReference(p, DT) for pid, p in PLATFORMS.items()}
         events = []
         for k, frames in enumerate(ticks):
-            if inject is not None:
-                for pid, tracks in inject(k).items():
-                    fusion.platform_tracks[pid].extend(tracks)
+            injected_now = inject(k) if inject is not None else {}
+            if injected_now:
+                held = platform_tracks(fusion)
+                for pid, tracks in injected_now.items():
+                    held[pid].extend(tracks)
                     references[pid].tracks.extend(copy.deepcopy(tracks))
+                fusion.table = table_of(held.values())
             before = {pid: dict(ref.events) for pid, ref in references.items()}
             confirmed = fusion.step(frames)
-            assert list(fusion.platform_tracks) == list(PLATFORMS)
-            assert_table_holds(confirmed, fusion.platform_tracks.values())
+            held = platform_tracks(fusion)
+            assert list(held) == list(PLATFORMS)
+            assert_table_holds(confirmed, held.values())
             for pid, reference in references.items():
                 reference.step(frames[pid])
-                assert_same_tracks(fusion.platform_tracks[pid], reference.tracks)
+                assert_same_tracks(held[pid], reference.tracks)
                 events.append(
                     (k, pid, {e: n - before[pid][e] for e, n in reference.events.items()})
                 )
@@ -353,8 +374,13 @@ class TestBatchMatchesPerPlatformReference:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_random_scenes(self, seed):
         fusion, events = self.run(random_frames(seed, 30))
-        assert fusion.platform_tracks["idle"] == []
-        totals = {e: sum(counts[e] for _, _, counts in events) for e in ("spawned", "merged", "deleted")}
+        assert platform_tracks(fusion)["idle"] == []
+        # "fused": tracks updated from both pipelines in one frame, whose
+        # bits show that each source contributed.
+        totals = {
+            e: sum(counts[e] for _, _, counts in events)
+            for e in ("spawned", "merged", "deleted", "fused")
+        }
         assert all(totals.values()), totals
 
     def test_random_scenes_with_array_predict(self, monkeypatch):
@@ -362,7 +388,7 @@ class TestBatchMatchesPerPlatformReference:
         # number; each reference platform predicts track by track.
         monkeypatch.setattr(tracking, "_ARRAY_PREDICT_MIN", 1)
         fusion, _ = self.run(random_frames(6, 30))
-        assert len(fusion.tracks) > 5
+        assert len(fusion.table.ids) > 5
 
     def test_record_packetizes_like_reference(self):
         # Each tick's record, packetized, gives each platform the packet the
@@ -380,7 +406,7 @@ class TestBatchMatchesPerPlatformReference:
             packets = packetize(
                 k * DT, [(pid, poses[pid], covs[pid]) for pid in PLATFORMS], confirmed
             )
-            for packet, (pid, tracks) in zip(packets, fusion.platform_tracks.items()):
+            for packet, (pid, tracks) in zip(packets, platform_tracks(fusion).items()):
                 live = [t for t in tracks if t.confirmed]
                 reference = packetize_reference(pid, k * DT, poses[pid], live, covs[pid])
                 assert packet_bits(packet) == packet_bits(reference)
@@ -410,7 +436,7 @@ class TestBatchMatchesPerPlatformReference:
         fusion, events = self.run(ticks, inject)
         (tick_nine,) = [counts for k, pid, counts in events if (k, pid) == (9, "cav0")]
         assert tick_nine["spawned"] >= 1 and tick_nine["merged"] >= 1 and tick_nine["deleted"] >= 1
-        assert 1000 not in {t.id for t in fusion.platform_tracks["cav0"]}
+        assert 1000 not in {t.id for t in platform_tracks(fusion)["cav0"]}
 
     def test_singular_innovation_is_never_gated(self):
         track = injected(0, 1.0, 0.0, np.full((2, 2), 1e20))
@@ -427,11 +453,11 @@ class TestBatchMatchesPerPlatformReference:
         fusion = LocalFusion(PLATFORMS, DT)
         ticks = random_frames(5, 2)
         fusion.step(ticks[1])
-        held = copy.deepcopy(fusion.platform_tracks)
+        held = table_bits(fusion.table)
         for frames in (ticks[0], ticks[1], {**ticks[1], "cav0": LocalFrame(0.5, {})}):
             with pytest.raises(StaleFrameError):
                 fusion.step(frames)
-        assert [t.id for t in fusion.tracks] == [t.id for ts in held.values() for t in ts]
+        assert table_bits(fusion.table) == held
 
 
 class TestGatheredPairStats:

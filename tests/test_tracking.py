@@ -16,7 +16,6 @@ from coopfusion import tracking
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
 from coopfusion.tracking import (
     ProcessNoiseConfig,
-    TrackEstimate,
     YAW_RATE_EPS,
     _fold,
     ctrv_jacobian,
@@ -31,7 +30,7 @@ from coopfusion.tracking import (
 def make_track(x=0.0, y=0.0, v=0.0, psi=0.0, psi_dot=0.0, cov=None):
     if cov is None:
         cov = np.eye(5)
-    return TrackEstimate(np.array([x, y, v, psi, psi_dot], dtype=float), cov)
+    return GaussianEstimate(np.array([x, y, v, psi, psi_dot], dtype=float), cov)
 
 
 def stacked(estimates):
@@ -45,7 +44,7 @@ def stacked(estimates):
 def predicted(estimates, cfg):
     """``ctrv_predict`` of the stacked estimates, unstacked into estimates."""
     means, covs = ctrv_predict(stacked(estimates), cfg)
-    return [TrackEstimate(mean, cov) for mean, cov in zip(means, covs)]
+    return [GaussianEstimate(mean, cov) for mean, cov in zip(means, covs)]
 
 
 def observation_arrays(zs):
@@ -59,7 +58,7 @@ def unstacked(estimates, result):
     """An update's result as estimates; one that did not update is the same object."""
     flags, means, covs = result
     return [
-        TrackEstimate(mean, cov) if flag else estimate
+        GaussianEstimate(mean, cov) if flag else estimate
         for estimate, flag, mean, cov in zip(estimates, flags.tolist(), means, covs)
     ]
 
@@ -112,7 +111,7 @@ class TestCtrvPredict:
         rng = np.random.default_rng(2)
         for _ in range(20):
             state = rng.uniform(-1, 1, size=5)
-            track = TrackEstimate(state, np.diag(rng.uniform(0.1, 1.0, size=5)))
+            track = GaussianEstimate(state, np.diag(rng.uniform(0.1, 1.0, size=5)))
             (out,) = predicted([track], cfg)
             assert np.trace(out.covariance) > np.trace(track.covariance)
 
@@ -271,7 +270,7 @@ class TestMultiUpdate:
         a = rng.normal(size=(5, 5))
         mean = np.array([*rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3), 0.3])
         (track,) = predicted(
-            [TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5))],
+            [GaussianEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5))],
             ProcessNoiseConfig(),
         )
         zs = [
@@ -362,7 +361,7 @@ class TestConvergence:
         cfg = ProcessNoiseConfig()
         rng = np.random.default_rng(4)
         truth = np.array([0.0, 0.0, 0.5, 0.2, 0.3])
-        track = TrackEstimate(truth.copy(), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0]))
+        track = GaussianEstimate(truth.copy(), np.diag([0.01, 0.01, 1.0, math.pi**2, 1.0]))
         for _ in range(50):
             truth = ctrv_motion_raw(truth, cfg.dt)
             (track,) = predicted([track], cfg)
@@ -391,7 +390,7 @@ class TestStackedFilter:
                 psi_dot = rng.uniform(-2, 2)
             position, speed, heading = rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3)
             mean = np.array([*position, speed, heading, psi_dot])
-            tracks.append(TrackEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)))
+            tracks.append(GaussianEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)))
         return tracks
 
     @staticmethod
