@@ -13,10 +13,10 @@ coincidence test of the merge and spawn coverage each run once over the
 frame as flat arrays, computing only the pairs within a group.  A track
 alone in its cluster takes a closed form, as arrays across the frame when
 the frame has enough such tracks to repay numpy's per-call cost; the
-other clusters are enumerated on Python floats.  Every array pass takes the scalar loop's IEEE ``+ - * /`` in its
-order, so it gives that loop's bits; ``np.exp``, ``np.power`` and
-reductions need not, so densities and clutter powers come from ``math``
-and Python floats.
+other clusters are enumerated on Python floats.  Every array pass takes
+the scalar loop's IEEE ``+ - * /`` in its order, so it gives that loop's
+bits; ``np.exp``, ``np.power`` and reductions need not, so densities and
+clutter powers come from ``math`` and Python floats.
 """
 
 from __future__ import annotations

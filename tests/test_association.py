@@ -141,9 +141,7 @@ class TestGate:
         assert feasible[0, 0]
 
     def test_singular_innovation_not_gated(self):
-        track = Track(
-            id=0, estimate=GaussianEstimate(np.array([0, 0, 0, 0, 0], dtype=float), np.zeros((5, 5)))
-        )
+        track = Track(id=0, estimate=GaussianEstimate(np.zeros(5), np.zeros((5, 5))))
         obs = GaussianEstimate(np.zeros(2), np.zeros((2, 2)))
         feasible = gate([track], [obs], AssociationConfig())
         assert not feasible[0, 0]
@@ -623,7 +621,9 @@ class TestAssociateFrame:
             np.array([[100.0, 0.0]]), 0.1 * np.eye(2)[None], [0], ["s"], ["vehicle"]
         )
         (kept,) = tracks_of(
-            associate_frame(table_of([tracks]), (means, covs), batch, AssociationConfig(), [lambda: 9])
+            associate_frame(
+                table_of([tracks]), (means, covs), batch, AssociationConfig(), [lambda: 9]
+            )
         )
         assert [t.id for t in kept] == [0, 1]
         assert kept[0].frames_seen == 2 and kept[1].frames_missed == 1

@@ -390,7 +390,8 @@ class TestStackedFilter:
                 psi_dot = rng.uniform(-2, 2)
             position, speed, heading = rng.uniform(-5, 5, 2), rng.uniform(0, 2), rng.uniform(-3, 3)
             mean = np.array([*position, speed, heading, psi_dot])
-            tracks.append(GaussianEstimate(mean, a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)))
+            cov = a @ a.T * rng.uniform(1e-3, 1.0) + 1e-6 * np.eye(5)
+            tracks.append(GaussianEstimate(mean, cov))
         return tracks
 
     @staticmethod
