@@ -137,12 +137,10 @@ def match_observations_to_truth(
     n, m = len(observations), len(truth)
     pairs: list[tuple[int, int]] = []
     if n and m:
-        cost = np.full((n, m), _UNMATCHABLE)
-        for i, obs in enumerate(observations):
-            for j, tru in enumerate(truth):
-                dist = float(np.hypot(obs[0] - tru[0], obs[1] - tru[1]))
-                if dist <= max_dist:
-                    cost[i, j] = dist
+        obs_xy = np.asarray(observations, dtype=float).reshape(n, 2)
+        truth_xy = np.asarray(truth, dtype=float).reshape(m, 2)
+        dist = np.hypot(obs_xy[:, None, 0] - truth_xy[:, 0], obs_xy[:, None, 1] - truth_xy[:, 1])
+        cost = np.where(dist <= max_dist, dist, _UNMATCHABLE)
         rows, cols = linear_sum_assignment(cost)
         pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < _UNMATCHABLE]
 

@@ -184,7 +184,9 @@ def rotated_covariance(sigma_a: float, sigma_b: float, angle: float) -> np.ndarr
 
 @dataclass(frozen=True)
 class SensorTable:
-    """What expanding a detection needs of its pipeline, one row per pipeline.
+    """What expanding a detection needs of its pipeline, one row per pipeline;
+    the simulator keeps its truth models in one too, so both sides evaluate
+    their models with the same code.
 
     ``poses[p]`` is pipeline p's sensor (x, y, theta) in the platform frame;
     ``coefficients[p]`` holds its distal, then its perpendicular model's
@@ -195,6 +197,17 @@ class SensorTable:
 
     poses: np.ndarray
     coefficients: np.ndarray
+
+    def sigmas(self, rows: np.ndarray, distances: np.ndarray) -> np.ndarray:
+        """Both models of row ``rows[k]`` at ``distances[k]``, as (m, 2):
+        Horner from 0.0, highest power first, floored at ``SIGMA_FLOOR``;
+        the elementwise form of ``eval_error_model``."""
+        coefficients = self.coefficients.take(rows, axis=0)
+        acc = np.zeros(coefficients.shape[:2])
+        distances = distances[:, None]
+        for k in range(coefficients.shape[2] - 1, -1, -1):
+            acc = acc * distances + coefficients[:, :, k]
+        return np.maximum(acc, SIGMA_FLOOR)
 
 
 def sensor_table(pipelines: Sequence[tuple[SensorPose, ErrorModel, ErrorModel]]) -> SensorTable:
@@ -214,17 +227,6 @@ def sensor_table(pipelines: Sequence[tuple[SensorPose, ErrorModel, ErrorModel]])
         ).reshape(-1, 3),
         coefficients.reshape(-1, 2, width),
     )
-
-
-def _sigmas(coefficients: np.ndarray, predictor: np.ndarray) -> np.ndarray:
-    """Both models of each row at its predictor value, as (m, 2): Horner
-    from 0.0, highest power first, floored at ``SIGMA_FLOOR``; the
-    elementwise form of ``eval_error_model``."""
-    acc = np.zeros(coefficients.shape[:2])
-    predictor = predictor[:, None]
-    for k in range(coefficients.shape[2] - 1, -1, -1):
-        acc = acc * predictor + coefficients[:, :, k]
-    return np.maximum(acc, SIGMA_FLOOR)
 
 
 def observation_estimates(
@@ -248,8 +250,7 @@ def observation_estimates(
     poses = table.poses.take(pipelines, axis=0)
     trig = cos_sin(wrap_angle(poses[:, 2] + bearings))
     means = poses[:, :2] + distances[:, None] * trig
-    sigmas = _sigmas(table.coefficients.take(pipelines, axis=0), distances)
-    return means, _rotated_covariances(sigmas, trig)
+    return means, _rotated_covariances(table.sigmas(pipelines, distances), trig)
 
 
 def localization_covariances(

@@ -31,7 +31,16 @@ from .error_models import (
 )
 from .global_fusion import GlobalFusion, PlatformPacket, packet_to_wire, packetize
 from .local_fusion import LocalFrame, LocalFusion
-from .simulator import ScenarioConfig, Simulation, TickData, cav_id, cis_id, sensor_pipelines
+from .simulator import (
+    DETECTION_CLASSES,
+    Detections,
+    ScenarioConfig,
+    Simulation,
+    TickData,
+    cav_id,
+    cis_id,
+    sensor_pipelines,
+)
 
 LOG_SCHEMA = 1
 MODES = ("parameterized", "fixed")
@@ -201,17 +210,27 @@ def _loc_record(t: float, pid: str, pose: PlatformPose) -> dict:
     }
 
 
-def _obs_record(t: float, pid: str, sensor: str, observations) -> dict:
-    return {
-        "kind": "obs",
-        "t": t,
-        "platform": pid,
-        "sensor": sensor,
-        "detections": [
-            {"d": obs.distance_obs, "theta": obs.theta_obs, "class": obs.object_class}
-            for obs in observations
-        ],
-    }
+def _obs_records(t: float, streams: list[tuple[str, str]], detections: Detections) -> list[dict]:
+    """One obs record per stream, from the tick's detection columns."""
+    distances = detections.distances.tolist()
+    bearings = detections.bearings.tolist()
+    classes = [DETECTION_CLASSES[c] for c in detections.clutter.tolist()]
+    bounds = detections.bounds.tolist()
+    return [
+        {
+            "kind": "obs",
+            "t": t,
+            "platform": pid,
+            "sensor": sensor,
+            "detections": [
+                {"d": d, "theta": theta, "class": object_class}
+                for d, theta, object_class in zip(
+                    distances[start:stop], bearings[start:stop], classes[start:stop]
+                )
+            ],
+        }
+        for (pid, sensor), start, stop in zip(streams, bounds, bounds[1:])
+    ]
 
 
 @dataclass
@@ -229,13 +248,10 @@ def _tick_groups_from_sim(sim: Simulation, n_ticks: int) -> Iterator[_TickGroup]
         loc_records = [
             _loc_record(tick.t, pid, pose) for pid, pose in zip(sim.cav_ids, tick.loc_poses)
         ]
-        obs_records = []
-        for pid in sim.cav_ids + sim.cis_ids:
-            frame = tick.frames[pid]
-            for sensor in frame.observations:
-                obs_records.append(_obs_record(tick.t, pid, sensor, frame.observations[sensor]))
         yield _TickGroup(
-            truth=_truth_record(tick, sim.cav_ids), loc=loc_records, obs=obs_records
+            truth=_truth_record(tick, sim.cav_ids),
+            loc=loc_records,
+            obs=_obs_records(tick.t, sim.streams, tick.detections),
         )
 
 
@@ -285,29 +301,42 @@ class _ScenarioFusion:
         return packets, self.rsu.step(t)
 
 
+def _pose(record: dict) -> PlatformPose:
+    """The pose a truth or loc record holds; JSON ``true`` and ``false``
+    read as ints in Python, so they are refused here."""
+    values = (record["x"], record["y"], record["theta"], record["v"])
+    if any(isinstance(value, bool) for value in values):
+        raise TypeError(f"pose fields must be numbers, got {values}")
+    return PlatformPose(*values)
+
+
+def _detection(record: dict) -> PolarObservation:
+    """The detection an obs record lists: numbers ``d`` and ``theta`` (not
+    booleans) and a string ``class``."""
+    distance, theta, object_class = record["d"], record["theta"], record["class"]
+    if isinstance(distance, bool) or isinstance(theta, bool) or not isinstance(object_class, str):
+        raise TypeError(f"detection {record} needs numbers d and theta and a string class")
+    return PolarObservation(distance, theta, object_class)
+
+
 def _parse_group(group: _TickGroup, index: int, cav_ids: list, cis_ids: list) -> tuple:
     """A tick's (time, truth poses, localized poses, frames); a record that cannot
     be read, or a platform without one, raises ``LogError`` naming the tick."""
     try:
         t = group.truth["t"]
-        if not math.isfinite(t):
-            raise ValueError(f"time {t} is not finite")
+        if isinstance(t, bool) or not math.isfinite(t):
+            raise ValueError(f"time {t} is not a finite number")
         cavs = group.truth["cavs"]
         if [cav["id"] for cav in cavs] != cav_ids:
             raise ValueError(f"truth CAVs are not {cav_ids}")
-        truth = [PlatformPose(cav["x"], cav["y"], cav["theta"], cav["v"]) for cav in cavs]
-        loc_poses = {
-            rec["platform"]: PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
-            for rec in group.loc
-        }
+        truth = [_pose(cav) for cav in cavs]
+        loc_poses = {rec["platform"]: _pose(rec) for rec in group.loc}
         frames: dict[str, LocalFrame] = {}
         for rec in group.obs:
             frame = frames.setdefault(rec["platform"], LocalFrame(timestamp=t, observations={}))
             if not isinstance(rec["detections"], list):
                 raise TypeError("detections must be a list")
-            frame.observations[rec["sensor"]] = [
-                PolarObservation(d["d"], d["theta"], d["class"]) for d in rec["detections"]
-            ]
+            frame.observations[rec["sensor"]] = [_detection(d) for d in rec["detections"]]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise LogError(f"tick {index}: malformed record: {exc}") from exc
     for kind, records, ids in (("loc", loc_poses, cav_ids), ("obs", frames, cav_ids + cis_ids)):
@@ -359,7 +388,7 @@ def _fusion_pass(
                 stopped_loc_count_total += 1
         loc_count = len(loc_poses)
 
-        track_positions = list(fused.means[:, :2])
+        track_positions = fused.means[:, :2]
         match = match_observations_to_truth(track_positions, truth_positions, MATCH_MAX_DIST)
         tick_sse = 0.0
         tick_matched = 0

@@ -7,6 +7,13 @@ follow the path at a target speed, obeying a fixed-cycle traffic light at
 the crossing.  Sensors and localizers report ground truth perturbed by
 noise drawn from configurable error models, one named RNG stream per sensor
 per platform so any sensor can be removed without disturbing the others.
+
+Sensing runs as one array pass per tick (``sense``) over a ``StreamTable``
+built once per run: a stream per (platform, pipeline) and a row per
+(stream, target) pair, whose Gauss-Markov error state is kept in
+``SensingErrors``.  A tick's detections leave ``Simulation.tick`` as
+``Detections`` columns, stream by stream; ``synth_sensor_frame`` is the
+one-stream call of the same pass.
 """
 
 from __future__ import annotations
@@ -26,10 +33,12 @@ from .error_models import (
     PlatformPose,
     PolarObservation,
     SensorPose,
+    SensorTable,
     eval_error_model,
+    sensor_table,
 )
-from .geometry import wrap_angle
-from .local_fusion import LocalFrame, SensorPipelineConfig
+from .geometry import cos_sin, wrap_angle
+from .local_fusion import SensorPipelineConfig
 
 CAMERA_FOV = math.radians(160.0)
 LIDAR_FOV = 2.0 * math.pi
@@ -189,6 +198,202 @@ def _gauss_markov(prev: tuple[float, float] | None, sigma: float, rho: float, rn
     return rho * error * (sigma / prev_sigma) + sigma * math.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal()
 
 
+DETECTION_CLASSES = ("vehicle", "other")
+
+
+@dataclass(frozen=True)
+class StreamTable:
+    """A run's sensing noise streams, one per (platform, pipeline), and the
+    (stream, target) pairs each can see.
+
+    Stream s is platform ``platforms[s]``'s pipeline: it draws from
+    ``rngs[s]``, its row s of ``sensors`` holds the mount pose and the
+    truth models, and it sees out to ``max_range[s]`` within ``fov[s]``.
+    Pair k is stream ``streams[k]`` looking at target ``targets[k]``, out
+    to ``reach[k]`` and within ``half_fov[k]`` of the sensor heading;
+    pairs are ordered by stream, then by target.
+    """
+
+    rngs: list[np.random.Generator]
+    platforms: np.ndarray
+    sensors: SensorTable
+    max_range: np.ndarray
+    fov: np.ndarray
+    streams: np.ndarray
+    targets: np.ndarray
+    reach: np.ndarray
+    half_fov: np.ndarray
+
+
+def stream_table(
+    streams: Sequence[tuple[int, SensorPipelineConfig, np.random.Generator, Sequence[int]]],
+) -> StreamTable:
+    """The table of (platform index, truth pipeline, noise stream, target
+    indices) rows; raises ``ModelError`` unless every model uses the
+    distance predictor."""
+    pipelines = [pipeline for _, pipeline, _, _ in streams]
+    targets = [list(row[3]) for row in streams]
+    max_range = np.array([p.max_range for p in pipelines], dtype=float)
+    fov = np.array([p.fov for p in pipelines], dtype=float)
+    pair_streams = np.repeat(np.arange(len(streams)), [len(row) for row in targets])
+    return StreamTable(
+        rngs=[rng for _, _, rng, _ in streams],
+        platforms=np.array([row[0] for row in streams], dtype=np.intp),
+        sensors=sensor_table([(p.pose, p.distal_model, p.perp_model) for p in pipelines]),
+        max_range=max_range,
+        fov=fov,
+        streams=pair_streams,
+        targets=np.array([j for row in targets for j in row], dtype=np.intp),
+        reach=max_range[pair_streams],
+        half_fov=0.5 * fov[pair_streams],
+    )
+
+
+@dataclass
+class SensingErrors:
+    """Gauss-Markov sensing error of each (stream, target) pair: the last
+    error along and across the ray (``error``, (n, 2)), the sigmas it was
+    drawn with (``sigma``) and whether the pair has drawn one (``drawn``).
+    A pair out of view keeps its row until it is seen again."""
+
+    error: np.ndarray
+    sigma: np.ndarray
+    drawn: np.ndarray
+
+    @classmethod
+    def fresh(cls, n: int) -> "SensingErrors":
+        # A unit sigma keeps the carried term of an undrawn pair finite.
+        return cls(np.zeros((n, 2)), np.ones((n, 2)), np.zeros(n, dtype=bool))
+
+
+@dataclass
+class Detections:
+    """One tick's detections as columns, stream by stream: row k was
+    measured at ``distances[k]`` and bearing ``bearings[k]`` (wrapped) and
+    is clutter (class "other", else "vehicle") where ``clutter[k]``; stream
+    s emitted rows ``bounds[s]`` to ``bounds[s + 1]``."""
+
+    distances: np.ndarray
+    bearings: np.ndarray
+    clutter: np.ndarray
+    bounds: np.ndarray
+
+
+def _draws(
+    rngs: list[np.random.Generator],
+    counts: list[int],
+    rows: list[int],
+    miss_probability: float,
+    clutter_rate: float,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every stream's draws, stream by stream, in the order of a per-target
+    loop.  Stream s sees the next ``counts[s]`` of ``rows``.  Without misses
+    it draws two normals per row; with them, a uniform per row, then two
+    normals if the row is kept.  Then, with clutter, a Poisson count and two
+    uniforms per clutter detection.  Returns the kept rows, their (k, 2)
+    standard normals and each stream's (c, 2) clutter uniforms."""
+    kept, normals, clutter = [], [], []
+    start = 0
+    for rng, count in zip(rngs, counts):
+        stream_rows = rows[start : start + count]
+        start += count
+        if miss_probability > 0.0:
+            for row in stream_rows:
+                if not rng.random() < miss_probability:
+                    kept.append(row)
+                    normals.append(rng.standard_normal((1, 2)))
+        else:
+            kept.extend(stream_rows)
+            normals.append(rng.standard_normal((count, 2)))
+        if clutter_rate > 0.0:
+            clutter.append(rng.random((rng.poisson(clutter_rate), 2)))
+    return np.array(kept, dtype=np.intp), np.concatenate([np.empty((0, 2)), *normals]), clutter
+
+
+def sense(
+    table: StreamTable,
+    errors: SensingErrors,
+    platforms: np.ndarray,
+    targets: np.ndarray,
+    miss_probability: float = 0.0,
+    clutter_rate: float = 0.0,
+    rho: float = 0.0,
+) -> Detections:
+    """Noisy polar detections by every stream of ``table`` for one tick.
+
+    ``platforms`` holds each platform's world (x, y, theta) and ``targets``
+    each target's world (x, y).  Noise is drawn along and across the true
+    sensor-to-target ray with std-devs from the stream's truth models at the
+    true distance, then converted back to range and bearing.  Each pair's
+    error follows a Gauss-Markov process with correlation ``rho`` (0 draws
+    afresh each tick) whose marginal stays N(0, sigma(d)^2).  Every step is
+    elementwise, with hypot, atan2, cos and sin through ``math``, so a
+    detection gets the bits a per-target loop gives it.
+    """
+    observers = table.platforms
+    trig = cos_sin(platforms[:, 2]).take(observers, axis=0)
+    origins = platforms.take(observers, axis=0)
+    mounts = table.sensors.poses
+    sensor_x = origins[:, 0] + mounts[:, 0] * trig[:, 0] - mounts[:, 1] * trig[:, 1]
+    sensor_y = origins[:, 1] + mounts[:, 0] * trig[:, 1] + mounts[:, 1] * trig[:, 0]
+    heading = origins[:, 2] + mounts[:, 2]
+
+    pairs = table.streams
+    seen_targets = targets.take(table.targets, axis=0)
+    rel_x = (seen_targets[:, 0] - sensor_x.take(pairs)).tolist()
+    rel_y = (seen_targets[:, 1] - sensor_y.take(pairs)).tolist()
+    dist = np.fromiter(map(math.hypot, rel_x, rel_y), float, len(rel_x))
+    ray = np.fromiter(map(math.atan2, rel_y, rel_x), float, len(rel_x))
+    bearing = wrap_angle(ray - heading.take(pairs))
+    visible = (~((dist > table.reach) | (np.abs(bearing) > table.half_fov))).nonzero()[0]
+    kept, z, uniforms = _draws(
+        table.rngs,
+        np.bincount(pairs.take(visible), minlength=len(table.rngs)).tolist(),
+        visible.tolist(),
+        miss_probability,
+        clutter_rate,
+    )
+
+    dist = dist.take(kept)
+    streams = pairs.take(kept)
+    sigma = table.sensors.sigmas(streams, dist)
+    carried = (
+        rho * errors.error[kept] * (sigma / errors.sigma[kept])
+        + sigma * math.sqrt(max(1.0 - rho * rho, 0.0)) * z
+    )
+    eps = np.where(errors.drawn[kept, None], carried, sigma * z)
+    errors.error[kept] = eps
+    errors.sigma[kept] = sigma
+    errors.drawn[kept] = True
+
+    trig = cos_sin(bearing.take(kept))
+    along = dist + eps[:, 0]
+    px = (along * trig[:, 0] - eps[:, 1] * trig[:, 1]).tolist()
+    py = (along * trig[:, 1] + eps[:, 1] * trig[:, 0]).tolist()
+    distances = np.fromiter(map(math.hypot, px, py), float, len(px))
+    bearings = np.fromiter(map(math.atan2, py, px), float, len(px))
+    clutter = np.zeros(len(kept), dtype=bool)
+    if clutter_rate > 0.0:
+        # A stream's clutter follows its targets: uniform in area within
+        # its range and uniform in bearing within its field of view.
+        n_clutter = [len(u) for u in uniforms]
+        u = np.concatenate([np.empty((0, 2)), *uniforms])
+        clutter_streams = np.repeat(np.arange(len(uniforms)), n_clutter)
+        order = np.argsort(np.concatenate([streams, clutter_streams]), kind="stable")
+        streams = np.concatenate([streams, clutter_streams])[order]
+        distances = np.concatenate(
+            [distances, table.max_range[clutter_streams] * np.sqrt(u[:, 0])]
+        )[order]
+        bearings = np.concatenate([bearings, (u[:, 1] - 0.5) * table.fov[clutter_streams]])[order]
+        clutter = order >= len(kept)
+    return Detections(
+        distances=distances,
+        bearings=wrap_angle(bearings),
+        clutter=clutter,
+        bounds=np.searchsorted(streams, np.arange(len(table.rngs) + 1)),
+    )
+
+
 def synth_sensor_frame(
     pipeline: SensorPipelineConfig,
     platform_pose: PlatformPose,
@@ -196,56 +401,29 @@ def synth_sensor_frame(
     rng: np.random.Generator,
     miss_probability: float = 0.0,
     clutter_rate: float = 0.0,
-    error_states: dict[int, tuple] | None = None,
+    error_states: SensingErrors | None = None,
     rho: float = 0.0,
 ) -> list[PolarObservation]:
-    """Noisy polar detections of world-frame targets for one sensor tick.
-
-    Noise is drawn along and across the true sensor-to-target ray with
-    std-devs from the pipeline's (truth) error models evaluated at the true
-    distance, then converted back to range/bearing.  When ``error_states``
-    and ``rho`` are given, each target's error follows a Gauss-Markov
-    process (recognizer error persists between frames while the viewing
-    geometry persists); the per-tick marginal stays N(0, sigma(d)^2).
-    """
-    mount = pipeline.pose
-    heading = math.cos(platform_pose.theta), math.sin(platform_pose.theta)
-    sensor_x = platform_pose.x + mount.x_sensor * heading[0] - mount.y_sensor * heading[1]
-    sensor_y = platform_pose.y + mount.x_sensor * heading[1] + mount.y_sensor * heading[0]
-    sensor_heading = platform_pose.theta + mount.theta_sensor
-    states = {} if error_states is None else error_states
-
-    observations = []
-    for target_idx, target in enumerate(targets):
-        rel_x = float(target[0]) - sensor_x
-        rel_y = float(target[1]) - sensor_y
-        dist = math.hypot(rel_x, rel_y)
-        if dist > pipeline.max_range:
-            continue
-        bearing = float(wrap_angle(math.atan2(rel_y, rel_x) - sensor_heading))
-        if abs(bearing) > 0.5 * pipeline.fov:
-            continue
-        if miss_probability > 0.0 and rng.random() < miss_probability:
-            continue
-        sigma_distal = eval_error_model(pipeline.distal_model, dist)
-        sigma_perp = eval_error_model(pipeline.perp_model, dist)
-        prev_distal, prev_perp = states.get(target_idx, (None, None))
-        eps_distal = _gauss_markov(prev_distal, sigma_distal, rho, rng)
-        eps_perp = _gauss_markov(prev_perp, sigma_perp, rho, rng)
-        states[target_idx] = ((eps_distal, sigma_distal), (eps_perp, sigma_perp))
-        cos_b = math.cos(bearing)
-        sin_b = math.sin(bearing)
-        px = (dist + eps_distal) * cos_b - eps_perp * sin_b
-        py = (dist + eps_distal) * sin_b + eps_perp * cos_b
-        observations.append(
-            PolarObservation(math.hypot(px, py), math.atan2(py, px), "vehicle")
+    """Noisy polar detections of world-frame targets for one sensor tick:
+    ``sense`` with one stream that sees every target.  ``error_states``,
+    one row per target, carries the Gauss-Markov errors from call to call."""
+    detections = sense(
+        stream_table([(0, pipeline, rng, range(len(targets)))]),
+        SensingErrors.fresh(len(targets)) if error_states is None else error_states,
+        np.array([[platform_pose.x, platform_pose.y, platform_pose.theta]]),
+        np.array(targets, dtype=float).reshape(-1, 2),
+        miss_probability,
+        clutter_rate,
+        rho,
+    )
+    return [
+        PolarObservation(d, theta, DETECTION_CLASSES[c])
+        for d, theta, c in zip(
+            detections.distances.tolist(),
+            detections.bearings.tolist(),
+            detections.clutter.tolist(),
         )
-    if clutter_rate > 0.0:
-        for _ in range(rng.poisson(clutter_rate)):
-            dist = pipeline.max_range * math.sqrt(rng.random())
-            bearing = (rng.random() - 0.5) * pipeline.fov
-            observations.append(PolarObservation(dist, bearing, "other"))
-    return observations
+    ]
 
 
 class LocalizerDrift:
@@ -370,14 +548,15 @@ class ScenarioConfig:
 
 @dataclass
 class TickData:
-    """Ground truth and measurements for one simulator tick."""
+    """Ground truth and measurements for one simulator tick; the detections
+    run stream by stream in ``Simulation.streams`` order."""
 
     index: int
     t: float
     cav_poses: list[PlatformPose]
     cav_arcs: list[tuple[float, float]]
     loc_poses: list[PlatformPose]
-    frames: dict[str, LocalFrame]
+    detections: Detections
 
 
 def cav_id(index: int) -> str:
@@ -442,13 +621,30 @@ class Simulation:
         ]
         self.cav_ids = [cav_id(i) for i in range(config.cav_count)]
         self.cis_ids = [cis_id(i) for i in range(config.cis_count)]
-        self._rngs: dict[str, np.random.Generator] = {}
         self.cis_poses = cis_poses(config)
-        self._truth_pipelines = {
-            pid: sensor_pipelines(config, kind, config.truth_models)
-            for kind, ids in (("cav", self.cav_ids), ("cis", self.cis_ids))
-            for pid in ids
-        }
+        # One noise stream per (platform, pipeline): the CAVs, then the CIS,
+        # each pipeline in ``sensor_pipelines`` order.  A CAV sees every
+        # other CAV; a CIS sees every CAV.
+        kinds = ["cav"] * config.cav_count + ["cis"] * config.cis_count
+        truth_pipelines = [
+            (i, pid, pipeline)
+            for i, (kind, pid) in enumerate(zip(kinds, self.cav_ids + self.cis_ids))
+            for pipeline in sensor_pipelines(config, kind, config.truth_models)
+        ]
+        self.streams = [(pid, pipeline.name) for _, pid, pipeline in truth_pipelines]
+        self._sensing = stream_table(
+            [
+                (
+                    i,
+                    pipeline,
+                    stream_rng(config.seed, f"{pid}/{pipeline.name}"),
+                    [j for j in range(config.cav_count) if j != i],
+                )
+                for i, pid, pipeline in truth_pipelines
+            ]
+        )
+        self._sensing_errors = SensingErrors.fresh(len(self._sensing.targets))
+        self._localizer_rngs = [stream_rng(config.seed, f"{pid}/localizer") for pid in self.cav_ids]
         self._localizers = [
             LocalizerDrift(
                 config.truth_models.localizer_longitudinal,
@@ -464,12 +660,6 @@ class Simulation:
             if config.sensing_correlation_time > 0.0
             else 0.0
         )
-        self._sensor_error_states: dict[str, dict[int, tuple]] = {}
-
-    def rng(self, name: str) -> np.random.Generator:
-        if name not in self._rngs:
-            self._rngs[name] = stream_rng(self.config.seed, name)
-        return self._rngs[name]
 
     def _advance_vehicles(self, t: float) -> None:
         cfg = self.config
@@ -521,41 +711,28 @@ class Simulation:
             cav_poses.append(PlatformPose(x, y, heading, vehicle.v))
             cav_arcs.append((vehicle.s, vehicle.v))
 
-        loc_poses = []
-        for i, (pid, pose) in enumerate(zip(self.cav_ids, cav_poses)):
-            loc_poses.append(self._localizers[i].measure(pose, self.rng(f"{pid}/localizer")))
+        loc_poses = [
+            localizer.measure(pose, rng)
+            for localizer, pose, rng in zip(self._localizers, cav_poses, self._localizer_rngs)
+        ]
 
-        frames: dict[str, LocalFrame] = {}
-        all_positions = [pose.position for pose in cav_poses]
-        for i, pid in enumerate(self.cav_ids):
-            targets = [p for j, p in enumerate(all_positions) if j != i]
-            frames[pid] = self._sense(pid, cav_poses[i], targets, t)
-        for pid, pose in zip(self.cis_ids, self.cis_poses):
-            frames[pid] = self._sense(pid, pose, all_positions, t)
-
+        platforms = np.array(
+            [(pose.x, pose.y, pose.theta) for pose in cav_poses + self.cis_poses], dtype=float
+        ).reshape(-1, 3)
+        detections = sense(
+            self._sensing,
+            self._sensing_errors,
+            platforms,
+            platforms[: len(cav_poses), :2],
+            self.config.miss_probability,
+            self.config.clutter_rate,
+            self._sensing_rho,
+        )
         return TickData(
             index=index,
             t=t,
             cav_poses=cav_poses,
             cav_arcs=cav_arcs,
             loc_poses=loc_poses,
-            frames=frames,
+            detections=detections,
         )
-
-    def _sense(
-        self, pid: str, pose: PlatformPose, targets: list[np.ndarray], t: float
-    ) -> LocalFrame:
-        observations = {}
-        for pipeline in self._truth_pipelines[pid]:
-            stream = f"{pid}/{pipeline.name}"
-            observations[pipeline.name] = synth_sensor_frame(
-                pipeline,
-                pose,
-                targets,
-                self.rng(stream),
-                miss_probability=self.config.miss_probability,
-                clutter_rate=self.config.clutter_rate,
-                error_states=self._sensor_error_states.setdefault(stream, {}),
-                rho=self._sensing_rho,
-            )
-        return LocalFrame(timestamp=t, observations=observations)

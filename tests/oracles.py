@@ -9,6 +9,9 @@ record, the per-detection expansion takes the package's
 scalar ``eval_error_model``, and the per-platform local tier reuses the
 package's cluster enumeration (checked against its own reference
 elsewhere) around scalar predict, gating, marginals, update and merge.
+The per-target sensing loop builds the package's raw detection records
+and the simulation's sensing takes its scenario's pipelines, platform ids
+and noise streams.
 """
 
 import itertools
@@ -26,15 +29,20 @@ from coopfusion.association import (
     _clusters,
     _enumerate_cluster,
 )
+from scipy.optimize import linear_sum_assignment
+
+from coopfusion.calibration import ErrorSample, MatchResult
 from coopfusion.error_models import (
     PREDICTOR_DISTANCE,
     GaussianEstimate,
     ModelError,
+    PolarObservation,
     eval_error_model,
 )
 from coopfusion.geometry import symmetrized, wrap_angle
 from coopfusion.global_fusion import PacketError, PlatformPacket, covariance_union
 from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
+from coopfusion.simulator import cav_id, cis_id, sensor_pipelines, stream_rng
 from coopfusion.tracking import YAW_RATE_EPS, process_noise_matrix
 
 
@@ -300,6 +308,170 @@ def assignment_oracle(observations, truth, max_dist):
         if best[0] == k and k > 0:
             break
     return sorted(best[2])
+
+
+def match_observations_to_truth_reference(observations, truth, max_dist=0.5):
+    """The matcher with its cost built pair by pair from scalar ``np.hypot``
+    calls; the rest is the package's matcher as it stands."""
+    n, m = len(observations), len(truth)
+    unmatchable = 1e9
+    pairs = []
+    if n and m:
+        cost = np.full((n, m), unmatchable)
+        for i, obs in enumerate(observations):
+            for j, tru in enumerate(truth):
+                dist = float(np.hypot(obs[0] - tru[0], obs[1] - tru[1]))
+                if dist <= max_dist:
+                    cost[i, j] = dist
+        rows, cols = linear_sum_assignment(cost)
+        pairs = [(int(i), int(j)) for i, j in zip(rows, cols) if cost[i, j] < unmatchable]
+    distal_samples = []
+    perpendicular_samples = []
+    for i, j in pairs:
+        obs = np.asarray(observations[i], dtype=float)
+        tru = np.asarray(truth[j], dtype=float)
+        measured_distance = float(np.hypot(obs[0], obs[1]))
+        norm = float(np.hypot(tru[0], tru[1]))
+        ray = tru / norm if norm > 0 else np.array([1.0, 0.0])
+        delta = obs - tru
+        distal_samples.append(ErrorSample(measured_distance, float(delta @ ray)))
+        perpendicular_samples.append(
+            ErrorSample(measured_distance, float(delta[0] * -ray[1] + delta[1] * ray[0]))
+        )
+    matched_obs = {i for i, _ in pairs}
+    matched_truth = {j for _, j in pairs}
+    return MatchResult(
+        pairs=pairs,
+        distal_samples=distal_samples,
+        perpendicular_samples=perpendicular_samples,
+        unmatched_observations=[i for i in range(n) if i not in matched_obs],
+        unmatched_truth=[j for j in range(m) if j not in matched_truth],
+    )
+
+
+def gauss_markov_reference(prev, sigma, rho, rng):
+    """Next AR(1) error after ``prev`` = (error, sigma), rescaled to the new
+    sigma; None starts with a fresh draw."""
+    if prev is None:
+        return sigma * rng.normal()
+    error, prev_sigma = prev
+    return rho * error * (sigma / prev_sigma) + sigma * math.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal()
+
+
+def synth_sensor_frame_reference(
+    pipeline,
+    platform_pose,
+    targets,
+    rng,
+    miss_probability=0.0,
+    clutter_rate=0.0,
+    error_states=None,
+    rho=0.0,
+    events=None,
+):
+    """One sensor tick target by target: noise along and across the true
+    ray from the truth models at the true distance, a Gauss-Markov error per
+    target index kept in the ``error_states`` dict, then clutter.  When
+    given, ``events`` counts in "missed_with_state" the targets in view that
+    a miss skips while they hold a state."""
+    mount = pipeline.pose
+    heading = math.cos(platform_pose.theta), math.sin(platform_pose.theta)
+    sensor_x = platform_pose.x + mount.x_sensor * heading[0] - mount.y_sensor * heading[1]
+    sensor_y = platform_pose.y + mount.x_sensor * heading[1] + mount.y_sensor * heading[0]
+    sensor_heading = platform_pose.theta + mount.theta_sensor
+    states = {} if error_states is None else error_states
+    observations = []
+    for target_idx, target in enumerate(targets):
+        rel_x = float(target[0]) - sensor_x
+        rel_y = float(target[1]) - sensor_y
+        dist = math.hypot(rel_x, rel_y)
+        if dist > pipeline.max_range:
+            continue
+        bearing = float(wrap_angle(math.atan2(rel_y, rel_x) - sensor_heading))
+        if abs(bearing) > 0.5 * pipeline.fov:
+            continue
+        if miss_probability > 0.0 and rng.random() < miss_probability:
+            if events is not None and target_idx in states:
+                events["missed_with_state"] = events.get("missed_with_state", 0) + 1
+            continue
+        sigma_distal = eval_error_model(pipeline.distal_model, dist)
+        sigma_perp = eval_error_model(pipeline.perp_model, dist)
+        prev_distal, prev_perp = states.get(target_idx, (None, None))
+        eps_distal = gauss_markov_reference(prev_distal, sigma_distal, rho, rng)
+        eps_perp = gauss_markov_reference(prev_perp, sigma_perp, rho, rng)
+        states[target_idx] = ((eps_distal, sigma_distal), (eps_perp, sigma_perp))
+        cos_b = math.cos(bearing)
+        sin_b = math.sin(bearing)
+        px = (dist + eps_distal) * cos_b - eps_perp * sin_b
+        py = (dist + eps_distal) * sin_b + eps_perp * cos_b
+        observations.append(PolarObservation(math.hypot(px, py), math.atan2(py, px), "vehicle"))
+    if clutter_rate > 0.0:
+        for _ in range(rng.poisson(clutter_rate)):
+            dist = pipeline.max_range * math.sqrt(rng.random())
+            bearing = (rng.random() - 0.5) * pipeline.fov
+            observations.append(PolarObservation(dist, bearing, "other"))
+    return observations
+
+
+class SimulationSensingReference:
+    """A scenario's sensing stream by stream: each platform's pipelines (the
+    CAVs, then the CIS) run the per-target loop on their own noise stream,
+    a CAV over every other CAV and a CIS over every CAV.
+
+    ``events`` counts "missed_with_state" (see
+    ``synth_sensor_frame_reference``) and "resumed": targets drawn with a
+    state kept over at least one tick in which they were not drawn.
+    """
+
+    def __init__(self, config):
+        self.config = config
+        self.rho = (
+            math.exp(-(1.0 / config.tick_rate) / config.sensing_correlation_time)
+            if config.sensing_correlation_time > 0.0
+            else 0.0
+        )
+        ids = [("cav", cav_id(i)) for i in range(config.cav_count)]
+        ids += [("cis", cis_id(i)) for i in range(config.cis_count)]
+        self.streams = [
+            (i, f"{pid}/{pipeline.name}", pipeline)
+            for i, (kind, pid) in enumerate(ids)
+            for pipeline in sensor_pipelines(config, kind, config.truth_models)
+        ]
+        self.rngs = {name: stream_rng(config.seed, name) for _, name, _ in self.streams}
+        self.states = {name: {} for _, name, _ in self.streams}
+        self.last_drawn = {}
+        self.events = {"missed_with_state": 0, "resumed": 0}
+        self.tick = 0
+
+    def frames(self, cav_poses, cis_poses):
+        """Each stream's detections for the next tick, in stream order."""
+        positions = [pose.position for pose in cav_poses]
+        platforms = list(cav_poses) + list(cis_poses)
+        out = []
+        for i, name, pipeline in self.streams:
+            targets = [p for j, p in enumerate(positions) if j != i]
+            states = self.states[name]
+            before = {idx: state for idx, state in states.items()}
+            out.append(
+                synth_sensor_frame_reference(
+                    pipeline,
+                    platforms[i],
+                    targets,
+                    self.rngs[name],
+                    self.config.miss_probability,
+                    self.config.clutter_rate,
+                    states,
+                    self.rho,
+                    self.events,
+                )
+            )
+            for idx, state in states.items():
+                if before.get(idx) is not state:
+                    if idx in before and self.last_drawn[name, idx] < self.tick - 1:
+                        self.events["resumed"] += 1
+                    self.last_drawn[name, idx] = self.tick
+        self.tick += 1
+        return out
 
 
 def observation_estimate(obs, pose, distal, perp, source=""):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import assignment_oracle
+from oracles import assignment_oracle, match_observations_to_truth_reference
 
 from coopfusion.calibration import (
     DegenerateFitError,
@@ -189,6 +189,54 @@ class TestMatching:
         assert result.pairs == []
         assert result.unmatched_observations == [0]
         assert result.unmatched_truth == [0]
+
+
+def match_fields(match):
+    """Every field of a match, with the samples' floats as exact bits."""
+    return (
+        match.pairs,
+        [(s.predictor.hex(), s.error.hex()) for s in match.distal_samples],
+        [(s.predictor.hex(), s.error.hex()) for s in match.perpendicular_samples],
+        match.unmatched_observations,
+        match.unmatched_truth,
+    )
+
+
+class TestMatchingMatchesPairLoop:
+    """The broadcast cost against the per-pair scalar ``np.hypot`` loop."""
+
+    def check(self, observations, truth, max_dist):
+        got = match_observations_to_truth(observations, truth, max_dist)
+        want = match_observations_to_truth_reference(observations, truth, max_dist)
+        assert match_fields(got) == match_fields(want)
+
+    def test_random_scenes(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n, m = rng.integers(0, 9, 2)
+            observations = list(rng.uniform(-3.0, 3.0, (n, 2)))
+            truth = list(rng.uniform(-3.0, 3.0, (m, 2)))
+            self.check(observations, truth, rng.uniform(0.1, 2.0))
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_sides(self, n, m):
+        rng = np.random.default_rng(n + 10 * m)
+        self.check(list(rng.uniform(-1, 1, (n, 2))), list(rng.uniform(-1, 1, (m, 2))), 0.5)
+
+    def test_ties(self):
+        # Two observations equidistant from two truths, and duplicates.
+        observations = [np.array([0.0, 0.1]), np.array([0.0, -0.1]), np.array([0.0, 0.1])]
+        truth = [np.array([0.1, 0.0]), np.array([-0.1, 0.0]), np.array([0.1, 0.0])]
+        self.check(observations, truth, 0.5)
+
+    def test_points_exactly_at_max_dist(self):
+        # 3-4-5 triangles: each distance is exactly 0.5 in binary floating point.
+        observations = [np.array([0.3, 0.4]), np.array([-0.4, 0.3]), np.array([0.0, 0.5])]
+        truth = [np.array([0.0, 0.0]), np.array([0.0, 1.0])]
+        assert float(np.hypot(0.3, 0.4)) == 0.5
+        self.check(observations, truth, 0.5)
+        self.check(observations, truth, np.nextafter(0.5, 0.0))
+        self.check(np.array(observations), np.array(truth), 0.5)
 
 
 class TestCsv:

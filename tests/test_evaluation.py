@@ -61,6 +61,13 @@ MALFORMED_TICK_0 = {
     "truth_without_t": (lambda recs: first(recs, "truth").pop("t"), "malformed record: 't'"),
     "t_not_a_number": (lambda recs: first(recs, "truth").update(t="abc"), "malformed"),
     "t_nan": (lambda recs: first(recs, "truth").update(t=math.nan), "malformed record: time nan"),
+    # JSON true and false read as the ints 1 and 0 in Python.
+    "t_true": (lambda recs: first(recs, "truth").update(t=True), "malformed record: time True"),
+    "truth_cav_v_true": (lambda recs: first(recs, "truth")["cavs"][0].update(v=True), "malformed"),
+    "loc_theta_false": (lambda recs: first(recs, "loc").update(theta=False), "malformed"),
+    "detection_d_true": (lambda recs: first_detection(recs).update(d=True), "malformed"),
+    "detection_theta_false": (lambda recs: first_detection(recs).update(theta=False), "malformed"),
+    "detection_class_a_number": (lambda recs: first_detection(recs).update({"class": 1}), "malformed"),
     "no_loc_for_cav1": (lambda recs: recs.remove(first(recs, "loc", "cav1")), "no loc record for cav1"),
     "no_obs_for_cis0": (lambda recs: drop_obs(recs, "cis0"), "no obs record for cis0"),
 }

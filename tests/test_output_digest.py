@@ -44,3 +44,19 @@ def test_main_exits_1_on_a_difference(tmp_path, monkeypatch, capsys):
     (tmp_path / "listing.txt").write_text(listing.replace("a.txt", "c.txt"))
     assert main([str(tmp_path / "third"), "--against", str(tmp_path / "listing.txt")]) == 1
     assert capsys.readouterr().out == "not in listing  a.txt\nmissing  c.txt\n"
+
+
+def test_set_is_59_files_with_a_correlated_sensing_run(tmp_path, monkeypatch):
+    # Runs and replays are recorded, not made, so no scenario runs.
+    runs, replays = [], []
+    module = sys.modules["output_digest"]
+    monkeypatch.setattr(module, "run_scenario", lambda config, mode, out_dir: runs.append(config))
+    monkeypatch.setattr(module, "replay", lambda log, mode, out_path: replays.append(mode))
+    paths = module.write_outputs(tmp_path)
+    assert len(set(paths)) == len(paths) == 59
+    assert len(runs) == 19 and len(replays) == 2
+    correlated = [config for config in runs if config.sensing_correlation_time > 0.0]
+    assert [(c.name, c.duration, c.sensing_correlation_time) for c in correlated] == [
+        ("sm/de", 5.0, 0.5)
+    ]
+    assert tmp_path / "correlated" / "log.ndjson" in paths

@@ -4,12 +4,21 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coopfusion.error_models import DEFAULT_PARAMETERIZED_MODELS, PlatformPose, SensorPose
+from coopfusion import simulator
+from coopfusion.error_models import (
+    DEFAULT_PARAMETERIZED_MODELS,
+    ErrorModel,
+    PlatformPose,
+    SensorPose,
+)
+from coopfusion.evaluation import scenario_names, scenario_preset
 from coopfusion.local_fusion import SensorPipelineConfig
 from coopfusion.simulator import (
+    DETECTION_CLASSES,
     FigureEightPath,
     LocalizerDrift,
     ScenarioConfig,
+    SensingErrors,
     Simulation,
     VehicleState,
     light_is_green,
@@ -17,6 +26,7 @@ from coopfusion.simulator import (
     stream_rng,
     synth_sensor_frame,
 )
+from oracles import SimulationSensingReference, synth_sensor_frame_reference
 
 MODELS = DEFAULT_PARAMETERIZED_MODELS
 
@@ -32,6 +42,29 @@ def scenario(**overrides) -> ScenarioConfig:
     )
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def stream_detections(sim, tick, stream):
+    """(distance, bearing, class) of each detection of one (platform, sensor) stream."""
+    s = sim.streams.index(stream)
+    rows = slice(tick.detections.bounds[s], tick.detections.bounds[s + 1])
+    return detection_rows(
+        tick.detections.distances[rows], tick.detections.bearings[rows], tick.detections.clutter[rows]
+    )
+
+
+def detection_rows(distances, bearings, clutter):
+    return [
+        (d, theta, DETECTION_CLASSES[c])
+        for d, theta, c in zip(distances.tolist(), bearings.tolist(), clutter.tolist())
+    ]
+
+
+def observation_bits(observations):
+    """The exact bits of each detection's distance and bearing, and its class."""
+    return [
+        (obs.distance_obs.hex(), obs.theta_obs.hex(), obs.object_class) for obs in observations
+    ]
 
 
 class TestFigureEightPath:
@@ -199,7 +232,7 @@ class TestSyntheticSensors:
     def test_correlated_errors_keep_marginal_sigma(self):
         rng = stream_rng(7, "mc2")
         target = [np.array([1.0, 0.0])]
-        states = {}
+        states = SensingErrors.fresh(len(target))
         errors = []
         for _ in range(100_000):
             obs = synth_sensor_frame(
@@ -220,6 +253,63 @@ class TestSyntheticSensors:
                 synth_sensor_frame(clutter_cfg, PlatformPose(0, 0, 0, 0), [], rng, clutter_rate=0.5)
             )
         assert count / 2000 == pytest.approx(0.5, abs=0.05)
+
+
+class TestSensingPass:
+    """The one array pass against the per-target loop it replaced, bit for bit."""
+
+    CONFIGS = {
+        **{name: scenario_preset(name, 101, 10.0) for name in scenario_names()},
+        "dense": ScenarioConfig(
+            name="dense", straight_length=4.0, cav_count=16, cis_count=2, duration=5.0, seed=101
+        ),
+        "clutter": scenario_preset("lg/de/CIS", 202, 5.0, clutter_rate=2.0, miss_probability=0.1),
+        "correlated": scenario_preset(
+            "sm/de/CIS", 601, 20.0, sensing_correlation_time=0.5, miss_probability=0.1
+        ),
+    }
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_ticks_match_per_target_reference(self, name):
+        config = self.CONFIGS[name]
+        sim = Simulation(config)
+        reference = SimulationSensingReference(config)
+        for k in range(int(round(config.duration * config.tick_rate))):
+            tick = sim.tick(k)
+            expected = reference.frames(tick.cav_poses, sim.cis_poses)
+            for (pid, sensor), observations in zip(sim.streams, expected):
+                got = stream_detections(sim, tick, (pid, sensor))
+                assert [(d.hex(), theta.hex(), c) for d, theta, c in got] == observation_bits(
+                    observations
+                ), (k, pid, sensor)
+        if name == "correlated":
+            assert reference.events["missed_with_state"] > 0
+            assert reference.events["resumed"] > 0
+
+    def test_one_stream_call_matches_reference(self):
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            pipeline = SensorPipelineConfig(
+                name="probe",
+                pose=SensorPose(*rng.uniform(-0.3, 0.3, 2), rng.uniform(-math.pi, math.pi)),
+                fov=rng.uniform(0.5, 2.0 * math.pi),
+                max_range=rng.uniform(1.0, 6.0),
+                distal_model=ErrorModel(tuple(rng.uniform(0.0, 0.05, rng.integers(1, 4)))),
+                perp_model=ErrorModel(tuple(rng.uniform(0.0, 0.05, rng.integers(1, 4)))),
+            )
+            pose = PlatformPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-math.pi, math.pi))
+            miss, clutter, rho = (0.0, 0.0, 0.0) if trial % 2 else (0.2, 1.5, 0.8)
+            states, reference_states = SensingErrors.fresh(6), {}
+            got_rng, want_rng = stream_rng(trial, "probe"), stream_rng(trial, "probe")
+            for _ in range(10):
+                targets = list(rng.uniform(-5.0, 5.0, (6, 2)))
+                got = synth_sensor_frame(
+                    pipeline, pose, targets, got_rng, miss, clutter, states, rho
+                )
+                want = synth_sensor_frame_reference(
+                    pipeline, pose, targets, want_rng, miss, clutter, reference_states, rho
+                )
+                assert observation_bits(got) == observation_bits(want)
 
 
 def independent_localizer(
@@ -290,12 +380,8 @@ class TestSimulation:
                     (
                         tuple(tuple(arc) for arc in tick.cav_arcs),
                         tuple((p.x, p.y, p.theta) for p in tick.loc_poses),
-                        tuple(
-                            (obs.distance_obs, obs.theta_obs)
-                            for frame in tick.frames.values()
-                            for detections in frame.observations.values()
-                            for obs in detections
-                        ),
+                        tuple(tick.detections.distances.tolist()),
+                        tuple(tick.detections.bearings.tolist()),
                     )
                 )
             return out
@@ -320,17 +406,22 @@ class TestSimulation:
                     assert ds == pytest.approx(v1 * sim.dt, abs=1e-9)
             previous = tick.cav_arcs
 
-    def test_rng_streams_independent(self):
+    def test_rng_streams_independent(self, monkeypatch):
         # removing the camera must not change the lidar noise sequence
         full = Simulation(scenario(seed=9))
-        full_obs = [full.tick(k).frames["cav0"].observations["lidar"] for k in range(30)]
+        full_obs = [stream_detections(full, full.tick(k), ("cav0", "lidar")) for k in range(30)]
 
+        pipelines = simulator.sensor_pipelines
+        monkeypatch.setattr(
+            simulator,
+            "sensor_pipelines",
+            lambda *args: [p for p in pipelines(*args) if p.name == "lidar"],
+        )
         nocam = Simulation(scenario(seed=9))
-        nocam._truth_pipelines["cav0"] = [
-            p for p in nocam._truth_pipelines["cav0"] if p.name == "lidar"
-        ]
-        nocam_obs = [nocam.tick(k).frames["cav0"].observations["lidar"] for k in range(30)]
+        assert ("cav0", "camera") not in nocam.streams
+        nocam_obs = [stream_detections(nocam, nocam.tick(k), ("cav0", "lidar")) for k in range(30)]
         assert full_obs == nocam_obs
+        assert any(full_obs)
 
     def test_cis_placement(self):
         sim = Simulation(scenario(cis_count=2, straight_length=2.0))

@@ -1,10 +1,12 @@
 """Write a fixed set of run outputs and print the SHA-256 of every file.
 
-The set is 56 files:
+The set is 59 files:
 
 - the 8 presets in both modes (seed 601, 10 s), each run's ``log.ndjson``,
   ``report.json`` and ``residuals.csv``;
 - a 5 s dense run (16 CAVs, 2 CIS, straight length 4, parameterized);
+- a 5 s ``sm/de`` run with ``sensing_correlation_time`` 0.5
+  (parameterized), so Gauss-Markov sensing errors are covered;
 - a 5 s ``lg/de/CIS`` record with clutter (``clutter_rate`` 2,
   ``miss_probability`` 0.1) plus its parameterized and fixed replays.
 
@@ -59,6 +61,10 @@ def write_outputs(out: Path) -> list[Path]:
     )
     run_scenario(dense, "parameterized", out_dir=out / "dense")
     run_dirs.append(out / "dense")
+
+    correlated = scenario_preset("sm/de", SEED, 5.0, sensing_correlation_time=0.5)
+    run_scenario(correlated, "parameterized", out_dir=out / "correlated")
+    run_dirs.append(out / "correlated")
 
     clutter = scenario_preset("lg/de/CIS", SEED, 5.0, clutter_rate=2.0, miss_probability=0.1)
     record = out / "clutter"
