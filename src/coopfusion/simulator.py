@@ -315,16 +315,18 @@ def sense(
     errors: SensingErrors,
     platforms: np.ndarray,
     targets: np.ndarray,
-    miss_probability: float = 0.0,
-    clutter_rate: float = 0.0,
-    rho: float = 0.0,
+    miss_probability: float,
+    clutter_rate: float,
+    rho: float,
 ) -> Detections:
     """Noisy polar detections by every stream of ``table`` for one tick.
 
     ``platforms`` holds each platform's world (x, y, theta) and ``targets``
     each target's world (x, y).  Noise is drawn along and across the true
     sensor-to-target ray with std-devs from the stream's truth models at the
-    true distance, then converted back to range and bearing.  Each pair's
+    true distance, then converted back to range and bearing.  A target in
+    view is missed with ``miss_probability``, and each stream adds a
+    Poisson(``clutter_rate``) count of clutter detections.  Each pair's
     error follows a Gauss-Markov process with correlation ``rho`` (0 draws
     afresh each tick) whose marginal stays N(0, sigma(d)^2).  Every step is
     elementwise, with hypot, atan2, cos and sin through ``math``, so a
