@@ -88,6 +88,14 @@ class PolarObservation:
     object_class: str = "vehicle"
 
     def __post_init__(self):
+        # JSON true and false read as the ints 1 and 0.
+        if bool in (type(self.distance_obs), type(self.theta_obs)):
+            raise TypeError(
+                f"observation distance and bearing must be numbers, got "
+                f"{self.distance_obs!r}, {self.theta_obs!r}"
+            )
+        if type(self.object_class) is not str:
+            raise TypeError(f"observation class must be a string, got {self.object_class!r}")
         if not (0.0 <= self.distance_obs < math.inf):
             raise ValueError(
                 f"observation distance must be finite and >= 0, got {self.distance_obs}"
@@ -119,6 +127,12 @@ class PlatformPose:
     v: float = 0.0
 
     def __post_init__(self):
+        # JSON true and false read as the ints 1 and 0.
+        if bool in (type(self.x), type(self.y), type(self.theta), type(self.v)):
+            raise TypeError(
+                f"platform pose must hold numbers, got ({self.x!r}, {self.y!r}, "
+                f"{self.theta!r}, {self.v!r})"
+            )
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
             raise ValueError(
                 f"platform pose must be finite, got ({self.x}, {self.y}, {self.theta})"

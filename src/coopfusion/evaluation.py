@@ -301,24 +301,6 @@ class _ScenarioFusion:
         return packets, self.rsu.step(t)
 
 
-def _pose(record: dict) -> PlatformPose:
-    """The pose a truth or loc record holds; JSON ``true`` and ``false``
-    read as ints in Python, so they are refused here."""
-    values = (record["x"], record["y"], record["theta"], record["v"])
-    if any(isinstance(value, bool) for value in values):
-        raise TypeError(f"pose fields must be numbers, got {values}")
-    return PlatformPose(*values)
-
-
-def _detection(record: dict) -> PolarObservation:
-    """The detection an obs record lists: numbers ``d`` and ``theta`` (not
-    booleans) and a string ``class``."""
-    distance, theta, object_class = record["d"], record["theta"], record["class"]
-    if isinstance(distance, bool) or isinstance(theta, bool) or not isinstance(object_class, str):
-        raise TypeError(f"detection {record} needs numbers d and theta and a string class")
-    return PolarObservation(distance, theta, object_class)
-
-
 def _parse_group(group: _TickGroup, index: int, cav_ids: list, cis_ids: list) -> tuple:
     """A tick's (time, truth poses, localized poses, frames); a record that cannot
     be read, or a platform without one, raises ``LogError`` naming the tick."""
@@ -329,14 +311,19 @@ def _parse_group(group: _TickGroup, index: int, cav_ids: list, cis_ids: list) ->
         cavs = group.truth["cavs"]
         if [cav["id"] for cav in cavs] != cav_ids:
             raise ValueError(f"truth CAVs are not {cav_ids}")
-        truth = [_pose(cav) for cav in cavs]
-        loc_poses = {rec["platform"]: _pose(rec) for rec in group.loc}
+        truth = [PlatformPose(cav["x"], cav["y"], cav["theta"], cav["v"]) for cav in cavs]
+        loc_poses = {
+            rec["platform"]: PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
+            for rec in group.loc
+        }
         frames: dict[str, LocalFrame] = {}
         for rec in group.obs:
             frame = frames.setdefault(rec["platform"], LocalFrame(timestamp=t, observations={}))
             if not isinstance(rec["detections"], list):
                 raise TypeError("detections must be a list")
-            frame.observations[rec["sensor"]] = [_detection(d) for d in rec["detections"]]
+            frame.observations[rec["sensor"]] = [
+                PolarObservation(d["d"], d["theta"], d["class"]) for d in rec["detections"]
+            ]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise LogError(f"tick {index}: malformed record: {exc}") from exc
     for kind, records, ids in (("loc", loc_poses, cav_ids), ("obs", frames, cav_ids + cis_ids)):

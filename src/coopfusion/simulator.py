@@ -209,9 +209,8 @@ class StreamTable:
     Stream s is platform ``platforms[s]``'s pipeline: it draws from
     ``rngs[s]``, its row s of ``sensors`` holds the mount pose and the
     truth models, and it sees out to ``max_range[s]`` within ``fov[s]``.
-    Pair k is stream ``streams[k]`` looking at target ``targets[k]``, out
-    to ``reach[k]`` and within ``half_fov[k]`` of the sensor heading;
-    pairs are ordered by stream, then by target.
+    Pair k is stream ``streams[k]`` looking at target ``targets[k]``; pairs
+    are ordered by stream, then by target.
     """
 
     rngs: list[np.random.Generator]
@@ -221,8 +220,6 @@ class StreamTable:
     fov: np.ndarray
     streams: np.ndarray
     targets: np.ndarray
-    reach: np.ndarray
-    half_fov: np.ndarray
 
 
 def stream_table(
@@ -233,19 +230,14 @@ def stream_table(
     distance predictor."""
     pipelines = [pipeline for _, pipeline, _, _ in streams]
     targets = [list(row[3]) for row in streams]
-    max_range = np.array([p.max_range for p in pipelines], dtype=float)
-    fov = np.array([p.fov for p in pipelines], dtype=float)
-    pair_streams = np.repeat(np.arange(len(streams)), [len(row) for row in targets])
     return StreamTable(
         rngs=[rng for _, _, rng, _ in streams],
         platforms=np.array([row[0] for row in streams], dtype=np.intp),
         sensors=sensor_table([(p.pose, p.distal_model, p.perp_model) for p in pipelines]),
-        max_range=max_range,
-        fov=fov,
-        streams=pair_streams,
+        max_range=np.array([p.max_range for p in pipelines], dtype=float),
+        fov=np.array([p.fov for p in pipelines], dtype=float),
+        streams=np.repeat(np.arange(len(streams)), [len(row) for row in targets]),
         targets=np.array([j for row in targets for j in row], dtype=np.intp),
-        reach=max_range[pair_streams],
-        half_fov=0.5 * fov[pair_streams],
     )
 
 
@@ -347,7 +339,10 @@ def sense(
     dist = np.fromiter(map(math.hypot, rel_x, rel_y), float, len(rel_x))
     ray = np.fromiter(map(math.atan2, rel_y, rel_x), float, len(rel_x))
     bearing = wrap_angle(ray - heading.take(pairs))
-    visible = (~((dist > table.reach) | (np.abs(bearing) > table.half_fov))).nonzero()[0]
+    out_of_view = (dist > table.max_range.take(pairs)) | (
+        np.abs(bearing) > 0.5 * table.fov.take(pairs)
+    )
+    visible = (~out_of_view).nonzero()[0]
     kept, z, uniforms = _draws(
         table.rngs,
         np.bincount(pairs.take(visible), minlength=len(table.rngs)).tolist(),
