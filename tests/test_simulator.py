@@ -48,15 +48,10 @@ def stream_detections(sim, tick, stream):
     """(distance, bearing, class) of each detection of one (platform, sensor) stream."""
     s = sim.streams.index(stream)
     rows = slice(tick.detections.bounds[s], tick.detections.bounds[s + 1])
-    return detection_rows(
-        tick.detections.distances[rows], tick.detections.bearings[rows], tick.detections.clutter[rows]
-    )
-
-
-def detection_rows(distances, bearings, clutter):
+    columns = (tick.detections.distances, tick.detections.bearings, tick.detections.clutter)
     return [
         (d, theta, DETECTION_CLASSES[c])
-        for d, theta, c in zip(distances.tolist(), bearings.tolist(), clutter.tolist())
+        for d, theta, c in zip(*(column[rows].tolist() for column in columns))
     ]
 
 
