@@ -12,8 +12,7 @@ Sensing runs as one array pass per tick (``sense``) over a ``StreamTable``
 built once per run: a stream per (platform, pipeline) and a row per
 (stream, target) pair, whose Gauss-Markov error state is kept in
 ``SensingErrors``.  A tick's detections leave ``Simulation.tick`` as
-``Detections`` columns, stream by stream; ``synth_sensor_frame`` is the
-one-stream call of the same pass.
+``Detections`` columns, stream by stream.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .error_models import (
     ErrorModel,
     ModelSet,
     PlatformPose,
-    PolarObservation,
     SensorPose,
     SensorTable,
     eval_error_model,
@@ -389,38 +387,6 @@ def sense(
         clutter=clutter,
         bounds=np.searchsorted(streams, np.arange(len(table.rngs) + 1)),
     )
-
-
-def synth_sensor_frame(
-    pipeline: SensorPipelineConfig,
-    platform_pose: PlatformPose,
-    targets: Sequence[np.ndarray],
-    rng: np.random.Generator,
-    miss_probability: float = 0.0,
-    clutter_rate: float = 0.0,
-    error_states: SensingErrors | None = None,
-    rho: float = 0.0,
-) -> list[PolarObservation]:
-    """Noisy polar detections of world-frame targets for one sensor tick:
-    ``sense`` with one stream that sees every target.  ``error_states``,
-    one row per target, carries the Gauss-Markov errors from call to call."""
-    detections = sense(
-        stream_table([(0, pipeline, rng, range(len(targets)))]),
-        SensingErrors.fresh(len(targets)) if error_states is None else error_states,
-        np.array([[platform_pose.x, platform_pose.y, platform_pose.theta]]),
-        np.array(targets, dtype=float).reshape(-1, 2),
-        miss_probability,
-        clutter_rate,
-        rho,
-    )
-    return [
-        PolarObservation(d, theta, DETECTION_CLASSES[c])
-        for d, theta, c in zip(
-            detections.distances.tolist(),
-            detections.bearings.tolist(),
-            detections.clutter.tolist(),
-        )
-    ]
 
 
 class LocalizerDrift:

@@ -42,7 +42,7 @@ from coopfusion.error_models import (
 from coopfusion.geometry import symmetrized, wrap_angle
 from coopfusion.global_fusion import PacketError, PlatformPacket, covariance_union
 from coopfusion.local_fusion import PROCESS_NOISE, StaleFrameError
-from coopfusion.simulator import cav_id, cis_id, sensor_pipelines, stream_rng
+from coopfusion.simulator import _gauss_markov, cav_id, cis_id, sensor_pipelines, stream_rng
 from coopfusion.tracking import YAW_RATE_EPS, process_noise_matrix
 
 
@@ -349,15 +349,6 @@ def match_observations_to_truth_reference(observations, truth, max_dist=0.5):
     )
 
 
-def gauss_markov_reference(prev, sigma, rho, rng):
-    """Next AR(1) error after ``prev`` = (error, sigma), rescaled to the new
-    sigma; None starts with a fresh draw."""
-    if prev is None:
-        return sigma * rng.normal()
-    error, prev_sigma = prev
-    return rho * error * (sigma / prev_sigma) + sigma * math.sqrt(max(1.0 - rho * rho, 0.0)) * rng.normal()
-
-
 def synth_sensor_frame_reference(
     pipeline,
     platform_pose,
@@ -397,8 +388,8 @@ def synth_sensor_frame_reference(
         sigma_distal = eval_error_model(pipeline.distal_model, dist)
         sigma_perp = eval_error_model(pipeline.perp_model, dist)
         prev_distal, prev_perp = states.get(target_idx, (None, None))
-        eps_distal = gauss_markov_reference(prev_distal, sigma_distal, rho, rng)
-        eps_perp = gauss_markov_reference(prev_perp, sigma_perp, rho, rng)
+        eps_distal = _gauss_markov(prev_distal, sigma_distal, rho, rng)
+        eps_perp = _gauss_markov(prev_perp, sigma_perp, rho, rng)
         states[target_idx] = ((eps_distal, sigma_distal), (eps_perp, sigma_perp))
         cos_b = math.cos(bearing)
         sin_b = math.sin(bearing)

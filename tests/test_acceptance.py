@@ -28,7 +28,7 @@ from coopfusion.error_models import (
 from coopfusion.evaluation import pooled_rmse, replay, run_matrix, run_scenario, scenario_preset
 from coopfusion.global_fusion import covariance_union
 from coopfusion.local_fusion import SensorPipelineConfig
-from coopfusion.simulator import LocalizerDrift, stream_rng, synth_sensor_frame
+from coopfusion.simulator import LocalizerDrift, SensingErrors, sense, stream_rng, stream_table
 from coopfusion.tracking import (
     ProcessNoiseConfig,
     ctrv_jacobian,
@@ -321,7 +321,9 @@ class TestCriterion7CalibrationClosure:
             perp_model=perp,
         )
         rng = stream_rng(seed, "closure/sensing")
-        pose = PlatformPose(0.0, 0.0, 0.0, 0.0)
+        table = stream_table([(0, pipeline, rng, [0])])
+        errors = SensingErrors.fresh(1)
+        platform = np.zeros((1, 3))
         distal_samples = []
         perp_samples = []
         while len(distal_samples) < count:
@@ -329,12 +331,11 @@ class TestCriterion7CalibrationClosure:
             d = rng.uniform(0.05, 0.4) if u < 0.5 else rng.uniform(0.4, 3.0)
             bearing = rng.uniform(-0.45, 0.45) * fov
             target = d * np.array([math.cos(bearing), math.sin(bearing)])
-            obs = synth_sensor_frame(pipeline, pose, [target], rng)
-            if not obs:
+            obs = sense(table, errors, platform, target[None, :], 0.0, 0.0, 0.0)
+            if not len(obs.distances):
                 continue
-            measured = obs[0].distance_obs * np.array(
-                [math.cos(obs[0].theta_obs), math.sin(obs[0].theta_obs)]
-            )
+            d_obs, theta_obs = obs.distances[0], obs.bearings[0]
+            measured = d_obs * np.array([math.cos(theta_obs), math.sin(theta_obs)])
             match = match_observations_to_truth([measured], [target], max_dist=2.0)
             distal_samples.extend(match.distal_samples)
             perp_samples.extend(match.perpendicular_samples)

@@ -70,43 +70,3 @@ def test_worse_beyond_the_bound_in_either_direction():
         {"tick_ms_iqm": BASE, "ticks_per_s": BASE},
         {"tick_ms_iqm": [v * 1.2 for v in BASE], "ticks_per_s": [v * 0.8 for v in BASE]},
     ) == {"tick_ms_iqm": "unresolved", "ticks_per_s": "unresolved"}
-
-
-CRASH = "statistics.StatisticsError: no median for empty data"
-
-
-def test_a_crashed_run_drops_its_pair_and_is_listed(tmp_path, monkeypatch, capsys):
-    import json
-
-    import bench_pairs
-
-    change = tmp_path / "change"
-    change.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
-    calls = []
-
-    def run_once(checkout, workload, seconds, seed):
-        calls.append(checkout.name)
-        if len(calls) == 4:  # the second attempt's second run
-            return {"crashed": CRASH}
-        value = 10.0 if checkout.name == "base" else 8.0
-        metrics = {"tick_ms_iqm": value, "ticks_per_s": 1000.0 / value}
-        return {
-            "details": {"env": {"python": "3", "numpy": "2", "scipy": "1", "nproc": 2,
-                                "git_sha": checkout.name, "src_sha256": "0", "loadavg_start": ""}},
-            "correct": True,
-            "metrics": {name: {"value": v, "unit": "x"} for name, v in metrics.items()},
-        }
-
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    out = tmp_path / "bench.json"
-    argv = ["--base", str(tmp_path / "base"), "--change", str(change), "--workload", "w"]
-    assert bench_pairs.main(argv + ["--pairs", "2", "--out", str(out)]) == 0
-    (entry,) = json.loads(out.read_text())["results"]
-    # Attempt 1 runs change then base; its base run crashes, so attempt 2 is
-    # needed and the pairs keep alternating which side goes first.
-    assert calls == ["base", "change", "change", "base", "base", "change"]
-    assert entry["attempts"] == 3 and entry["pairs"] == 2
-    assert entry["crashes"] == [{"attempt": 1, "side": "base", "error": CRASH}]
-    assert entry["metrics"]["tick_ms_iqm"]["values"] == {"base": [10.0, 10.0], "change": [8.0, 8.0]}
-    assert "attempt 1: base crashed" in capsys.readouterr().err

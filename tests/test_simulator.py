@@ -22,9 +22,10 @@ from coopfusion.simulator import (
     Simulation,
     VehicleState,
     light_is_green,
+    sense,
     step_vehicle,
     stream_rng,
-    synth_sensor_frame,
+    stream_table,
 )
 from oracles import SimulationSensingReference, synth_sensor_frame_reference
 
@@ -44,15 +45,41 @@ def scenario(**overrides) -> ScenarioConfig:
     return ScenarioConfig(**base)
 
 
-def stream_detections(sim, tick, stream):
-    """(distance, bearing, class) of each detection of one (platform, sensor) stream."""
-    s = sim.streams.index(stream)
-    rows = slice(tick.detections.bounds[s], tick.detections.bounds[s + 1])
-    columns = (tick.detections.distances, tick.detections.bearings, tick.detections.clutter)
+def detection_rows(detections, rows=slice(None)):
+    """(distance, bearing, class) of each detection in ``rows``."""
+    columns = (detections.distances, detections.bearings, detections.clutter)
     return [
         (d, theta, DETECTION_CLASSES[c])
         for d, theta, c in zip(*(column[rows].tolist() for column in columns))
     ]
+
+
+def stream_detections(sim, tick, stream):
+    """The detections of one (platform, sensor) stream."""
+    s = sim.streams.index(stream)
+    return detection_rows(tick.detections, slice(*tick.detections.bounds[s : s + 2]))
+
+
+def one_stream(pipeline, rng, n_targets=1, miss_probability=0.0, clutter_rate=0.0, rho=0.0):
+    """``sense`` with one stream that sees ``n_targets`` targets, its table
+    and Gauss-Markov errors built once: a function of (platform pose,
+    targets) giving one tick's detections."""
+    table = stream_table([(0, pipeline, rng, range(n_targets))])
+    errors = SensingErrors.fresh(n_targets)
+
+    def frame(pose, targets):
+        platform = np.array([[pose.x, pose.y, pose.theta]])
+        targets = np.array(targets, dtype=float).reshape(-1, 2)
+        return detection_rows(
+            sense(table, errors, platform, targets, miss_probability, clutter_rate, rho)
+        )
+
+    return frame
+
+
+def row_bits(rows):
+    """The exact bits of each detection row's distance and bearing, and its class."""
+    return [(d.hex(), theta.hex(), c) for d, theta, c in rows]
 
 
 def observation_bits(observations):
@@ -191,12 +218,12 @@ class TestSyntheticSensors:
         rng = stream_rng(1, "cam")
         bearing = math.radians(100)
         target = np.array([math.cos(bearing), math.sin(bearing)])
-        obs = synth_sensor_frame(self.CAMERA, PlatformPose(0, 0, 0, 0), [target], rng)
+        obs = one_stream(self.CAMERA, rng)(PlatformPose(0, 0, 0, 0), [target])
         assert obs == []
 
     def test_target_beyond_range_absent(self):
         rng = stream_rng(1, "cam")
-        obs = synth_sensor_frame(self.CAMERA, PlatformPose(0, 0, 0, 0), [np.array([6.0, 0])], rng)
+        obs = one_stream(self.CAMERA, rng)(PlatformPose(0, 0, 0, 0), [np.array([6.0, 0])])
         assert obs == []
 
     def test_zero_noise_recovers_truth(self):
@@ -209,44 +236,37 @@ class TestSyntheticSensors:
             perp_model=type(MODELS.camera_distal)((0.0,)),
         )
         rng = stream_rng(1, "cam")
-        obs = synth_sensor_frame(floored, PlatformPose(1, 1, 0.3, 0), [np.array([2.0, 2.0])], rng)
+        obs = one_stream(floored, rng)(PlatformPose(1, 1, 0.3, 0), [np.array([2.0, 2.0])])
         assert len(obs) == 1
-        assert obs[0].distance_obs == pytest.approx(math.hypot(1, 1), abs=1e-5)
-        assert obs[0].theta_obs == pytest.approx(math.pi / 4 - 0.3, abs=1e-5)
+        assert obs[0][0] == pytest.approx(math.hypot(1, 1), abs=1e-5)
+        assert obs[0][1] == pytest.approx(math.pi / 4 - 0.3, abs=1e-5)
 
     def test_monte_carlo_distal_sigma(self):
+        # One stream over 100,000 copies of a target draws what 100,000
+        # one-target ticks would, in the same order.
         rng = stream_rng(7, "mc")
-        target = [np.array([1.0, 0.0])]
-        errors = []
-        for _ in range(100_000):
-            obs = synth_sensor_frame(self.CAMERA, PlatformPose(0, 0, 0, 0), target, rng)
-            errors.append(obs[0].distance_obs - 1.0)
+        frame = one_stream(self.CAMERA, rng, 100_000)
+        errors = [d - 1.0 for d, _, _ in frame(PlatformPose(0, 0, 0, 0), [[1.0, 0.0]] * 100_000)]
         expected = 0.0517 * 1.0 + 0.0126
         assert np.std(errors) == pytest.approx(expected, rel=0.03)
 
     def test_correlated_errors_keep_marginal_sigma(self):
         rng = stream_rng(7, "mc2")
+        frame = one_stream(self.CAMERA, rng, rho=0.9)
         target = [np.array([1.0, 0.0])]
-        states = SensingErrors.fresh(len(target))
         errors = []
         for _ in range(100_000):
-            obs = synth_sensor_frame(
-                self.CAMERA, PlatformPose(0, 0, 0, 0), target, rng, error_states=states, rho=0.9
-            )
-            errors.append(obs[0].distance_obs - 1.0)
+            errors.append(frame(PlatformPose(0, 0, 0, 0), target)[0][0] - 1.0)
         errors = np.array(errors)
         assert np.std(errors) == pytest.approx(0.0643, rel=0.03)
         lag1 = np.corrcoef(errors[:-1], errors[1:])[0, 1]
         assert lag1 == pytest.approx(0.9, abs=0.02)
 
     def test_clutter_rate(self):
-        clutter_cfg = self.CAMERA
-        rng = stream_rng(3, "clutter")
+        frame = one_stream(self.CAMERA, stream_rng(3, "clutter"), 0, clutter_rate=0.5)
         count = 0
         for _ in range(2000):
-            count += len(
-                synth_sensor_frame(clutter_cfg, PlatformPose(0, 0, 0, 0), [], rng, clutter_rate=0.5)
-            )
+            count += len(frame(PlatformPose(0, 0, 0, 0), []))
         assert count / 2000 == pytest.approx(0.5, abs=0.05)
 
 
@@ -274,9 +294,7 @@ class TestSensingPass:
             expected = reference.frames(tick.cav_poses, sim.cis_poses)
             for (pid, sensor), observations in zip(sim.streams, expected):
                 got = stream_detections(sim, tick, (pid, sensor))
-                assert [(d.hex(), theta.hex(), c) for d, theta, c in got] == observation_bits(
-                    observations
-                ), (k, pid, sensor)
+                assert row_bits(got) == observation_bits(observations), (k, pid, sensor)
         if name == "correlated":
             assert reference.events["missed_with_state"] > 0
             assert reference.events["resumed"] > 0
@@ -294,17 +312,14 @@ class TestSensingPass:
             )
             pose = PlatformPose(*rng.uniform(-2.0, 2.0, 2), rng.uniform(-math.pi, math.pi))
             miss, clutter, rho = (0.0, 0.0, 0.0) if trial % 2 else (0.2, 1.5, 0.8)
-            states, reference_states = SensingErrors.fresh(6), {}
-            got_rng, want_rng = stream_rng(trial, "probe"), stream_rng(trial, "probe")
+            frame = one_stream(pipeline, stream_rng(trial, "probe"), 6, miss, clutter, rho)
+            want_rng, reference_states = stream_rng(trial, "probe"), {}
             for _ in range(10):
                 targets = list(rng.uniform(-5.0, 5.0, (6, 2)))
-                got = synth_sensor_frame(
-                    pipeline, pose, targets, got_rng, miss, clutter, states, rho
-                )
                 want = synth_sensor_frame_reference(
                     pipeline, pose, targets, want_rng, miss, clutter, reference_states, rho
                 )
-                assert observation_bits(got) == observation_bits(want)
+                assert row_bits(frame(pose, targets)) == observation_bits(want)
 
 
 def independent_localizer(

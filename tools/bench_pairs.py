@@ -17,10 +17,6 @@ verdict, which is also printed:
     python3 tools/bench_pairs.py --base ../base --change . --workload presets \\
         --pairs 10 --out BENCH_11.json
 
-A run that exits non-zero is a crash: the pair it belongs to is dropped
-and run again, up to ``3 * --pairs`` attempts in all, and the entry lists
-every crash (side and last line of standard error) under ``crashes``.
-
 Running it again with another workload or seed adds to the same file; the
 results of a (workload, seed) already in the file are replaced.
 """
@@ -36,15 +32,11 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run; returns its details and result lines merged, or
-    ``{"crashed": <last line of standard error>}`` if it exits non-zero."""
+    """One benchmark run; returns its details and result lines merged."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload]
     cmd += ["--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        lines = proc.stderr.strip().splitlines() or [f"exit status {proc.returncode}"]
-        return {"crashed": lines[-1]}
-    details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
+    details, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
     return {**details, **result}
 
 
@@ -105,27 +97,13 @@ def main(argv=None) -> int:
 
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     runs: dict[str, list[dict]] = {"base": [], "change": []}
-    crashes = []
-    attempt = 0
-    while len(runs["base"]) < args.pairs:
-        if attempt == 3 * args.pairs:
-            raise SystemExit(f"{len(crashes)} crashed runs in {attempt} attempts: {crashes[-1]}")
-        order = ("base", "change") if attempt % 2 == 0 else ("change", "base")
-        pair = {}
+    for pair in range(args.pairs):
+        order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
             checkout = args.base if side == "base" else args.change
-            run = run_once(checkout, args.workload, args.seconds, args.seed)
-            if "crashed" in run:
-                crashes.append({"attempt": attempt, "side": side, "error": run["crashed"]})
-                print(f"attempt {attempt}: {side} crashed: {run['crashed']}", file=sys.stderr)
-                break
-            pair[side] = run
-            value = run["metrics"]["tick_ms_iqm"]["value"]
-            print(f"attempt {attempt}: {side} tick_ms_iqm {value:.3f}", file=sys.stderr)
-        else:
-            for side in runs:
-                runs[side].append(pair[side])
-        attempt += 1
+            runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
+            value = runs[side][-1]["metrics"]["tick_ms_iqm"]["value"]
+            print(f"pair {pair}: {side} tick_ms_iqm {value:.3f}", file=sys.stderr)
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
     first = runs["base"][0]["details"]["env"]
@@ -138,8 +116,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "attempts": attempt,
-        "crashes": crashes,
         "correct": {side: all(run["correct"] for run in runs[side]) for side in runs},
         "loadavg": [run["details"]["env"]["loadavg_start"] for run in runs["base"] + runs["change"]],
         "metrics": summarize(runs, metrics),
