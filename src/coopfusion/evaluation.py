@@ -301,32 +301,54 @@ class _ScenarioFusion:
         return packets, self.rsu.step(t)
 
 
-def _parse_group(group: _TickGroup, index: int, cav_ids: list, cis_ids: list) -> tuple:
-    """A tick's (time, truth poses, localized poses, frames); a record that cannot
-    be read, or a platform without one, raises ``LogError`` naming the tick."""
+def _parse_group(
+    group: _TickGroup, index: int, last_t: float, cav_ids: list, sensors: dict[str, set[str]]
+) -> tuple:
+    """A tick's (time, truth poses, localized poses, frames).
+
+    ``last_t`` is the previous tick's time and ``sensors`` maps every
+    platform of the run to its sensors' names.  A record that cannot be
+    read, a time not after ``last_t``, a loc record for anything but a CAV
+    of the run, an obs record for a platform or sensor the run does not
+    have, a second loc record for a platform or obs record for a sensor, or
+    a platform without one raises ``LogError`` naming the tick.
+    """
     try:
         t = group.truth["t"]
         if isinstance(t, bool) or not math.isfinite(t):
             raise ValueError(f"time {t} is not a finite number")
+        if not t > last_t:
+            raise ValueError(f"time {t} is not after the previous tick's {last_t}")
         cavs = group.truth["cavs"]
         if [cav["id"] for cav in cavs] != cav_ids:
             raise ValueError(f"truth CAVs are not {cav_ids}")
         truth = [PlatformPose(cav["x"], cav["y"], cav["theta"], cav["v"]) for cav in cavs]
-        loc_poses = {
-            rec["platform"]: PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
-            for rec in group.loc
-        }
+        loc_poses: dict[str, PlatformPose] = {}
+        for rec in group.loc:
+            pid = rec["platform"]
+            if pid not in cav_ids:
+                raise ValueError(f"loc record for {pid!r}, which is no CAV of the run")
+            if pid in loc_poses:
+                raise ValueError(f"second loc record for {pid}")
+            loc_poses[pid] = PlatformPose(rec["x"], rec["y"], rec["theta"], rec["v"])
         frames: dict[str, LocalFrame] = {}
         for rec in group.obs:
-            frame = frames.setdefault(rec["platform"], LocalFrame(timestamp=t, observations={}))
+            pid, sensor = rec["platform"], rec["sensor"]
+            if pid not in sensors:
+                raise ValueError(f"obs record for {pid!r}, which is no platform of the run")
+            if sensor not in sensors[pid]:
+                raise ValueError(f"obs record for sensor {sensor!r}, which {pid} does not carry")
+            frame = frames.setdefault(pid, LocalFrame(timestamp=t, observations={}))
+            if sensor in frame.observations:
+                raise ValueError(f"second obs record for {pid} {sensor}")
             if not isinstance(rec["detections"], list):
                 raise TypeError("detections must be a list")
-            frame.observations[rec["sensor"]] = [
+            frame.observations[sensor] = [
                 PolarObservation(d["d"], d["theta"], d["class"]) for d in rec["detections"]
             ]
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise LogError(f"tick {index}: malformed record: {exc}") from exc
-    for kind, records, ids in (("loc", loc_poses, cav_ids), ("obs", frames, cav_ids + cis_ids)):
+    for kind, records, ids in (("loc", loc_poses, cav_ids), ("obs", frames, list(sensors))):
         missing = [pid for pid in ids if pid not in records]
         if missing:
             raise LogError(f"tick {index}: no {kind} record for {', '.join(missing)}")
@@ -358,8 +380,10 @@ def _fusion_pass(
     stopped_loc_sse_total = 0.0
     stopped_loc_count_total = 0
 
+    sensors = {pid: {p.name for p in pipes} for pid, pipes in fusion.local.pipelines.items()}
+    t = -math.inf
     for index, group in enumerate(groups):
-        t, truth, loc_poses, frames = _parse_group(group, index, fusion.cav_ids, fusion.cis_ids)
+        t, truth, loc_poses, frames = _parse_group(group, index, t, fusion.cav_ids, sensors)
         packets, fused = fusion.process(t, loc_poses, frames)
 
         truth_positions = [pose.position for pose in truth] + cis_positions

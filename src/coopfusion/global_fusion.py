@@ -10,6 +10,7 @@ A step hands its confirmed tracks back as a one-group ``TrackTable``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -18,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .association import (
+    PLAN_CACHE_SIZE,
     AssociationConfig,
     ObservationBatch,
     StaleFrameError,
@@ -246,25 +248,37 @@ def packet_from_wire(obj: dict) -> PlatformPacket:
     return packet
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _pose_plan(tracks: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the RSU's observations for packets of these track counts,
+    as read-only index arrays: every track row, then every pose row, each
+    pose going in after its packet's tracks."""
+    sizes = np.array(tracks, dtype=np.intp) + 1
+    is_pose = np.zeros(sizes.sum(), dtype=bool)
+    is_pose[sizes.cumsum() - 1] = True
+    track_rows, pose_rows = (~is_pose).nonzero()[0], is_pose.nonzero()[0]
+    for rows in (track_rows, pose_rows):
+        rows.setflags(write=False)
+    return track_rows, pose_rows
+
+
 def _observations(packets: Sequence[PlatformPacket]) -> ObservationBatch:
     """The RSU's observations of one tick: each packet's tracks, then its
-    platform's own pose as one more observation, all of one group."""
-    sizes = [len(packet.track_ids) + 1 for packet in packets]
-    # Each pose row goes in after its packet's track rows.
-    is_pose = np.zeros(sum(sizes), dtype=bool)
-    is_pose[list(itertools.accumulate(sizes, initial=-1))[1:]] = True
-    means = np.empty((len(is_pose), 2))
-    covariances = np.empty((len(is_pose), 2, 2))
+    platform's own pose as one more observation, all of one group with a
+    run per packet."""
+    tracks = tuple(len(packet.track_ids) for packet in packets)
+    track_rows, pose_rows = _pose_plan(tracks)
+    means = np.empty((len(track_rows) + len(pose_rows), 2))
+    covariances = np.empty((len(means), 2, 2))
     if packets:
-        means[~is_pose] = np.concatenate([packet.means for packet in packets])
-        means[is_pose] = [(packet.pose.x, packet.pose.y) for packet in packets]
-        covariances[~is_pose] = np.concatenate([packet.covariances for packet in packets])
-        covariances[is_pose] = [packet.pose_covariance for packet in packets]
+        means[track_rows] = np.concatenate([packet.means for packet in packets])
+        means[pose_rows] = [(packet.pose.x, packet.pose.y) for packet in packets]
+        covariances[track_rows] = np.concatenate([packet.covariances for packet in packets])
+        covariances[pose_rows] = [packet.pose_covariance for packet in packets]
     return ObservationBatch(
         means,
         symmetrized(covariances),
-        [0] * len(is_pose),
-        [packet.platform_id for packet, size in zip(packets, sizes) for _ in range(size)],
+        tuple((0, packet.platform_id, n + 1) for packet, n in zip(packets, tracks)),
         [c for packet in packets for c in (*packet.classes, "platform")],
     )
 

@@ -12,6 +12,7 @@ tracks back as one new ``TrackTable``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -20,6 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .association import (
+    PLAN_CACHE_SIZE,
     AssociationConfig,
     ObservationBatch,
     StaleFrameError,
@@ -60,6 +62,19 @@ class SensorPipelineConfig:
             raise ValueError("max_range must be positive")
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _detection_plan(
+    streams: tuple[tuple[int, str], ...], counts: tuple[int, ...]
+) -> tuple[np.ndarray, tuple[tuple[int, str, int], ...]]:
+    """The plan of a frame whose pipelines, (group, name) in sensor-table
+    order, hold these detection counts: every detection's sensor-table row
+    (read-only) and the frame's observation runs."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    rows.setflags(write=False)
+    runs = tuple((g, name, n) for (g, name), n in zip(streams, counts) if n)
+    return rows, runs
+
+
 @dataclass
 class LocalFrame:
     """One synchronized tick of a platform's detections, keyed by pipeline name."""
@@ -84,7 +99,11 @@ class LocalFusion:
                 raise ValueError(f"duplicate pipeline names on {pid}: {names}")
             # Association runs source by source in name order.
             self.pipelines[pid] = sorted(pipelines, key=lambda p: p.name)
-        # Row r of the sensor table is the r-th pipeline in that order.
+        # Row r of the sensor table is the r-th pipeline in that order, of
+        # group and source self._streams[r].
+        self._streams = tuple(
+            (g, p.name) for g, pipelines in enumerate(self.pipelines.values()) for p in pipelines
+        )
         self._sensors = sensor_table(
             [
                 (p.pose, p.distal_model, p.perp_model)
@@ -108,30 +127,24 @@ class LocalFusion:
             )
         self._last_timestamp = max(times, default=self._last_timestamp)
 
-        distances, bearings, rows, groups, sources, classes = [], [], [], [], [], []
-        row = 0
-        for g, (pid, pipelines) in enumerate(self.pipelines.items()):
+        distances, bearings, classes, counts = [], [], [], []
+        for pid, pipelines in self.pipelines.items():
             observations = frames[pid].observations
             for p in pipelines:
                 detections = observations.get(p.name, ())
                 distances.extend([obs.distance_obs for obs in detections])
                 bearings.extend([obs.theta_obs for obs in detections])
                 classes.extend([obs.object_class for obs in detections])
-                rows.extend([row] * len(detections))
-                groups.extend([g] * len(detections))
-                sources.extend([p.name] * len(detections))
-                row += 1
+                counts.append(len(detections))
+        rows, runs = _detection_plan(self._streams, tuple(counts))
         means, covariances = observation_estimates(
-            self._sensors,
-            np.array(rows, dtype=np.intp),
-            np.array(distances, dtype=float),
-            np.array(bearings, dtype=float),
+            self._sensors, rows, np.array(distances, dtype=float), np.array(bearings, dtype=float)
         )
 
         self.table = associate_frame(
             self.table,
             ctrv_predict((self.table.means, self.table.covariances), self.noise),
-            ObservationBatch(means, covariances, groups, sources, classes),
+            ObservationBatch(means, covariances, runs, classes),
             self.association,
             self._next_ids,
         )

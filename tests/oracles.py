@@ -20,6 +20,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 
+from coopfusion import association, global_fusion, local_fusion
 from coopfusion.association import (
     SPAWN_GATE_FACTOR,
     AssociationConfig,
@@ -546,8 +547,8 @@ def packet_bits(packet):
 
 def rsu_batch_reference(packets):
     """The RSU's observations of one tick, built one packet and one track at a
-    time on tuples: each packet's tracks, then its pose."""
-    means, covariances, sources, classes = [], [], [], []
+    time on tuples: each packet's tracks, then its pose, as one run."""
+    means, covariances, runs, classes = [], [], [], []
     for packet in packets:
         for mean, cov, object_class in zip(
             packet.means.tolist(), packet.covariances.tolist(), packet.classes
@@ -558,14 +559,18 @@ def rsu_batch_reference(packets):
         means.append((packet.pose.x, packet.pose.y))
         covariances.append(tuple(map(tuple, packet.pose_covariance.tolist())))
         classes.append("platform")
-        sources.extend([packet.platform_id] * (len(packet.track_ids) + 1))
+        runs.append((0, packet.platform_id, len(packet.track_ids) + 1))
     return ObservationBatch(
         np.array(means, dtype=float).reshape(-1, 2),
         symmetrized(np.array(covariances, dtype=float).reshape(-1, 2, 2)),
-        [0] * len(sources),
-        sources,
+        tuple(runs),
         classes,
     )
+
+
+def runs_of(keys):
+    """An observation batch's runs from each observation's (group, source)."""
+    return tuple((g, source, len(list(run))) for (g, source), run in itertools.groupby(keys))
 
 
 def min_eig_2x2(m):
@@ -837,3 +842,19 @@ def table_bits(table):
         (value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
         for value in table
     ]
+
+
+# Every plan cache of the package.
+PLAN_CACHES = (
+    association._row_groups,
+    association._frame_plan,
+    association._merge_plan,
+    association._spawn_plan,
+    local_fusion._detection_plan,
+    global_fusion._pose_plan,
+)
+
+
+def clear_plans():
+    for cache in PLAN_CACHES:
+        cache.cache_clear()

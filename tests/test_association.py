@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 from oracles import (
+    PLAN_CACHES,
     associate_frame_reference,
+    clear_plans,
     jpda_enumeration,
     jpda_oracle,
     jpda_weights_reference,
     merge_coincident_reference,
     pair_stats_reference,
+    runs_of,
     spawned_estimate,
     table_bits,
     table_of,
@@ -19,19 +22,27 @@ from oracles import (
 
 from coopfusion import association
 from coopfusion.association import (
+    PLAN_CACHE_SIZE,
     AssociationConfig,
     CombinatorialOverflowError,
     ObservationBatch,
     Track,
     TrackTable,
+    _block_pairs,
+    _frame_plan,
     _gate_blocks,
     _merge_coincident,
+    _merge_plan,
     _observation_blocks,
+    _row_groups,
+    _spawn_plan,
     _track_blocks,
     associate_frame,
     jpda_weights,
 )
 from coopfusion.error_models import GaussianEstimate, rotated_covariance
+from coopfusion.global_fusion import _pose_plan
+from coopfusion.local_fusion import _detection_plan
 
 
 def make_track(tid, x, y, pos_var=1.0):
@@ -98,8 +109,7 @@ def associate(tracks, observations_by_source, cfg, next_id):
     batch = ObservationBatch(
         np.array([obs.mean for _, obs in keyed]).reshape(-1, 2),
         np.array([obs.covariance for _, obs in keyed]).reshape(-1, 2, 2),
-        [0] * len(keyed),
-        [key for key, _ in keyed],
+        runs_of([(0, key) for key, _ in keyed]),
         [obs.object_class for _, obs in keyed],
     )
     table = table_of([tracks])
@@ -114,7 +124,8 @@ def gate(tracks, observations, cfg):
     gating pass over one block."""
     n, m = len(tracks), len(observations)
     _, rows, cols, _ = _gate_blocks(
-        *_track_blocks(tracks), *_observation_blocks(observations), [(0, n, 0, m)], cfg
+        *_track_blocks(tracks), *_observation_blocks(observations), _block_pairs([(0, n, 0, m)]),
+        cfg,
     )
     feasible = np.zeros((n, m), dtype=bool)
     feasible[rows, cols] = True
@@ -618,7 +629,7 @@ class TestAssociateFrame:
         for track in tracks:
             track.estimate = GaussianEstimate(np.full(5, np.nan), np.full((5, 5), np.nan))
         batch = ObservationBatch(
-            np.array([[100.0, 0.0]]), 0.1 * np.eye(2)[None], [0], ["s"], ["vehicle"]
+            np.array([[100.0, 0.0]]), 0.1 * np.eye(2)[None], ((0, "s", 1),), ["vehicle"]
         )
         (kept,) = tracks_of(
             associate_frame(
@@ -663,8 +674,7 @@ class TestAssociateFrame:
         batch = ObservationBatch(
             np.array([obs.mean for *_, obs in keyed]),
             np.array([obs.covariance for *_, obs in keyed]),
-            [g for g, _, _ in keyed],
-            [source for _, source, _ in keyed],
+            runs_of([(g, source) for g, source, _ in keyed]),
             [obs.object_class for *_, obs in keyed],
         )
         table = table_of(groups)
@@ -705,3 +715,114 @@ def test_new_track_estimate_seeds_from_observation():
     assert estimate.covariance[:2, :2] == pytest.approx(0.3 * np.eye(2))
     assert estimate.covariance[2, 2] == 1.0
     assert estimate.covariance[3, 3] == pytest.approx(math.pi**2)
+
+
+def random_frame(rng, counts, runs):
+    """A table of random tracks in groups of ``counts`` and a batch of random
+    observations in ``runs``, all crowded into one small square so that
+    frames gate, enumerate, merge and spawn."""
+    groups = []
+    for n in counts:
+        group = [make_track(i, *rng.uniform(-3, 3, 2), rng.uniform(0.05, 0.5)) for i in range(n)]
+        for track in group:
+            track.frames_seen = int(rng.integers(1, 6))
+        groups.append(group)
+    m = sum(size for *_, size in runs)
+    batch = ObservationBatch(
+        rng.uniform(-3, 3, (m, 2)),
+        rng.uniform(0.05, 0.5, m)[:, None, None] * np.eye(2),
+        runs,
+        ["vehicle"] * m,
+    )
+    return table_of(groups), batch
+
+
+class TestPlans:
+    SHAPES = [
+        ((3, 0, 2), ((0, "a", 2), (0, "b", 3), (2, "a", 1))),
+        ((1, 4), ((1, "a", 4),)),
+        ((2, 2), ((0, "a", 1), (1, "a", 2), (1, "b", 1))),
+        ((0,), ()),
+    ]
+
+    def test_warm_and_cleared_caches_give_equal_bits(self):
+        rng = np.random.default_rng(71)
+        cfg = AssociationConfig()
+        frames = [random_frame(rng, *self.SHAPES[k % len(self.SHAPES)]) for k in range(40)]
+
+        def associate(table, batch):
+            next_ids = [itertools.count(100).__next__ for _ in table.counts]
+            out = associate_frame(table, (table.means, table.covariances), batch, cfg, next_ids)
+            return table_bits(out)
+
+        clear_plans()
+        warm = [associate(*frame) for frame in frames]
+        assert _frame_plan.cache_info().hits == len(frames) - len(self.SHAPES)
+        assert _merge_plan.cache_info().hits > 0 and _spawn_plan.cache_info().hits > 0
+        for frame, bits in zip(frames, warm):
+            clear_plans()
+            assert associate(*frame) == bits
+
+    def test_writing_into_a_plan_raises(self):
+        (pairs, groups) = _frame_plan((2, 1), ((0, "a", 2), (1, "b", 1)))
+        rows, runs = _detection_plan(((0, "a"), (1, "b")), (2, 1))
+        arrays = [
+            _row_groups((2, 1)),
+            table_of([[make_track(0, 0, 0)], [make_track(1, 0, 0)]]).groups(),
+            *pairs,
+            *_merge_plan((3, 2)),
+            *_spawn_plan((2, 1), ((0, 2), (1, 1))),
+            rows,
+            *_pose_plan((2, 1)),
+        ]
+        for array in arrays:
+            assert array.size
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 7
+        assert isinstance(groups, tuple) and isinstance(runs, tuple)
+
+    def test_equal_totals_with_other_runs_or_counts_get_other_plans(self):
+        # Each key's plan is what building it afresh gives, and no two of
+        # these keys, each of three tracks and three observations in all,
+        # share a plan.
+        keys = [
+            ((2, 1), ((0, "a", 2), (1, "a", 1))),
+            ((1, 2), ((0, "a", 2), (1, "a", 1))),
+            ((2, 1), ((0, "a", 1), (1, "a", 2))),
+            ((2, 1), ((0, "a", 1), (0, "b", 1), (1, "a", 1))),
+        ]
+        plans = []
+        for counts, runs in keys:
+            (rows, cols, block), groups = _frame_plan(counts, runs)
+            (fresh_rows, fresh_cols, fresh_block), fresh_groups = _frame_plan.__wrapped__(counts, runs)
+            assert (rows.tolist(), cols.tolist(), block.tolist(), groups) == (
+                fresh_rows.tolist(), fresh_cols.tolist(), fresh_block.tolist(), fresh_groups
+            )
+            plans.append((rows.tolist(), cols.tolist(), block.tolist(), groups))
+        assert len({repr(plan) for plan in plans}) == len(keys)
+        for cache, first, second in [
+            (_row_groups, ((2, 1),), ((1, 2),)),
+            (_merge_plan, ((3, 1),), ((2, 2),)),
+            (_spawn_plan, ((2, 1), ((0, 1), (1, 1))), ((1, 2), ((0, 1), (1, 1)))),
+            (_detection_plan, (((0, "a"), (1, "a")), (2, 1)), (((0, "a"), (1, "a")), (1, 2))),
+            (_detection_plan, (((0, "a"), (1, "a")), (1, 1)), (((0, "a"), (0, "b")), (1, 1))),
+            (_pose_plan, ((2, 1),), ((1, 2),)),
+        ]:
+            got = [repr(cache(*key)) for key in (first, second)]
+            assert got == [repr(cache.__wrapped__(*key)) for key in (first, second)]
+            assert got[0] != got[1]
+
+    def test_no_cache_holds_more_plans_than_the_constant(self):
+        clear_plans()
+        for n in range(3 * PLAN_CACHE_SIZE):
+            counts = (n, 1)
+            _row_groups(counts)
+            _frame_plan(counts, ((0, "a", n + 1),))
+            _merge_plan((n + 1, 2))
+            _spawn_plan(counts, ((0, n + 1),))
+            _detection_plan(((0, "a"), (1, "a")), counts)
+            _pose_plan(counts)
+        for cache in PLAN_CACHES:
+            info = cache.cache_info()
+            assert info.maxsize == PLAN_CACHE_SIZE
+            assert info.currsize == PLAN_CACHE_SIZE and info.misses == 3 * PLAN_CACHE_SIZE

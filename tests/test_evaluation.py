@@ -45,6 +45,12 @@ def drop_obs(records, platform):
         records.remove(record)
 
 
+def add_copy(records, kind, **changes):
+    """Insert, right after the first record of ``kind``, a copy of it with ``changes``."""
+    record = first(records, kind)
+    records.insert(records.index(record) + 1, {**record, **changes})
+
+
 # Edits that each break the first tick of a recorded sm/sp/CIS log, each with
 # the start of the message replay must report.
 MALFORMED_TICK_0 = {
@@ -70,6 +76,30 @@ MALFORMED_TICK_0 = {
     "detection_class_a_number": (lambda recs: first_detection(recs).update({"class": 1}), "malformed"),
     "no_loc_for_cav1": (lambda recs: recs.remove(first(recs, "loc", "cav1")), "no loc record for cav1"),
     "no_obs_for_cis0": (lambda recs: drop_obs(recs, "cis0"), "no obs record for cis0"),
+    "loc_for_unknown_cav7": (
+        lambda recs: add_copy(recs, "loc", platform="cav7"),
+        "malformed record: loc record for 'cav7', which is no CAV of the run",
+    ),
+    "loc_for_cis0": (
+        lambda recs: add_copy(recs, "loc", platform="cis0"),
+        "malformed record: loc record for 'cis0', which is no CAV of the run",
+    ),
+    "second_loc_for_cav0": (
+        lambda recs: add_copy(recs, "loc"),
+        "malformed record: second loc record for cav0",
+    ),
+    "obs_for_unknown_cav7": (
+        lambda recs: add_copy(recs, "obs", platform="cav7"),
+        "malformed record: obs record for 'cav7', which is no platform of the run",
+    ),
+    "obs_for_unknown_sensor": (
+        lambda recs: add_copy(recs, "obs", sensor="radar"),
+        "malformed record: obs record for sensor 'radar', which cav0 does not carry",
+    ),
+    "second_obs_for_one_sensor": (
+        lambda recs: add_copy(recs, "obs"),
+        "malformed record: second obs record for cav0",
+    ),
 }
 
 
@@ -473,6 +503,40 @@ class TestCli:
         argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
         assert cli.main(argv) == 2
         assert f"tick 0: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_of_extra_loc_record_every_tick_exits_2_without_report(self, tmp_path, capsys):
+        # Keyed into a dict, these records used to add 16 localization
+        # errors to the report and change its RMSE.
+        run_scenario(tiny(duration=2.0), "parameterized", out_dir=tmp_path / "run")
+        records = []
+        for line in (tmp_path / "run" / "log.ndjson").read_text().splitlines():
+            records.append(json.loads(line))
+            if records[-1]["kind"] == "loc" and records[-1]["platform"] == "cav1":
+                records.append({**records[-1], "platform": "cav7"})
+        log = tmp_path / "bad.ndjson"
+        log.write_text("\n".join(json.dumps(record) for record in records))
+        out = tmp_path / "replay.json"
+        argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert "tick 0: malformed record: loc record for 'cav7'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replay_of_truth_time_stepping_back_exits_2_naming_the_tick(self, tmp_path, capsys):
+        run_scenario(tiny(duration=2.0), "parameterized", out_dir=tmp_path / "run")
+        records = [
+            json.loads(line) for line in (tmp_path / "run" / "log.ndjson").read_text().splitlines()
+        ]
+        truths = [record for record in records if record["kind"] == "truth"]
+        assert truths[4]["t"] == 0.5
+        truths[5]["t"] = 0.25
+        log = tmp_path / "bad.ndjson"
+        log.write_text("\n".join(json.dumps(record) for record in records))
+        out = tmp_path / "replay.json"
+        argv = ["replay", "--log", str(log), "--mode", "parameterized", "--out", str(out)]
+        assert cli.main(argv) == 2
+        message = "tick 5: malformed record: time 0.25 is not after the previous tick's 0.5"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_replay_with_short_cis_list_exits_2_without_report(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import (
     check_packet_reference,
+    clear_plans,
     covariance_to_world,
     ingest_reference,
     packet_bits,
@@ -18,7 +19,7 @@ from oracles import (
     tracks_of,
 )
 
-from coopfusion.association import StaleFrameError, Track
+from coopfusion.association import StaleFrameError, Track, _frame_plan
 from coopfusion.error_models import (
     DEFAULT_PARAMETERIZED_MODELS,
     GaussianEstimate,
@@ -31,6 +32,7 @@ from coopfusion.global_fusion import (
     PlatformPacket,
     _observations,
     _packet_faults,
+    _pose_plan,
     check_packet,
     covariance_union,
     packet_from_wire,
@@ -758,6 +760,50 @@ class TestBatchedIngest:
             assert sorted(fusion._inbox) == sorted(p.platform_id for p in good)
 
 
+def drifting_ticks(seed, n_ticks):
+    """Per tick, the packets of three CAVs whose local tracks drift a little
+    each tick, each track missing from one tick in ten."""
+    rng = np.random.default_rng(seed)
+    poses = [PlatformPose(*rng.normal(0.0, 5.0, 2), random_heading(rng), 0.5) for _ in range(3)]
+    covs = localization_covariances(poses, LON, LAT)
+    starts = [rng.normal(0.0, 3.0, (int(rng.integers(1, 5)), 2)) for _ in poses]
+    ticks = []
+    for k in range(n_ticks):
+        platforms = [
+            (
+                f"cav{i}",
+                pose,
+                cov,
+                [
+                    local_track(j, *(xy + 0.05 * k + rng.normal(0.0, 0.02, 2)))
+                    for j, xy in enumerate(start)
+                    if rng.random() > 0.1
+                ],
+            )
+            for i, (pose, cov, start) in enumerate(zip(poses, covs, starts))
+        ]
+        ticks.append(packetize_tracks(DT * (k + 1), platforms))
+    return ticks
+
+
+class TestPlans:
+    def test_warm_and_cleared_caches_give_equal_bits(self):
+        ticks = drifting_ticks(61, 40)
+        clear_plans()
+        warm = GlobalFusion(DT)
+        held = []
+        for k, packets in enumerate(ticks):
+            warm.ingest(packets)
+            held.append((table_bits(warm.step(DT * (k + 1))), table_bits(warm.table)))
+        assert _frame_plan.cache_info().hits > 0 and _pose_plan.cache_info().hits > 0
+        assert any(warm.table.confirmed)
+        cold = GlobalFusion(DT)
+        for k, (packets, bits) in enumerate(zip(ticks, held)):
+            clear_plans()
+            cold.ingest(packets)
+            assert (table_bits(cold.step(DT * (k + 1))), table_bits(cold.table)) == bits
+
+
 class TestRsuObservations:
     def test_matches_tuple_reference_bit_for_bit(self):
         rng = np.random.default_rng(53)
@@ -771,14 +817,10 @@ class TestRsuObservations:
             assert got.covariances.tobytes() == want.covariances.tobytes()
             assert got.means.shape == want.means.shape
             assert got.covariances.shape == want.covariances.shape
-            assert (got.groups, got.sources, got.classes) == (
-                want.groups,
-                want.sources,
-                want.classes,
-            )
+            assert (got.runs, got.classes) == (want.runs, want.classes)
         assert {0, 1, 20} <= sizes
 
     def test_no_packets(self):
         batch = _observations([])
         assert batch.means.shape == (0, 2) and batch.covariances.shape == (0, 2, 2)
-        assert batch.groups == [] and batch.sources == [] and batch.classes == []
+        assert batch.runs == () and batch.classes == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import (
     PlatformFusionReference,
+    clear_plans,
     packet_bits,
     packetize_reference,
     pair_stats_reference,
@@ -19,6 +20,7 @@ from coopfusion.association import (
     AssociationConfig,
     Track,
     _block_pairs,
+    _frame_plan,
     _gate_blocks,
     _pair_stats,
     _track_blocks,
@@ -33,7 +35,13 @@ from coopfusion.error_models import (
     SensorPose,
 )
 from coopfusion.global_fusion import packetize
-from coopfusion.local_fusion import LocalFrame, LocalFusion, SensorPipelineConfig, StaleFrameError
+from coopfusion.local_fusion import (
+    LocalFrame,
+    LocalFusion,
+    SensorPipelineConfig,
+    StaleFrameError,
+    _detection_plan,
+)
 
 DT = 0.125
 
@@ -444,7 +452,7 @@ class TestBatchMatchesPerPlatformReference:
             *_track_blocks([track]),
             np.array([[1.0, 0.0]]),
             np.array([0.01 * np.eye(2)]),
-            [(0, 1, 0, 1)],
+            _block_pairs([(0, 1, 0, 1)]),
             AssociationConfig(),
         )
         assert block.size == rows.size == cols.size == density.size == 0
@@ -458,6 +466,29 @@ class TestBatchMatchesPerPlatformReference:
             with pytest.raises(StaleFrameError):
                 fusion.step(frames)
         assert table_bits(fusion.table) == held
+
+
+class TestPlans:
+    def test_warm_and_cleared_caches_give_equal_bits(self):
+        # Each tick's detections come again half a tick later, so that frame
+        # shapes repeat.
+        ticks = [
+            again
+            for frames in random_frames(11, 30)
+            for again in (
+                frames,
+                {pid: LocalFrame(f.timestamp + DT / 2, f.observations) for pid, f in frames.items()},
+            )
+        ]
+        clear_plans()
+        warm = LocalFusion(PLATFORMS, DT)
+        held = [(table_bits(warm.step(frames)), table_bits(warm.table)) for frames in ticks]
+        assert _detection_plan.cache_info().hits >= 30 and _frame_plan.cache_info().hits > 0
+        assert any(warm.table.confirmed)
+        cold = LocalFusion(PLATFORMS, DT)
+        for frames, bits in zip(ticks, held):
+            clear_plans()
+            assert (table_bits(cold.step(frames)), table_bits(cold.table)) == bits
 
 
 class TestGatheredPairStats:

@@ -12,7 +12,12 @@ verdict, which is also printed:
   than the base median by more than the base quartile distance;
 - ``worse``: the change median is worse than the base median by more than
   the metric's ``bound`` (a fraction of the base median);
-- ``unresolved``: neither.
+- ``unresolved``: neither;
+- ``run_failed``: a run of the workload, on either side, exited non-zero.
+
+A run that exits non-zero is recorded on its side with its exit code and
+the last line of its standard error, and the remaining pairs still run;
+no run is retried.
 
     python3 tools/bench_pairs.py --base ../base --change . --workload presets \\
         --pairs 10 --out BENCH_11.json
@@ -32,12 +37,22 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
-    """One benchmark run; returns its details and result lines merged."""
+    """One benchmark run; returns its details and result lines merged, or,
+    if it exits non-zero, its ``exit_code`` and the last line of its
+    standard error (``stderr``)."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload]
     cmd += ["--seconds", str(seconds), "--seed", str(seed), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
-    details, result = (json.loads(line) for line in out.strip().splitlines()[-2:])
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if done.returncode != 0:
+        last = done.stderr.strip().splitlines()[-1:] or [""]
+        return {"exit_code": done.returncode, "stderr": last[0]}
+    details, result = (json.loads(line) for line in done.stdout.strip().splitlines()[-2:])
     return {**details, **result}
+
+
+def completed(runs: list[dict]) -> list[dict]:
+    """The runs that exited 0."""
+    return [run for run in runs if "exit_code" not in run]
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -58,19 +73,34 @@ def verdict(base: dict, change: dict, wins: int, pairs: int, better: str, bound:
 
 
 def summarize(runs: dict[str, list[dict]], metrics: list[dict]) -> dict:
+    """Each metric's summary.  When any run of either side failed, every
+    metric's verdict is ``run_failed`` and a failed run's value is None."""
+    failed = any("exit_code" in run for side in runs for run in runs[side])
+    first = completed(runs["base"] + runs["change"])[:1]
     summary = {}
     for metric in metrics:
         name = metric["name"]
-        values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in runs}
+        values = {
+            side: [
+                None if "exit_code" in run else run["metrics"][name]["value"] for run in runs[side]
+            ]
+            for side in runs
+        }
+        entry = {
+            "unit": first[0]["metrics"][name]["unit"] if first else None,
+            "better": metric["better"],
+            "bound": metric["bound"],
+        }
+        if failed:
+            summary[name] = {**entry, "verdict": "run_failed", "values": values}
+            continue
         lower = metric["better"] == "lower"
         wins = sum(
             (c < b) if lower else (c > b) for b, c in zip(values["base"], values["change"])
         )
         base, change = quartiles(values["base"]), quartiles(values["change"])
         summary[name] = {
-            "unit": runs["base"][0]["metrics"][name]["unit"],
-            "better": metric["better"],
-            "bound": metric["bound"],
+            **entry,
             "base": base,
             "change": change,
             "change_wins": wins,
@@ -101,26 +131,42 @@ def main(argv=None) -> int:
         order = ("base", "change") if pair % 2 == 0 else ("change", "base")
         for side in order:
             checkout = args.base if side == "base" else args.change
-            runs[side].append(run_once(checkout, args.workload, args.seconds, args.seed))
-            value = runs[side][-1]["metrics"]["tick_ms_iqm"]["value"]
-            print(f"pair {pair}: {side} tick_ms_iqm {value:.3f}", file=sys.stderr)
+            run = run_once(checkout, args.workload, args.seconds, args.seed)
+            runs[side].append(run)
+            if "exit_code" in run:
+                status = f"exited {run['exit_code']}: {run['stderr']}"
+            else:
+                status = f"tick_ms_iqm {run['metrics']['tick_ms_iqm']['value']:.3f}"
+            print(f"pair {pair}: {side} {status}", file=sys.stderr)
 
     bench = json.loads(args.out.read_text()) if args.out.exists() else {}
-    first = runs["base"][0]["details"]["env"]
-    bench["env"] = {key: first[key] for key in ("python", "numpy", "scipy", "nproc")}
+    envs = {side: [run["details"]["env"] for run in completed(runs[side])] for side in runs}
+    if envs["base"] or envs["change"]:
+        first = (envs["base"] or envs["change"])[0]
+        bench["env"] = {key: first[key] for key in ("python", "numpy", "scipy", "nproc")}
     for side in runs:
-        env = runs[side][0]["details"]["env"]
-        bench[side] = {"git_sha": env["git_sha"], "src_sha256": env["src_sha256"]}
+        if envs[side]:
+            env = envs[side][0]
+            bench[side] = {"git_sha": env["git_sha"], "src_sha256": env["src_sha256"]}
     entry = {
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
         "pairs": args.pairs,
-        "correct": {side: all(run["correct"] for run in runs[side]) for side in runs},
-        "loadavg": [run["details"]["env"]["loadavg_start"] for run in runs["base"] + runs["change"]],
+        "correct": {side: all(run["correct"] for run in completed(runs[side])) for side in runs},
+        "loadavg": [env["loadavg_start"] for env in envs["base"] + envs["change"]],
+        "failed_runs": [
+            {"side": side, "pair": pair, "exit_code": run["exit_code"], "stderr": run["stderr"]}
+            for side in runs
+            for pair, run in enumerate(runs[side])
+            if "exit_code" in run
+        ],
         "metrics": summarize(runs, metrics),
     }
     for name, metric in entry["metrics"].items():
+        if metric["verdict"] == "run_failed":
+            print(f"{args.workload} seed {args.seed} {name}: run_failed")
+            continue
         print(
             f"{args.workload} seed {args.seed} {name}: base median {metric['base']['median']:.4g}, "
             f"change median {metric['change']['median']:.4g}, change wins "
