@@ -291,12 +291,12 @@ def _frame_plan(
     and the group of every observation."""
     starts = list(itertools.accumulate(counts, initial=0))
     blocks = []
-    first = 0
+    observation_groups: list[int] = []
     for g, _, size in runs:
+        first = len(observation_groups)
         blocks.append((starts[g], starts[g + 1], first, first + size))
-        first += size
-    observation_groups = tuple(g for g, _, size in runs for _ in range(size))
-    return _read_only(*_block_pairs(blocks)), observation_groups
+        observation_groups += [g] * size
+    return _read_only(*_block_pairs(blocks)), tuple(observation_groups)
 
 
 def _gate_blocks(

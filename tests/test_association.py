@@ -795,10 +795,10 @@ class TestPlans:
         for counts, runs in keys:
             (rows, cols, block), groups = _frame_plan(counts, runs)
             (fresh_rows, fresh_cols, fresh_block), fresh_groups = _frame_plan.__wrapped__(counts, runs)
-            assert (rows.tolist(), cols.tolist(), block.tolist(), groups) == (
-                fresh_rows.tolist(), fresh_cols.tolist(), fresh_block.tolist(), fresh_groups
-            )
-            plans.append((rows.tolist(), cols.tolist(), block.tolist(), groups))
+            plan = [a.tolist() for a in (rows, cols, block)] + [groups]
+            fresh = [a.tolist() for a in (fresh_rows, fresh_cols, fresh_block)] + [fresh_groups]
+            assert plan == fresh
+            plans.append(plan)
         assert len({repr(plan) for plan in plans}) == len(keys)
         for cache, first, second in [
             (_row_groups, ((2, 1),), ((1, 2),)),
